@@ -11,6 +11,7 @@
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "dense/kernels.hpp"
+#include "numeric/block_index.hpp"
 #include "sparse/coo.hpp"
 
 namespace gesp::dist {
@@ -46,20 +47,6 @@ int bcast_vec_tag(index_t nsup) { return static_cast<int>(nsup) * 16; }
 // Factor-gather tags (above everything else).
 int gather_l_tag(index_t nsup) { return static_cast<int>(nsup) * 16 + 2; }
 int gather_u_tag(index_t nsup) { return static_cast<int>(nsup) * 16 + 3; }
-
-/// Position of each element of `sub` inside sorted superset `full`.
-void subset_positions(std::span<const index_t> sub,
-                      std::span<const index_t> full,
-                      std::vector<index_t>& pos) {
-  pos.resize(sub.size());
-  std::size_t q = 0;
-  for (std::size_t p = 0; p < sub.size(); ++p) {
-    while (q < full.size() && full[q] < sub[p]) ++q;
-    GESP_ASSERT(q < full.size() && full[q] == sub[p],
-                "block structure not closed under updates");
-    pos[p] = static_cast<index_t>(q);
-  }
-}
 
 // Task types of the factorization schedule, in strict program order per K.
 // kUpdNear(K) covers the update pairs whose destination lies in panel K+1
@@ -525,10 +512,10 @@ void DistributedLU<T>::factorize(minimpi::Comm& comm, const DistOptions& opt) {
           dec(tid(I, kDfac));
         } else if (I > J) {
           // destination L block (I, J).
-          std::size_t dbi = 0;
-          while (S.L[J][dbi].I != I) ++dbi;
+          const index_t dbi = numeric::detail::find_block(S.L[J], I);
+          GESP_ASSERT(dbi >= 0, "missing destination L block");
           const auto& dst_rows = S.L[J][dbi].rows;
-          subset_positions(src_rows, dst_rows, rpos);
+          numeric::detail::subset_positions(src_rows, dst_rows, rpos);
           T* dst = lblocks_[J][dbi].data();
           const index_t ldd = static_cast<index_t>(dst_rows.size());
           const index_t base = S.sn_start[J];
@@ -539,10 +526,10 @@ void DistributedLU<T>::factorize(minimpi::Comm& comm, const DistOptions& opt) {
           }
           dec(tid(J, kLpan));
         } else {
-          std::size_t dbj = 0;
-          while (S.U[I][dbj].J != J) ++dbj;
+          const index_t dbj = numeric::detail::find_block(S.U[I], J);
+          GESP_ASSERT(dbj >= 0, "missing destination U block");
           const auto& dst_cols = S.U[I][dbj].cols;
-          subset_positions(src_cols, dst_cols, cpos);
+          numeric::detail::subset_positions(src_cols, dst_cols, cpos);
           T* dst = ublocks_[I][dbj].data();
           const index_t bI = S.block_cols(I);
           const index_t base = S.sn_start[I];

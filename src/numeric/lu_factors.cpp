@@ -10,60 +10,19 @@
 #include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
 #include "common/trace.hpp"
+#include "numeric/block_index.hpp"
 #include "sparse/coo.hpp"
 
 namespace gesp::numeric {
 namespace {
 
-/// Binary search a block list for block index `I`; returns position or -1.
-template <class Block>
-index_t find_block(const std::vector<Block>& blocks, index_t I) {
-  index_t lo = 0, hi = static_cast<index_t>(blocks.size());
-  while (lo < hi) {
-    const index_t mid = lo + (hi - lo) / 2;
-    const index_t key = [&] {
-      if constexpr (requires { blocks[mid].I; })
-        return blocks[mid].I;
-      else
-        return blocks[mid].J;
-    }();
-    if (key < I)
-      lo = mid + 1;
-    else
-      hi = mid;
-  }
-  if (lo < static_cast<index_t>(blocks.size())) {
-    if constexpr (requires { blocks[lo].I; }) {
-      if (blocks[lo].I == I) return lo;
-    } else {
-      if (blocks[lo].J == I) return lo;
-    }
-  }
-  return -1;
-}
-
-/// Position of each element of `sub` inside the sorted superset `full`.
-/// A sparse sub in a long full list searches instead of scanning: the
-/// linear merge touches every full[] entry up to the last match, which for
-/// the typical 2-3-row update into a several-hundred-row destination block
-/// is the single most expensive loop of the whole update phase.
-void subset_positions(std::span<const index_t> sub,
-                      std::span<const index_t> full,
-                      std::vector<index_t>& pos) {
-  pos.resize(sub.size());
-  std::size_t q = 0;
-  const bool search = sub.size() * 8 < full.size();
-  for (std::size_t p = 0; p < sub.size(); ++p) {
-    if (search)
-      q = static_cast<std::size_t>(
-          std::lower_bound(full.begin() + q, full.end(), sub[p]) -
-          full.begin());
-    else
-      while (q < full.size() && full[q] < sub[p]) ++q;
-    GESP_ASSERT(q < full.size() && full[q] == sub[p],
-                "symbolic structure is not closed under updates");
-    pos[p] = static_cast<index_t>(q);
-  }
+dense::PivotPolicy pivot_policy(const NumericOptions& opt) {
+  dense::PivotPolicy policy;
+  policy.tiny_threshold = opt.tiny_threshold;
+  policy.aggressive = opt.aggressive_replacement;
+  policy.strategy = opt.panel_pivot;
+  policy.threshold_tau = opt.pivot_threshold_tau;
+  return policy;
 }
 
 }  // namespace
@@ -134,7 +93,7 @@ void LUFactors<T>::scatter_values(const sparse::CscMatrix<T>& A,
       if (I == J) {
         lnz_[J][(i - S.sn_start[J]) + cj * bj] = v;
       } else if (I > J) {
-        const index_t bi = find_block(S.L[J], I);
+        const index_t bi = detail::find_block(S.L[J], I);
         GESP_ASSERT(bi >= 0, "A entry outside symbolic L structure");
         const auto& rows = S.L[J][bi].rows;
         const auto rit = std::lower_bound(rows.begin(), rows.end(), i);
@@ -145,7 +104,7 @@ void LUFactors<T>::scatter_values(const sparse::CscMatrix<T>& A,
             v;
       } else {
         const index_t bI = S.block_cols(I);
-        const index_t bj2 = find_block(S.U[I], J);
+        const index_t bj2 = detail::find_block(S.U[I], J);
         GESP_ASSERT(bj2 >= 0, "A entry outside symbolic U structure");
         const auto& cols = S.U[I][bj2].cols;
         const auto cit = std::lower_bound(cols.begin(), cols.end(), j);
@@ -158,127 +117,175 @@ void LUFactors<T>::scatter_values(const sparse::CscMatrix<T>& A,
   }
 }
 
+// One owner group writes into owner O's storage only: the row part (row
+// block I == O of K against every U block J >= O) lands in O's diagonal
+// block and the U blocks of row O; the column part (column block J == O
+// against every L block I > O) lands in the L blocks of column O. Both
+// destination lists are sorted by block index, like L[K] and U[K], so one
+// forward cursor per part finds every destination block. Each pair keeps
+// the exact kernel call of a lone update — the scalar product through
+// dot_minus, every other shape through gemm_minus_overwrite into scratch,
+// then one add per destination entry — so the factors do not depend on how
+// the pairs are grouped.
 template <class T>
-void LUFactors<T>::update_pair(index_t K, std::size_t bi, std::size_t uj,
-                               std::vector<T>& scratch,
-                               std::vector<index_t>& rpos,
-                               std::vector<index_t>& cpos) {
+void LUFactors<T>::update_owner(index_t K, const detail::OwnerGroup& g,
+                                UpdateScratch& ws) {
+  const symbolic::SymbolicLU& S = *sym_;
+  const auto& LK = S.L[K];
+  const auto& UK = S.U[K];
+  const std::size_t nl = LK.size(), nu = UK.size();
+  const index_t b = S.block_cols(K);
+  const index_t O = g.O;
+  const index_t bO = S.block_cols(O);
+  const index_t base = S.sn_start[O];
+  // prod = -(L(I,K) · U(K,J)), m-by-c; the β=0 kernel writes every entry,
+  // so no zero-fill pass over the scratch is needed.
+  auto product = [&](const T* lik, index_t m, const T* ukj, index_t c) {
+    const std::size_t len = static_cast<std::size_t>(m) * c;
+    if (ws.prod.size() < len) ws.prod.resize(len);
+    dense::gemm_minus_overwrite(m, c, b, lik, m, ukj, b, ws.prod.data(), m);
+    return static_cast<const T*>(ws.prod.data());
+  };
+
+  if (g.has_row) {
+    // Row part: L(O,K) against U(K,J) for J >= O; the rows are the same
+    // for every pair, as offsets inside O.
+    const auto& rows = LK[g.li].rows;
+    const index_t m = static_cast<index_t>(rows.size());
+    const T* lik = lnz_[K].data() + l_off_[K][g.li];
+    // A row subset of full size IS the block: plain column adds.
+    const bool full = m == bO;
+    ws.local.resize(rows.size());
+    for (index_t rr = 0; rr < m; ++rr) ws.local[rr] = rows[rr] - base;
+    const index_t* rloc = ws.local.data();
+    std::size_t uj = static_cast<std::size_t>(g.ui);
+    if (g.has_col) {
+      // J == O: the diagonal block of O (full storage).
+      const auto& cols = UK[uj].cols;
+      const index_t c = static_cast<index_t>(cols.size());
+      const T* ukj = unz_[K].data() + u_off_[K][uj];
+      T* dst = lnz_[O].data();
+      if (m == 1 && c == 1) {
+        // Scalar fast path (dominant when supernodes degenerate to single
+        // columns): still the dense library's dot, so the rounding is the
+        // exact kernel every other engine uses.
+        dst[rloc[0] + (cols[0] - base) * bO] += dense::dot_minus(b, lik, ukj);
+      } else {
+        const T* p = product(lik, m, ukj, c);
+        for (index_t cc = 0; cc < c; ++cc) {
+          T* dcol = dst + (cols[cc] - base) * bO;
+          const T* pcol = p + cc * static_cast<std::size_t>(m);
+          if (full)
+            for (index_t rr = 0; rr < m; ++rr) dcol[rr] += pcol[rr];
+          else
+            for (index_t rr = 0; rr < m; ++rr) dcol[rloc[rr]] += pcol[rr];
+        }
+      }
+      ++uj;
+    }
+    // J > O: the U blocks of row O, columns a subset, rows full height.
+    detail::BlockCursor<symbolic::UBlock> dest(S.U[O], nu - uj);
+    for (; uj < nu; ++uj) {
+      const auto& cols = UK[uj].cols;
+      const index_t c = static_cast<index_t>(cols.size());
+      const T* ukj = unz_[K].data() + u_off_[K][uj];
+      const std::size_t dbj = dest.seek(UK[uj].J);
+      const auto& dcols = S.U[O][dbj].cols;
+      T* dst = unz_[O].data() + u_off_[O][dbj];
+      if (m == 1 && c == 1) {
+        const auto cit = std::lower_bound(dcols.begin(), dcols.end(), cols[0]);
+        GESP_ASSERT(cit != dcols.end() && *cit == cols[0],
+                    "symbolic structure is not closed under updates");
+        dst[rloc[0] + (cit - dcols.begin()) * bO] +=
+            dense::dot_minus(b, lik, ukj);
+        continue;
+      }
+      const T* p = product(lik, m, ukj, c);
+      if (full && static_cast<std::size_t>(c) == dcols.size()) {
+        // Columns identical and rows full height: one contiguous add.
+        const std::size_t len = static_cast<std::size_t>(m) * c;
+        for (std::size_t x = 0; x < len; ++x) dst[x] += p[x];
+        continue;
+      }
+      detail::subset_positions(cols, dcols, ws.pos);
+      for (index_t cc = 0; cc < c; ++cc) {
+        T* dcol = dst + ws.pos[cc] * bO;
+        const T* pcol = p + cc * static_cast<std::size_t>(m);
+        if (full)
+          for (index_t rr = 0; rr < m; ++rr) dcol[rr] += pcol[rr];
+        else
+          for (index_t rr = 0; rr < m; ++rr) dcol[rloc[rr]] += pcol[rr];
+      }
+    }
+  }
+
+  if (g.has_col) {
+    // Column part: L(I,K) for I > O against U(K,O), into the L blocks of
+    // column O — rows a subset, columns the same for every pair.
+    const auto& cols = UK[g.ui].cols;
+    const index_t c = static_cast<index_t>(cols.size());
+    const T* ukj = unz_[K].data() + u_off_[K][g.ui];
+    ws.local.resize(cols.size());
+    for (index_t cc = 0; cc < c; ++cc) ws.local[cc] = cols[cc] - base;
+    const index_t* cloc = ws.local.data();
+    std::size_t bi = static_cast<std::size_t>(g.li) + (g.has_row ? 1 : 0);
+    detail::BlockCursor<symbolic::LBlock> dest(S.L[O], nl - bi);
+    for (; bi < nl; ++bi) {
+      const auto& rows = LK[bi].rows;
+      const index_t m = static_cast<index_t>(rows.size());
+      const T* lik = lnz_[K].data() + l_off_[K][bi];
+      const std::size_t dbi = dest.seek(LK[bi].I);
+      const auto& drows = S.L[O][dbi].rows;
+      const index_t ldd = static_cast<index_t>(drows.size());
+      T* dst = lnz_[O].data() + l_off_[O][dbi];
+      if (m == 1 && c == 1) {
+        const auto rit = std::lower_bound(drows.begin(), drows.end(), rows[0]);
+        GESP_ASSERT(rit != drows.end() && *rit == rows[0],
+                    "symbolic structure is not closed under updates");
+        dst[(rit - drows.begin()) + cloc[0] * ldd] +=
+            dense::dot_minus(b, lik, ukj);
+        continue;
+      }
+      const T* p = product(lik, m, ukj, c);
+      if (m == ldd) {
+        // Row sets identical: straight vectorizable adds.
+        for (index_t cc = 0; cc < c; ++cc) {
+          T* dcol = dst + cloc[cc] * ldd;
+          const T* pcol = p + cc * static_cast<std::size_t>(m);
+          for (index_t rr = 0; rr < m; ++rr) dcol[rr] += pcol[rr];
+        }
+        continue;
+      }
+      detail::subset_positions(rows, drows, ws.pos);
+      for (index_t cc = 0; cc < c; ++cc) {
+        T* dcol = dst + cloc[cc] * ldd;
+        const T* pcol = p + cc * static_cast<std::size_t>(m);
+        for (index_t rr = 0; rr < m; ++rr) dcol[ws.pos[rr]] += pcol[rr];
+      }
+    }
+  }
+}
+
+template <class T>
+void LUFactors<T>::panel_lower(index_t K, index_t lo, index_t hi) {
   const symbolic::SymbolicLU& S = *sym_;
   const index_t b = S.block_cols(K);
-  const index_t I = S.L[K][bi].I;
-  const auto& src_rows = S.L[K][bi].rows;
-  const index_t m = static_cast<index_t>(src_rows.size());
-  const T* lik = lnz_[K].data() + l_off_[K][bi];
-  const index_t J = S.U[K][uj].J;
-  const auto& src_cols = S.U[K][uj].cols;
-  const index_t c = static_cast<index_t>(src_cols.size());
-  const T* ukj = unz_[K].data() + u_off_[K][uj];
-  if (m == 1 && c == 1) {
-    // Scalar fast path (dominant when supernodes degenerate to single
-    // columns): the 1x1 product still goes through the dense library so the
-    // codegen (and thus rounding) is the exact kernel every other engine
-    // uses — only the scratch round-trip and subset scatter are skipped.
-    const T acc = dense::dot_minus(b, lik, ukj);
-    const index_t row = src_rows[0], col = src_cols[0];
-    if (I == J) {
-      const index_t base = S.sn_start[I];
-      lnz_[I][(row - base) + (col - base) * S.block_cols(I)] += acc;
-    } else if (I > J) {
-      const index_t dbi = find_block(S.L[J], I);
-      GESP_ASSERT(dbi >= 0, "missing destination L block");
-      const auto& dst_rows = S.L[J][dbi].rows;
-      const auto rit =
-          std::lower_bound(dst_rows.begin(), dst_rows.end(), row);
-      GESP_ASSERT(rit != dst_rows.end() && *rit == row,
-                  "symbolic structure is not closed under updates");
-      lnz_[J][l_off_[J][dbi] + (rit - dst_rows.begin()) +
-              (col - S.sn_start[J]) *
-                  static_cast<index_t>(dst_rows.size())] += acc;
-    } else {
-      const index_t dbj = find_block(S.U[I], J);
-      GESP_ASSERT(dbj >= 0, "missing destination U block");
-      const auto& dst_cols = S.U[I][dbj].cols;
-      const auto cit =
-          std::lower_bound(dst_cols.begin(), dst_cols.end(), col);
-      GESP_ASSERT(cit != dst_cols.end() && *cit == col,
-                  "symbolic structure is not closed under updates");
-      unz_[I][u_off_[I][dbj] + (row - S.sn_start[I]) +
-              (cit - dst_cols.begin()) * S.block_cols(I)] += acc;
-    }
-    return;
+  for (index_t bi = lo; bi < hi; ++bi) {
+    const index_t m = static_cast<index_t>(S.L[K][bi].rows.size());
+    dense::trsm_right_upper(lnz_[K].data(), b, b,
+                            lnz_[K].data() + l_off_[K][bi], m, m);
   }
-  // tmp = -(L(I,K) · U(K,J)), m-by-c; the β=0 kernel writes every entry,
-  // so no zero-fill pass over the scratch is needed.
-  scratch.resize(static_cast<std::size_t>(m) * c);
-  dense::gemm_minus_overwrite(m, c, b, lik, m, ukj, b, scratch.data(), m);
-  // Scatter-add into the destination block.
-  if (I == J) {
-    // Diagonal block of supernode I (full storage).
-    T* dst = lnz_[I].data();
-    const index_t bI = S.block_cols(I);
-    const index_t base = S.sn_start[I];
-    if (m == bI) {
-      // Rows cover the whole block (a subset of equal size IS the set):
-      // contiguous column adds, which vectorize.
-      for (index_t cc = 0; cc < c; ++cc) {
-        T* dcol = dst + (src_cols[cc] - base) * bI;
-        const T* scol = scratch.data() + cc * static_cast<std::size_t>(m);
-        for (index_t rr = 0; rr < m; ++rr) dcol[rr] += scol[rr];
-      }
-      return;
-    }
-    for (index_t cc = 0; cc < c; ++cc) {
-      const index_t dc = src_cols[cc] - base;
-      for (index_t rr = 0; rr < m; ++rr)
-        dst[(src_rows[rr] - base) + dc * bI] +=
-            scratch[rr + cc * static_cast<index_t>(m)];
-    }
-  } else if (I > J) {
-    // L block (I, J): rows are a subset, columns are full width.
-    const index_t dbi = find_block(S.L[J], I);
-    GESP_ASSERT(dbi >= 0, "missing destination L block");
-    const auto& dst_rows = S.L[J][dbi].rows;
-    T* dst = lnz_[J].data() + l_off_[J][dbi];
-    const index_t ldd = static_cast<index_t>(dst_rows.size());
-    const index_t base = S.sn_start[J];
-    if (m == ldd) {
-      // Row sets identical: straight vectorizable adds, no position map.
-      for (index_t cc = 0; cc < c; ++cc) {
-        T* dcol = dst + (src_cols[cc] - base) * ldd;
-        const T* scol = scratch.data() + cc * static_cast<std::size_t>(m);
-        for (index_t rr = 0; rr < m; ++rr) dcol[rr] += scol[rr];
-      }
-      return;
-    }
-    subset_positions(src_rows, dst_rows, rpos);
-    for (index_t cc = 0; cc < c; ++cc) {
-      const index_t dc = src_cols[cc] - base;
-      T* dcol = dst + dc * ldd;
-      for (index_t rr = 0; rr < m; ++rr)
-        dcol[rpos[rr]] += scratch[rr + cc * static_cast<index_t>(m)];
-    }
-  } else {
-    // U block (I, J): columns are a subset, rows are full height.
-    const index_t dbj = find_block(S.U[I], J);
-    GESP_ASSERT(dbj >= 0, "missing destination U block");
-    const auto& dst_cols = S.U[I][dbj].cols;
-    T* dst = unz_[I].data() + u_off_[I][dbj];
-    const index_t bI = S.block_cols(I);
-    const index_t base = S.sn_start[I];
-    if (c == static_cast<index_t>(dst_cols.size()) && m == bI) {
-      // Columns identical and rows full height: one contiguous add over
-      // the whole m-by-c block.
-      const std::size_t len = static_cast<std::size_t>(m) * c;
-      for (std::size_t x = 0; x < len; ++x) dst[x] += scratch[x];
-      return;
-    }
-    subset_positions(src_cols, dst_cols, cpos);
-    for (index_t cc = 0; cc < c; ++cc) {
-      T* dcol = dst + cpos[cc] * bI;
-      for (index_t rr = 0; rr < m; ++rr)
-        dcol[src_rows[rr] - base] +=
-            scratch[rr + cc * static_cast<index_t>(m)];
-    }
+}
+
+template <class T>
+void LUFactors<T>::panel_upper(index_t K, index_t lo, index_t hi) {
+  const symbolic::SymbolicLU& S = *sym_;
+  const index_t b = S.block_cols(K);
+  for (index_t uj = lo; uj < hi; ++uj) {
+    const index_t c = static_cast<index_t>(S.U[K][uj].cols.size());
+    T* blk = unz_[K].data() + u_off_[K][uj];
+    if (!rowperm_[K].empty()) permute_rows(rowperm_[K], blk, b, c);
+    dense::trsm_left_lower_unit(lnz_[K].data(), b, b, blk, c, b);
   }
 }
 
@@ -305,7 +312,7 @@ void LUFactors<T>::eliminate(const NumericOptions& opt) {
   if (dag)
     eliminate_taskdag(opt, pool);
   else
-    eliminate_forkjoin(opt, pool);
+    eliminate_forkjoin(opt, pool, nullptr);
   finish_elimination();
 }
 
@@ -348,76 +355,70 @@ void LUFactors<T>::finish_elimination() {
   }
 }
 
+// Fork-join schedule; also the serial path, and — given `dirty` — the
+// partial sweep of refactorize_partial. Per supernode K: factor the
+// diagonal block, fork the panel solves, then fork K's owner groups (each
+// group writes only its owner's storage, so groups run concurrently) and
+// join before K+1: every destination receives its updates in ascending K.
+//
+// The partial sweep runs this schedule regardless of
+// NumericOptions::schedule: every full-factorization engine is bitwise
+// identical to serial, so "identical to full under any schedule" holds by
+// transitivity. Dirty supernodes run the complete step (the closure makes
+// every owner of a dirty K dirty); clean supernodes keep their blocks
+// untouched and only replay the owner groups whose owner is dirty — a
+// re-scattered destination needs the contribution of EVERY source, clean or
+// not, in ascending-K order.
 template <class T>
 void LUFactors<T>::eliminate_forkjoin(const NumericOptions& opt,
-                                      ThreadPool& pool) {
+                                      ThreadPool& pool,
+                                      const std::vector<char>* dirty) {
   const symbolic::SymbolicLU& S = *sym_;
   const index_t N = S.nsup;
-  dense::PivotPolicy policy;
-  policy.tiny_threshold = opt.tiny_threshold;
-  policy.aggressive = opt.aggressive_replacement;
-  policy.strategy = opt.panel_pivot;
-  policy.threshold_tau = opt.pivot_threshold_tau;
-
-  const int W = pool.num_threads();
-  // Per-worker scratch so the update pairs can run concurrently.
-  std::vector<std::vector<T>> scratch_w(static_cast<std::size_t>(W));
-  std::vector<std::vector<index_t>> rpos_w(static_cast<std::size_t>(W));
-  std::vector<std::vector<index_t>> cpos_w(static_cast<std::size_t>(W));
+  const dense::PivotPolicy policy = pivot_policy(opt);
+  // Per-worker scratch so the owner groups can run concurrently.
+  std::vector<UpdateScratch> ws(static_cast<std::size_t>(pool.num_threads()));
+  std::vector<detail::OwnerGroup> groups;
 
   for (index_t K = 0; K < N; ++K) {
-    const index_t b = S.block_cols(K);
-    T* diag = lnz_[K].data();
-    // (1) factor the diagonal block (strategy dispatch; static pivots with
-    // tiny replacement by default). Bookkeeping goes to the per-K sinks;
-    // finish_elimination merges them in ascending K.
-    factor_diag(K, policy, stats_k_[K],
-                opt.record_replacements ? &repl_k_[K] : nullptr);
-    // (2) panel: L(I,K) <- A(I,K) · U(K,K)^{-1}, block rows in parallel.
-    {
-      GESP_TRACE_SPAN_ID("factor", "panel", K);
-      pool.parallel_for(
-          static_cast<index_t>(S.L[K].size()),
-          [&](index_t lo, index_t hi, int) {
-            for (index_t bi = lo; bi < hi; ++bi) {
-              const index_t m = static_cast<index_t>(S.L[K][bi].rows.size());
-              dense::trsm_right_upper(diag, b, b,
-                                      lnz_[K].data() + l_off_[K][bi], m, m);
-            }
-          },
-          /*grain=*/2);
-      // (2') row: U(K,J) <- L(K,K)^{-1} · A(K,J), block columns in parallel.
-      pool.parallel_for(
-          static_cast<index_t>(S.U[K].size()),
-          [&](index_t lo, index_t hi, int) {
-            for (index_t uj = lo; uj < hi; ++uj) {
-              const index_t c = static_cast<index_t>(S.U[K][uj].cols.size());
-              if (!rowperm_[K].empty())
-                permute_rows(rowperm_[K], unz_[K].data() + u_off_[K][uj], b,
-                             c);
-              dense::trsm_left_lower_unit(
-                  diag, b, b, unz_[K].data() + u_off_[K][uj], c, b);
-            }
-          },
-          /*grain=*/2);
+    const bool eliminate_k = dirty == nullptr || (*dirty)[K];
+    if (eliminate_k) {
+      // (1) factor the diagonal block (strategy dispatch; static pivots
+      // with tiny replacement by default). Bookkeeping goes to the per-K
+      // sinks; finish_elimination merges them in ascending K.
+      factor_diag(K, policy, stats_k_[K],
+                  opt.record_replacements ? &repl_k_[K] : nullptr);
+      // (2) panels: L(I,K) and U(K,J) block lists in parallel.
+      {
+        GESP_TRACE_SPAN_ID("factor", "panel", K);
+        pool.parallel_for(
+            static_cast<index_t>(S.L[K].size()),
+            [&](index_t lo, index_t hi, int) { panel_lower(K, lo, hi); },
+            /*grain=*/2);
+        pool.parallel_for(
+            static_cast<index_t>(S.U[K].size()),
+            [&](index_t lo, index_t hi, int) { panel_upper(K, lo, hi); },
+            /*grain=*/2);
+      }
+      // In-flight growth monitor: block row K of U is final after the
+      // panel phase, so the running growth is known before any update.
+      if (monitor_supernode(K)) finish_growth(/*aborted=*/true);
     }
-    // In-flight growth monitor: block row K of U is final after the panel
-    // phase, so the running growth is known before any further work.
-    if (monitor_supernode(K)) finish_growth(/*aborted=*/true);
-    // (3) rank-b update of the trailing matrix: each (I,J) pair writes a
-    // distinct destination block, so pairs fork across threads freely.
-    const index_t npairs = static_cast<index_t>(S.L[K].size()) *
-                           static_cast<index_t>(S.U[K].size());
+    // (3) rank-b update of the trailing matrix, one owner group per task.
+    detail::owner_groups(S, K, groups);
+    if (!eliminate_k)
+      std::erase_if(groups, [dirty](const detail::OwnerGroup& g) {
+        return !(*dirty)[g.O];
+      });
+    if (groups.empty()) continue;
     GESP_TRACE_SPAN_ID("factor", "update", K);
     pool.parallel_for(
-        npairs,
+        static_cast<index_t>(groups.size()),
         [&](index_t lo, index_t hi, int w) {
-          for (index_t pair = lo; pair < hi; ++pair)
-            update_pair(K, static_cast<std::size_t>(pair) / S.U[K].size(),
-                        static_cast<std::size_t>(pair) % S.U[K].size(),
-                        scratch_w[w], rpos_w[w], cpos_w[w]);
+          for (index_t gi = lo; gi < hi; ++gi)
+            update_owner(K, groups[gi], ws[w]);
         },
-        /*grain=*/2);
+        /*grain=*/1);
   }
 }
 
@@ -425,12 +426,12 @@ void LUFactors<T>::eliminate_forkjoin(const NumericOptions& opt,
 // elimination structure up front, so the numeric phase can be scheduled in
 // advance). Tasks per supernode K: F(K) = diagonal factor, a few
 // panel-solve chunks, a "panels done" milestone M(K), and one update task
-// Upd(K,O) per destination *owner* supernode O — the supernode whose
-// storage the update writes, O = min(I,J) (I>J lands in L's column J,
-// I<J in U's row I, I==J in the diagonal). Grouping the (I,J) pairs by
-// owner keeps the task count proportional to the block structure rather
-// than to the (potentially enormous) number of block pairs, while
-// independent etree subtrees still pipeline with no per-supernode barrier.
+// Upd(K,O) per owner group — the pairs whose destination storage belongs to
+// owner supernode O = min(I,J) (I>J lands in L's column J, I<J in U's row
+// I, I==J in the diagonal). Grouping the (I,J) pairs by owner keeps the
+// task count proportional to the block structure rather than to the
+// (potentially enormous) number of block pairs, while independent etree
+// subtrees still pipeline with no per-supernode barrier.
 //
 // Bitwise reproducibility: updates into the blocks of one owner are
 // chained through last_owner[] in ascending source-K order — the serial
@@ -443,11 +444,7 @@ void LUFactors<T>::eliminate_taskdag(const NumericOptions& opt,
                                      ThreadPool& pool) {
   const symbolic::SymbolicLU& S = *sym_;
   const index_t N = S.nsup;
-  dense::PivotPolicy policy;
-  policy.tiny_threshold = opt.tiny_threshold;
-  policy.aggressive = opt.aggressive_replacement;
-  policy.strategy = opt.panel_pivot;
-  policy.threshold_tau = opt.pivot_threshold_tau;
+  const dense::PivotPolicy policy = pivot_policy(opt);
 
   // Pivot stats/replacements go to the per-supernode sinks (merged in K
   // order by finish_elimination) so concurrent F(K) tasks never touch
@@ -464,9 +461,9 @@ void LUFactors<T>::eliminate_taskdag(const NumericOptions& opt,
   // Last task that wrote into each owner supernode's storage.
   std::vector<TaskGraph::TaskId> last_owner(static_cast<std::size_t>(N), -1);
   const index_t P = static_cast<index_t>(pool.num_threads());
+  std::vector<detail::OwnerGroup> groups;
 
   for (index_t K = 0; K < N; ++K) {
-    const index_t b = S.block_cols(K);
     const index_t nl = static_cast<index_t>(S.L[K].size());
     const index_t nu = static_cast<index_t>(S.U[K].size());
     // F(K): factor the diagonal block after the last update into owner K.
@@ -488,31 +485,20 @@ void LUFactors<T>::eliminate_taskdag(const NumericOptions& opt,
       const index_t lchunks = std::min(P, nl), uchunks = std::min(P, nu);
       for (index_t ch = 0; ch < lchunks; ++ch) {
         const index_t lo = nl * ch / lchunks, hi = nl * (ch + 1) / lchunks;
-        const auto t = graph.add_task([this, K, b, lo, hi, &S, &abort] {
+        const auto t = graph.add_task([this, K, lo, hi, &abort] {
           if (abort.load(std::memory_order_relaxed)) return;
           GESP_TRACE_SPAN_ID("factor", "panelL", K);
-          for (index_t bi = lo; bi < hi; ++bi) {
-            const index_t m = static_cast<index_t>(S.L[K][bi].rows.size());
-            dense::trsm_right_upper(lnz_[K].data(), b, b,
-                                    lnz_[K].data() + l_off_[K][bi], m, m);
-          }
+          panel_lower(K, lo, hi);
         });
         graph.add_dependency(fk, t);
         graph.add_dependency(t, mk);
       }
       for (index_t ch = 0; ch < uchunks; ++ch) {
         const index_t lo = nu * ch / uchunks, hi = nu * (ch + 1) / uchunks;
-        const auto t = graph.add_task([this, K, b, lo, hi, &S, &abort] {
+        const auto t = graph.add_task([this, K, lo, hi, &abort] {
           if (abort.load(std::memory_order_relaxed)) return;
           GESP_TRACE_SPAN_ID("factor", "panelU", K);
-          for (index_t uj = lo; uj < hi; ++uj) {
-            const index_t c = static_cast<index_t>(S.U[K][uj].cols.size());
-            if (!rowperm_[K].empty())
-              permute_rows(rowperm_[K], unz_[K].data() + u_off_[K][uj], b,
-                           c);
-            dense::trsm_left_lower_unit(
-                lnz_[K].data(), b, b, unz_[K].data() + u_off_[K][uj], c, b);
-          }
+          panel_upper(K, lo, hi);
         });
         graph.add_dependency(fk, t);
         graph.add_dependency(t, mk);
@@ -520,35 +506,18 @@ void LUFactors<T>::eliminate_taskdag(const NumericOptions& opt,
     } else {
       graph.add_dependency(fk, mk);
     }
-    // Upd(K,O): all pairs with owner O = min(I,J), walked in ascending
-    // owner order. With L[K] sorted by I and U[K] sorted by J, the pairs
-    // owned by O are (row block I==O) × (all J >= O) plus (col block
-    // J==O) × (all I > O).
-    index_t li = 0, ui = 0;
-    while (li < nl || ui < nu) {
-      const index_t rowI = li < nl ? S.L[K][li].I : N;
-      const index_t colJ = ui < nu ? S.U[K][ui].J : N;
-      const index_t O = std::min(rowI, colJ);
-      const bool has_row = rowI == O;
-      const bool has_col = colJ == O;
-      const auto upd = graph.add_task(
-          [this, K, li, ui, nl, nu, has_row, has_col, O, &abort] {
-            if (abort.load(std::memory_order_relaxed)) return;
-            GESP_TRACE_SPAN_ID("factor", "update", O);
-            thread_local std::vector<T> scratch;
-            thread_local std::vector<index_t> rpos, cpos;
-            if (has_row)
-              for (index_t uj = ui; uj < nu; ++uj)
-                update_pair(K, li, uj, scratch, rpos, cpos);
-            if (has_col)
-              for (index_t bi = li + (has_row ? 1 : 0); bi < nl; ++bi)
-                update_pair(K, bi, ui, scratch, rpos, cpos);
-          });
+    // Upd(K,O), one per owner group in ascending O.
+    detail::owner_groups(S, K, groups);
+    for (const detail::OwnerGroup& g : groups) {
+      const auto upd = graph.add_task([this, K, g, &abort] {
+        if (abort.load(std::memory_order_relaxed)) return;
+        GESP_TRACE_SPAN_ID("factor", "update", g.O);
+        thread_local UpdateScratch ws;
+        update_owner(K, g, ws);
+      });
       graph.add_dependency(mk, upd);
-      if (last_owner[O] >= 0) graph.add_dependency(last_owner[O], upd);
-      last_owner[O] = upd;
-      if (has_row) ++li;
-      if (has_col) ++ui;
+      if (last_owner[g.O] >= 0) graph.add_dependency(last_owner[g.O], upd);
+      last_owner[g.O] = upd;
     }
   }
 
@@ -592,109 +561,8 @@ void LUFactors<T>::refactorize_partial(const sparse::CscMatrix<T>& A,
   scatter_values(A, &dirty);
   DenormalFlushGuard ftz(std::is_same_v<T, float>);
   ThreadPool pool(opt.num_threads);
-  eliminate_partial(opt, pool, dirty);
+  eliminate_forkjoin(opt, pool, &dirty);
   finish_elimination();
-}
-
-// The partial sweep runs one deterministic schedule regardless of
-// NumericOptions::schedule: parallel_for phases whose accumulation order is
-// the serial one (every full-factorization engine is bitwise identical to
-// serial, so "identical to full under any schedule" holds by transitivity).
-// Dirty supernodes run the complete factor/panel/monitor/update step; clean
-// supernodes keep their blocks untouched and only replay the update pairs
-// whose owner is dirty — a re-scattered destination needs the contribution
-// of EVERY source, clean or not, in ascending-K order.
-template <class T>
-void LUFactors<T>::eliminate_partial(const NumericOptions& opt,
-                                     ThreadPool& pool,
-                                     const std::vector<char>& dirty) {
-  const symbolic::SymbolicLU& S = *sym_;
-  const index_t N = S.nsup;
-  dense::PivotPolicy policy;
-  policy.tiny_threshold = opt.tiny_threshold;
-  policy.aggressive = opt.aggressive_replacement;
-  policy.strategy = opt.panel_pivot;
-  policy.threshold_tau = opt.pivot_threshold_tau;
-
-  const int W = pool.num_threads();
-  std::vector<std::vector<T>> scratch_w(static_cast<std::size_t>(W));
-  std::vector<std::vector<index_t>> rpos_w(static_cast<std::size_t>(W));
-  std::vector<std::vector<index_t>> cpos_w(static_cast<std::size_t>(W));
-  std::vector<index_t> pairs;  // flattened bi*nu+uj pairs into dirty owners
-
-  for (index_t K = 0; K < N; ++K) {
-    const index_t nl = static_cast<index_t>(S.L[K].size());
-    const index_t nu = static_cast<index_t>(S.U[K].size());
-    if (dirty[K]) {
-      const index_t b = S.block_cols(K);
-      T* diag = lnz_[K].data();
-      factor_diag(K, policy, stats_k_[K],
-                  opt.record_replacements ? &repl_k_[K] : nullptr);
-      {
-        GESP_TRACE_SPAN_ID("factor", "panel", K);
-        pool.parallel_for(
-            nl,
-            [&](index_t lo, index_t hi, int) {
-              for (index_t bi = lo; bi < hi; ++bi) {
-                const index_t m =
-                    static_cast<index_t>(S.L[K][bi].rows.size());
-                dense::trsm_right_upper(diag, b, b,
-                                        lnz_[K].data() + l_off_[K][bi], m, m);
-              }
-            },
-            /*grain=*/2);
-        pool.parallel_for(
-            nu,
-            [&](index_t lo, index_t hi, int) {
-              for (index_t uj = lo; uj < hi; ++uj) {
-                const index_t c =
-                    static_cast<index_t>(S.U[K][uj].cols.size());
-                if (!rowperm_[K].empty())
-                  permute_rows(rowperm_[K], unz_[K].data() + u_off_[K][uj],
-                               b, c);
-                dense::trsm_left_lower_unit(
-                    diag, b, b, unz_[K].data() + u_off_[K][uj], c, b);
-              }
-            },
-            /*grain=*/2);
-      }
-      if (monitor_supernode(K)) finish_growth(/*aborted=*/true);
-      // Every owner of a dirty K's pairs is dirty (the closure), so all
-      // pairs run, exactly as in the full elimination.
-      const index_t npairs = nl * nu;
-      GESP_TRACE_SPAN_ID("factor", "update", K);
-      pool.parallel_for(
-          npairs,
-          [&](index_t lo, index_t hi, int w) {
-            for (index_t pair = lo; pair < hi; ++pair)
-              update_pair(K, static_cast<std::size_t>(pair) / S.U[K].size(),
-                          static_cast<std::size_t>(pair) % S.U[K].size(),
-                          scratch_w[w], rpos_w[w], cpos_w[w]);
-          },
-          /*grain=*/2);
-    } else {
-      // Clean K: factors final, blocks untouched; replay only the pairs
-      // that feed a re-eliminated owner.
-      pairs.clear();
-      for (index_t bi = 0; bi < nl; ++bi) {
-        const index_t I = S.L[K][bi].I;
-        for (index_t uj = 0; uj < nu; ++uj)
-          if (dirty[std::min(I, S.U[K][uj].J)])
-            pairs.push_back(bi * nu + uj);
-      }
-      if (pairs.empty()) continue;
-      GESP_TRACE_SPAN_ID("factor", "update", K);
-      pool.parallel_for(
-          static_cast<index_t>(pairs.size()),
-          [&](index_t lo, index_t hi, int w) {
-            for (index_t p = lo; p < hi; ++p)
-              update_pair(K, static_cast<std::size_t>(pairs[p]) / nu,
-                          static_cast<std::size_t>(pairs[p]) % nu,
-                          scratch_w[w], rpos_w[w], cpos_w[w]);
-          },
-          /*grain=*/2);
-    }
-  }
 }
 
 template <class T>

@@ -24,6 +24,10 @@ class ThreadPool;
 
 namespace gesp::numeric {
 
+namespace detail {
+struct OwnerGroup;
+}
+
 /// How the shared-memory factorization is scheduled across threads. Both
 /// schedules produce bitwise identical factors (and identical to serial):
 /// every destination block receives its updates in ascending source-K
@@ -32,7 +36,8 @@ enum class Schedule {
   /// kTaskDag when num_threads > 1, plain serial execution otherwise.
   kAuto,
   /// Per-phase fork-join barriers at every supernode (the SuperLU_MT-style
-  /// baseline the paper compares against).
+  /// baseline the paper compares against); the update phase forks one task
+  /// per owner group.
   kForkJoin,
   /// Dependency-counter task DAG over the supernodal elimination tree:
   /// diagonal factor / panel solve / block update tasks release their
@@ -54,9 +59,9 @@ struct NumericOptions {
   /// corrected by the Sherman–Morrison–Woodbury formula.
   bool record_replacements = false;
   /// Shared-memory parallel factorization (the SuperLU_MT-style execution
-  /// the paper compares against): panel TRSMs and rank-b update pairs are
-  /// forked across this many threads with a join per phase, so the result
-  /// is bitwise identical to the serial factorization. 1 = serial.
+  /// the paper compares against): panel TRSMs and the owner groups of the
+  /// rank-b update are spread across this many threads, so the result is
+  /// bitwise identical to the serial factorization. 1 = serial.
   int num_threads = 1;
   /// Thread schedule; see Schedule. Ignored when num_threads == 1.
   Schedule schedule = Schedule::kAuto;
@@ -161,24 +166,36 @@ class LUFactors {
   void scatter_values(const sparse::CscMatrix<T>& A,
                       const std::vector<char>* dirty);
   void eliminate(const NumericOptions& opt);
-  /// Ascending-K sweep for refactorize_partial: dirty supernodes run the
-  /// full factor/panel/update step, clean supernodes only replay their
-  /// update pairs into dirty owners.
-  void eliminate_partial(const NumericOptions& opt, ThreadPool& pool,
-                         const std::vector<char>& dirty);
+  /// Ascending-K sweep with a join per phase (serial when the pool has one
+  /// thread). With `dirty` it is the partial sweep of refactorize_partial:
+  /// dirty supernodes run the full factor/panel/update step, clean
+  /// supernodes only replay their owner groups whose owner is dirty.
+  void eliminate_forkjoin(const NumericOptions& opt, ThreadPool& pool,
+                          const std::vector<char>* dirty);
   /// pivoted_ scan + per-K stats merge + growth finish + metrics (the
   /// common tail of eliminate and refactorize_partial).
   void finish_elimination();
   /// Rebuild stats_/replacements_ from the per-supernode sinks in
   /// ascending K — the serial recording order.
   void merge_pivot_stats();
-  void eliminate_forkjoin(const NumericOptions& opt, ThreadPool& pool);
   void eliminate_taskdag(const NumericOptions& opt, ThreadPool& pool);
-  /// One trailing-matrix update: the (bi, uj) block pair of supernode K,
-  /// scratch = -(L(I,K)·U(K,J)) scatter-added into the destination block.
-  void update_pair(index_t K, std::size_t bi, std::size_t uj,
-                   std::vector<T>& scratch, std::vector<index_t>& rpos,
-                   std::vector<index_t>& cpos);
+  /// Panel solves of supernode K: L(I,K) <- L(I,K)·U(K,K)^{-1} for the L
+  /// blocks [lo, hi), U(K,J) <- L(K,K)^{-1}·P_K·U(K,J) for the U blocks
+  /// [lo, hi).
+  void panel_lower(index_t K, index_t lo, index_t hi);
+  void panel_upper(index_t K, index_t lo, index_t hi);
+  /// Per-thread scratch of update_owner.
+  struct UpdateScratch {
+    std::vector<T> prod;         ///< -(L(I,K)·U(K,J)), m-by-c
+    std::vector<index_t> pos;    ///< subset positions in a destination
+    std::vector<index_t> local;  ///< shared rows/cols, local to the owner
+  };
+  /// Every trailing-matrix update of source supernode K into the storage
+  /// of one owner supernode O = min(I, J): for each pair, scratch =
+  /// -(L(I,K)·U(K,J)) scatter-added into the destination block. The one
+  /// update routine of every shared-memory schedule.
+  void update_owner(index_t K, const detail::OwnerGroup& g,
+                    UpdateScratch& ws);
   /// Diagonal-block factorization of supernode K (strategy dispatch plus
   /// the local-permutation bookkeeping); stats/replacements go to the
   /// given per-K sinks so the task-DAG schedule can run F(K) concurrently.

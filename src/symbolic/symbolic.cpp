@@ -1,7 +1,6 @@
 #include "symbolic/symbolic.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "common/error.hpp"
 #include "ordering/etree.hpp"
@@ -191,84 +190,112 @@ SymbolicLU analyze(const sparse::CscMatrix<T>& A, const SymbolicOptions& opt) {
   Lcols.clear();
   Lcols.shrink_to_fit();
 
-  // --- 3. block replay of the right-looking elimination (Figure 8) on
-  // patterns. Lblk[K]: I -> rows of L(I,K); Ublk[K]: J -> cols of U(K,J).
-  std::vector<std::map<index_t, std::vector<index_t>>> Lblk(
-      static_cast<std::size_t>(S.nsup));
-  std::vector<std::map<index_t, std::vector<index_t>>> Ublk(
-      static_cast<std::size_t>(S.nsup));
-
-  // Seed from A's pattern.
+  // --- 3. block structure by a destination-ordered gather. The block
+  // right-looking elimination of Figure 8 makes block (I,O), O = min(I,J),
+  // the union of A's pattern and one update per source K < O; gathering
+  // those updates at O instead of pushing them at K gives the same sets
+  // (INTERNALS §3). For O = 0..N-1:
+  //   L(I,O) = A's rows ∪ rows(L(I,K)) for every K < O with a block U(K,O);
+  //   U(O,J) = A's cols ∪ cols(U(K,J)) for every K < O with a block L(O,K).
+  // Every source K < O was finalized at its own step, so O reads final
+  // lists. lsrc[O] / usrc[O] collect those K as each K is finalized.
+  std::vector<std::vector<index_t>> Aseed_L(static_cast<std::size_t>(S.nsup));
+  std::vector<std::vector<index_t>> Aseed_U(static_cast<std::size_t>(S.nsup));
   for (index_t j = 0; j < S.n; ++j) {
     const index_t J = S.col_to_sn[j];
     for (index_t p = A.colptr[j]; p < A.colptr[j + 1]; ++p) {
       const index_t i = A.rowind[p];
       const index_t I = S.col_to_sn[i];
       if (I > J)
-        Lblk[J][I].push_back(i);
+        Aseed_L[J].push_back(i);
       else if (I < J)
-        Ublk[I][J].push_back(j);
+        Aseed_U[I].push_back(j);
       // diagonal blocks are stored full; no pattern needed
     }
   }
-  auto normalize = [](std::vector<index_t>& v) {
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-  };
-  for (index_t K = 0; K < S.nsup; ++K) {
-    for (auto& [I, rows] : Lblk[K]) normalize(rows);
-    for (auto& [J, cols] : Ublk[K]) normalize(cols);
-  }
-
-  // Replay. By iteration K, Lblk[K]/Ublk[K] have received every update
-  // (they only come from iterations < K), so they are final when read.
-  std::vector<index_t> merged;
-  auto union_into = [&](std::vector<index_t>& dst,
-                        const std::vector<index_t>& src) {
-    merged.clear();
-    std::set_union(dst.begin(), dst.end(), src.begin(), src.end(),
-                   std::back_inserter(merged));
-    if (merged.size() != dst.size()) dst = merged;
-  };
-  for (index_t K = 0; K < S.nsup; ++K) {
-    const count_t b = S.block_cols(K);
-    S.flops += 2 * b * b * b / 3;
-    for (const auto& [I, rows] : Lblk[K])
-      S.flops += static_cast<count_t>(rows.size()) * b * b;
-    for (const auto& [J, cols] : Ublk[K])
-      S.flops += b * b * static_cast<count_t>(cols.size());
-    for (const auto& [I, rows] : Lblk[K]) {
-      for (const auto& [J, cols] : Ublk[K]) {
-        S.flops += 2 * static_cast<count_t>(rows.size()) * b *
-                   static_cast<count_t>(cols.size());
-        if (I > J) {
-          union_into(Lblk[J][I], rows);
-        } else if (I < J) {
-          union_into(Ublk[I][J], cols);
-        }
-        // I == J: the update lands in the (full) diagonal block.
-      }
-    }
-  }
-
-  // --- 4. freeze into the SymbolicLU block lists + stored sizes + etree.
+  std::vector<std::vector<index_t>> lsrc(static_cast<std::size_t>(S.nsup));
+  std::vector<std::vector<index_t>> usrc(static_cast<std::size_t>(S.nsup));
+  // Stamped markers: rows/columns already gathered at step O hold O.
+  std::vector<index_t> row_mark(static_cast<std::size_t>(S.n), -1);
+  std::vector<index_t> col_mark(static_cast<std::size_t>(S.n), -1);
+  std::vector<index_t> gathered;
   S.L.resize(static_cast<std::size_t>(S.nsup));
   S.U.resize(static_cast<std::size_t>(S.nsup));
   S.sn_parent.assign(static_cast<std::size_t>(S.nsup), -1);
-  for (index_t K = 0; K < S.nsup; ++K) {
-    const count_t b = S.block_cols(K);
-    S.stored_L += b * b;  // full diagonal block (holds U's upper triangle too)
-    for (auto& [I, rows] : Lblk[K]) {
-      S.stored_L += static_cast<count_t>(rows.size()) * b;
-      S.L[K].push_back(LBlock{I, std::move(rows)});
+
+  // Split a sorted index list into per-supernode blocks: indices of one
+  // supernode are contiguous, so block order is index order.
+  auto split = [&](auto& blocks) {
+    std::sort(gathered.begin(), gathered.end());
+    for (std::size_t p = 0; p < gathered.size();) {
+      const index_t B = S.col_to_sn[gathered[p]];
+      std::size_t q = p + 1;
+      while (q < gathered.size() && S.col_to_sn[gathered[q]] == B) ++q;
+      blocks.push_back({B, std::vector<index_t>(gathered.begin() + p,
+                                                gathered.begin() + q)});
+      p = q;
     }
-    for (auto& [J, cols] : Ublk[K]) {
-      S.stored_U += b * static_cast<count_t>(cols.size());
-      S.U[K].push_back(UBlock{J, std::move(cols)});
+  };
+
+  for (index_t O = 0; O < S.nsup; ++O) {
+    // L(:,O): rows below supernode O.
+    gathered.clear();
+    auto mark_row = [&](index_t i) {
+      if (row_mark[i] == O) return;
+      row_mark[i] = O;
+      gathered.push_back(i);
+    };
+    for (index_t i : Aseed_L[O]) mark_row(i);
+    for (index_t K : usrc[O]) {
+      const auto& LK = S.L[K];
+      auto it = std::upper_bound(
+          LK.begin(), LK.end(), O,
+          [](index_t v, const LBlock& blk) { return v < blk.I; });
+      for (; it != LK.end(); ++it)
+        for (index_t i : it->rows) mark_row(i);
     }
-    if (!S.L[K].empty()) S.sn_parent[K] = S.L[K].front().I;
-    Lblk[K].clear();
-    Ublk[K].clear();
+    split(S.L[O]);
+    // U(O,:): columns right of supernode O.
+    gathered.clear();
+    auto mark_col = [&](index_t j) {
+      if (col_mark[j] == O) return;
+      col_mark[j] = O;
+      gathered.push_back(j);
+    };
+    for (index_t j : Aseed_U[O]) mark_col(j);
+    for (index_t K : lsrc[O]) {
+      const auto& UK = S.U[K];
+      auto it = std::upper_bound(
+          UK.begin(), UK.end(), O,
+          [](index_t v, const UBlock& blk) { return v < blk.J; });
+      for (; it != UK.end(); ++it)
+        for (index_t j : it->cols) mark_col(j);
+    }
+    split(S.U[O]);
+    Aseed_L[O] = {};
+    Aseed_U[O] = {};
+    lsrc[O] = {};
+    usrc[O] = {};
+
+    // --- 4. stored sizes, flops and the supernodal etree of O, and O as a
+    // source for its later destinations.
+    const count_t b = S.block_cols(O);
+    count_t sum_m = 0, sum_c = 0;
+    for (const auto& blk : S.L[O]) {
+      sum_m += static_cast<count_t>(blk.rows.size());
+      lsrc[blk.I].push_back(O);
+    }
+    for (const auto& blk : S.U[O]) {
+      sum_c += static_cast<count_t>(blk.cols.size());
+      usrc[blk.J].push_back(O);
+    }
+    S.stored_L += b * b + sum_m * b;  // diagonal block stored full
+    S.stored_U += b * sum_c;
+    // getrf + the two panel solves + the rank-b update pairs
+    // (Σ_pairs 2·m·b·c = 2·b·Σm·Σc).
+    S.flops += 2 * b * b * b / 3 + sum_m * b * b + b * b * sum_c +
+               2 * b * sum_m * sum_c;
+    if (!S.L[O].empty()) S.sn_parent[O] = S.L[O].front().I;
   }
   return S;
 }

@@ -12,10 +12,13 @@
 //     oversized supernodes at `max_block` columns (the paper found 20-30
 //     best on the T3E and used 24).
 //  3. The nonuniform block partition of Figure 7: for every supernode pair,
-//     the row list of each L block and the column list of each U block,
-//     obtained by replaying the block right-looking elimination of Figure 8
-//     on patterns. The numeric phase performs exactly these updates, so the
-//     structure is closed by construction.
+//     the row list of each L block and the column list of each U block —
+//     the patterns the block right-looking elimination of Figure 8 produces.
+//     They are gathered in destination order: block column/row O is A's
+//     pattern united with the final blocks of every earlier supernode that
+//     updates O, so each block is built once, in one pass. The numeric
+//     phase performs exactly these updates, so the structure is closed by
+//     construction.
 //
 // The input matrix must already carry the final row/column permutations
 // (large-diagonal + fill-reducing + etree postorder) and have a zero-free

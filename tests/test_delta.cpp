@@ -13,9 +13,11 @@
 
 #include "common/error.hpp"
 #include "core/solver.hpp"
+#include "numeric/lu_factors.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/testbed.hpp"
+#include "symbolic/symbolic.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -40,12 +42,12 @@ void expect_factors_bitwise(const numeric::LUFactors<T>& Fa,
     const auto& la = Fa.l_store(K);
     const auto& lb = Fb.l_store(K);
     ASSERT_EQ(la.size(), lb.size()) << what << " L store size, K=" << K;
-    EXPECT_EQ(std::memcmp(la.data(), lb.data(), la.size() * sizeof(T)), 0)
+    EXPECT_TRUE(gesp::testing::same_bytes(la, lb))
         << what << " L store bytes differ, K=" << K;
     const auto& ua = Fa.u_store(K);
     const auto& ub = Fb.u_store(K);
     ASSERT_EQ(ua.size(), ub.size()) << what << " U store size, K=" << K;
-    EXPECT_EQ(std::memcmp(ua.data(), ub.data(), ua.size() * sizeof(T)), 0)
+    EXPECT_TRUE(gesp::testing::same_bytes(ua, ub))
         << what << " U store bytes differ, K=" << K;
   }
 }
@@ -155,6 +157,53 @@ TEST(DeltaBitwise, AdversarialEntries) {
     EXPECT_EQ(std::memcmp(xf.data(), xd.data(), xf.size() * sizeof(double)),
               0)
         << "adv:" << e.name;
+  }
+}
+
+// A clean source K replays into a dirty owner O through an owner group
+// with both parts: the row part (row block O of K against U blocks J >= O,
+// including the diagonal pair) and the column part (column block O against
+// L blocks I > O). Only O's own entries change, so K stays clean while the
+// whole group must be replayed into re-scattered storage.
+TEST(DeltaBitwise, CleanSourceFeedsDirtyOwnerThroughBothParts) {
+  const auto A = sparse::convdiff2d(24, 22, 1.0, 0.5);
+  auto sym = std::make_shared<const symbolic::SymbolicLU>(
+      symbolic::analyze(A, {}));
+  const symbolic::SymbolicLU& S = *sym;
+  // Find K and O < max(L[K]), O < max(U[K]) with blocks L(O,K) and U(K,O).
+  index_t src = -1, owner = -1;
+  for (index_t K = 0; K < S.nsup && owner < 0; ++K) {
+    if (S.L[K].size() < 2 || S.U[K].size() < 2) continue;
+    for (const auto& lb : S.L[K]) {
+      if (lb.I >= S.L[K].back().I || lb.I >= S.U[K].back().J) break;
+      const bool has_col =
+          std::any_of(S.U[K].begin(), S.U[K].end(),
+                      [&](const symbolic::UBlock& ub) { return ub.J == lb.I; });
+      if (has_col) {
+        src = K;
+        owner = lb.I;
+        break;
+      }
+    }
+  }
+  ASSERT_GE(owner, 0) << "no owner group with a row and a column part";
+  std::vector<char> dirty(static_cast<std::size_t>(S.nsup), 0);
+  dirty[owner] = 1;
+  symbolic::close_update_reachable(S, dirty);
+  ASSERT_FALSE(dirty[src]);
+  // New values only in entries owned by `owner` (its diagonal block).
+  auto A2 = A;
+  for (index_t j = S.sn_start[owner]; j < S.sn_start[owner + 1]; ++j)
+    for (index_t p = A2.colptr[j]; p < A2.colptr[j + 1]; ++p)
+      if (S.col_to_sn[A2.rowind[p]] == owner) A2.values[p] *= 1.25;
+  for (const int threads : {1, 4}) {
+    numeric::NumericOptions opt;
+    opt.num_threads = threads;
+    numeric::LUFactors<double> partial(sym, A, opt);
+    partial.refactorize_partial(A2, dirty, opt);
+    const numeric::LUFactors<double> fresh(sym, A2, opt);
+    expect_factors_bitwise(partial, fresh, S.nsup,
+                           "threads " + std::to_string(threads));
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <vector>
 
 #include "common/types.hpp"
@@ -10,6 +11,15 @@
 #include "sparse/ops.hpp"
 
 namespace gesp::testing {
+
+/// Byte equality of two value arrays (memcmp, so ±0.0 and NaN payloads
+/// count). Empty arrays may have no data pointer, which memcmp must not see.
+template <class T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
 
 /// Dense copy of a sparse matrix (column major), for small-matrix oracles.
 template <class T>

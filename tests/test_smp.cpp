@@ -1,6 +1,6 @@
 // Shared-memory (SuperLU_MT-style) factorization tests: the threaded
 // numeric phase must produce BITWISE identical factors to the serial one
-// (fork-join with per-iteration barriers and disjoint destination blocks),
+// (fork-join with per-iteration barriers and disjoint owner groups),
 // across thread counts and matrix classes — including the thread pool
 // itself.
 #include <gtest/gtest.h>
@@ -191,6 +191,37 @@ TEST(SmpLU, TaskDagBitwiseEqualComplex) {
 TEST(SmpLU, ForkJoinBitwiseEqual4Threads) {
   expect_bitwise_equal_factors(sparse::convdiff2d(16, 14, 1.0, 0.5), 4,
                                numeric::Schedule::kForkJoin);
+}
+
+// Scalar supernodes (max_block = 1): every update pair is 1x1 and takes the
+// dot_minus fast path, so the work is nearly all per-pair bookkeeping and
+// each owner group holds many tiny pairs. Fork-join splits the work of one
+// K by owner group; its factors must still match serial byte for byte.
+TEST(SmpLU, ForkJoinOwnerGroupsScalarPairsBitwise) {
+  const auto A = sparse::circuit_like(600, 5, 12, 11);
+  symbolic::SymbolicOptions so;
+  so.max_block = 1;
+  auto sym = std::make_shared<const symbolic::SymbolicLU>(
+      symbolic::analyze(A, so));
+  ASSERT_EQ(sym->nsup, A.ncols);  // b = 1 everywhere
+  count_t pairs = 0;
+  for (index_t K = 0; K < sym->nsup; ++K)
+    pairs += static_cast<count_t>(sym->L[K].size() * sym->U[K].size());
+  ASSERT_GT(pairs, 10 * static_cast<count_t>(sym->nsup));
+  numeric::LUFactors<double> F1(sym, A, {});
+  for (const int threads : {2, 4}) {
+    SCOPED_TRACE(threads);
+    numeric::NumericOptions smp;
+    smp.num_threads = threads;
+    smp.schedule = numeric::Schedule::kForkJoin;
+    numeric::LUFactors<double> F2(sym, A, smp);
+    for (index_t K = 0; K < sym->nsup; ++K) {
+      EXPECT_TRUE(testing::same_bytes(F1.l_store(K), F2.l_store(K)))
+          << "L store, K=" << K;
+      EXPECT_TRUE(testing::same_bytes(F1.u_store(K), F2.u_store(K)))
+          << "U store, K=" << K;
+    }
+  }
 }
 
 // Same invariant on the testbed matrices (the paper's problem classes).
