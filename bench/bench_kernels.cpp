@@ -81,6 +81,35 @@ void BM_GemmMinusNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmMinusNaive)->Arg(8)->Arg(16)->Arg(24)->Arg(32)->Arg(48);
 
+// The trailing update at the sizes the factorizations mostly run it at:
+// one gemm_minus_scatter call per (m, n, k) — the product kept in
+// registers and added through row/column positions into a larger
+// destination block, as update_owner does for a subset pair. Reported as
+// time per call.
+void BM_GemmMinusScatterSmall(benchmark::State& state) {
+  const index_t m = static_cast<index_t>(state.range(0));
+  const index_t n = static_cast<index_t>(state.range(1));
+  const index_t k = static_cast<index_t>(state.range(2));
+  const index_t ldd = 2 * m;
+  const auto A = random_block(m, k, 1);
+  const auto B = random_block(k, n, 2);
+  auto D = random_block(ldd, 2 * n, 3);
+  std::vector<index_t> rpos(static_cast<std::size_t>(m)),
+      cpos(static_cast<std::size_t>(n));
+  for (index_t i = 0; i < m; ++i) rpos[i] = 2 * i;
+  for (index_t j = 0; j < n; ++j) cpos[j] = 2 * j + 1;
+  for (auto _ : state) {
+    dense::gemm_minus_scatter(m, n, k, A.data(), m, B.data(), k, D.data(),
+                              ldd, rpos.data(), cpos.data());
+    benchmark::DoNotOptimize(D.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 * m *
+                          n * k);
+}
+BENCHMARK(BM_GemmMinusScatterSmall)
+    ->ArgNames({"m", "n", "k"})
+    ->ArgsProduct({{1, 2, 3, 4, 8}, {1, 2, 3, 4, 8}, {1, 2, 3, 4, 8}});
+
 void BM_GetrfNoPiv(benchmark::State& state) {
   const index_t b = static_cast<index_t>(state.range(0));
   const auto base = random_block(b, b, 4);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -25,26 +26,94 @@ T replaced_pivot(T pivot, double tau) {
 // Naive kernels (the reference implementations; also the small-shape paths).
 // ---------------------------------------------------------------------------
 
-// jki order: stream down columns of C and A, which are contiguous.
-// noinline: every caller (the gemm dispatch, ref::, dot_minus) must share
-// ONE compiled copy — per-call-site inlining could contract the multiply-add
-// differently and break the cross-engine bitwise guarantee of INTERNALS §10.
+// x - a·b for the naive kernels. A real multiply-subtract is spelled out:
+// one rounding (fma) when the target has FMA — what contraction makes of
+// the plain expression there — and two otherwise, where nothing can
+// contract. Left to the compiler, two inlined copies of the same loop do
+// not always contract alike, which would break the cross-engine bitwise
+// guarantee of INTERNALS §10.
 template <class T>
+inline T minus_product(T x, T a, T b) {
+#ifdef __FP_FAST_FMA
+  if constexpr (std::is_same_v<T, double>) return std::fma(-a, b, x);
+#endif
+#ifdef __FP_FAST_FMAF
+  if constexpr (std::is_same_v<T, float>) return std::fma(-a, b, x);
+#endif
+  return x - a * b;
+}
+
+// The small-shape arithmetic: acc[r] -= a(r,p)·b(p) for R consecutive rows,
+// in ascending p, skipping b(p) == 0 — the jki loop of a naive gemm. R is a
+// compile-time constant, so the rows stay in registers across the k loop.
+// gemm_minus, ref::gemm_minus and gemm_minus_scatter all run it.
+template <index_t R, class T>
+inline void column_chunk_body(index_t k, const T* a, index_t lda,
+                              const T* bj, T* acc) {
+  T x[R];
+  for (index_t r = 0; r < R; ++r) x[r] = acc[r];
+  for (index_t p = 0; p < k; ++p) {
+    const T bpj = bj[p];
+    if (bpj == T{}) continue;
+    const T* ap = a + p * static_cast<std::size_t>(lda);
+    for (index_t r = 0; r < R; ++r) x[r] = minus_product(x[r], ap[r], bpj);
+  }
+  for (index_t r = 0; r < R; ++r) acc[r] = x[r];
+}
+
+// A complex multiply-subtract cannot be spelled out that way without
+// giving up std::complex's product (and its inf/nan recovery), and the
+// compiler may fuse either product of each component — two inlined copies
+// do round differently in an instrumented (-fsanitize=address) build. So
+// the complex chunk is one noinline copy shared by every caller.
+template <index_t R, class T>
 #if defined(__GNUC__) || defined(__clang__)
 __attribute__((noinline))
 #endif
+void column_chunk_shared(index_t k, const T* a, index_t lda, const T* bj,
+                         T* acc) {
+  column_chunk_body<R>(k, a, lda, bj, acc);
+}
+
+template <index_t R, class T>
+inline void column_chunk(index_t k, const T* a, index_t lda, const T* bj,
+                         T* acc) {
+  if constexpr (is_complex_v<T>)
+    column_chunk_shared<R>(k, a, lda, bj, acc);
+  else
+    column_chunk_body<R>(k, a, lda, bj, acc);
+}
+
+// Calls chunk(rows, i) over rows [0, m) in chunks of at most 8, `rows` a
+// std::integral_constant so each chunk's height is fixed at compile time.
+template <class Fn>
+inline void for_row_chunks(index_t m, Fn&& chunk) {
+  using std::integral_constant;
+  index_t i = 0;
+  for (; i + 8 <= m; i += 8) chunk(integral_constant<index_t, 8>{}, i);
+  switch (m - i) {
+    case 1: chunk(integral_constant<index_t, 1>{}, i); break;
+    case 2: chunk(integral_constant<index_t, 2>{}, i); break;
+    case 3: chunk(integral_constant<index_t, 3>{}, i); break;
+    case 4: chunk(integral_constant<index_t, 4>{}, i); break;
+    case 5: chunk(integral_constant<index_t, 5>{}, i); break;
+    case 6: chunk(integral_constant<index_t, 6>{}, i); break;
+    case 7: chunk(integral_constant<index_t, 7>{}, i); break;
+    default: break;
+  }
+}
+
+// C -= A·B by the naive loop, one register chunk of a C column at a time.
+template <class T>
 void gemm_minus_naive(index_t m, index_t n, index_t k, const T* a,
                       index_t lda, const T* b, index_t ldb, T* c,
                       index_t ldc) {
-  for (index_t j = 0; j < n; ++j) {
-    T* cj = c + j * ldc;
-    for (index_t p = 0; p < k; ++p) {
-      const T bpj = b[p + j * ldb];
-      if (bpj == T{}) continue;
-      const T* ap = a + p * lda;
-      for (index_t i = 0; i < m; ++i) cj[i] -= ap[i] * bpj;
-    }
-  }
+  for_row_chunks(m, [&](auto rows, index_t i) {
+    for (index_t j = 0; j < n; ++j)
+      column_chunk<decltype(rows)::value>(
+          k, a + i, lda, b + j * static_cast<std::size_t>(ldb),
+          c + i + j * static_cast<std::size_t>(ldc));
+  });
 }
 
 template <class T>
@@ -644,12 +713,9 @@ struct MicroTile<Complex> {
   static constexpr index_t pack_stride = 2;
 };
 
-// `overwrite`: write C = 0 - acc (β=0) on the first k-panel instead of
-// C -= acc. The 0-minus form keeps the result bitwise equal to zero-filling
-// C and running the subtract path.
 template <class T>
 void gemm_tiled(index_t m, index_t n, index_t k, const T* a, index_t lda,
-                const T* b, index_t ldb, T* c, index_t ldc, bool overwrite) {
+                const T* b, index_t ldb, T* c, index_t ldc) {
   using P = typename MicroTile<T>::pack_type;
   constexpr index_t MR = MicroTile<T>::mr;
   constexpr index_t NR = MicroTile<T>::nr;
@@ -659,7 +725,6 @@ void gemm_tiled(index_t m, index_t n, index_t k, const T* a, index_t lda,
   P out_re[MR * NR], out_im[MR * NR];
   for (index_t pc = 0; pc < k; pc += kKc) {
     const index_t kc = std::min(kKc, k - pc);
-    const bool store = overwrite && pc == 0;
     bpack.resize(static_cast<std::size_t>((n + NR - 1) / NR) * NR * PS * kc);
     pack_b<NR>(b + pc, ldb, kc, n, bpack.data());
     for (index_t ic = 0; ic < m; ic += MC) {
@@ -680,24 +745,15 @@ void gemm_tiled(index_t m, index_t n, index_t k, const T* a, index_t lda,
           if constexpr (is_complex_v<T>) {
             micro_tile_z<MR, NR>(kc, ap, bp, out_re, out_im);
             for (index_t j = 0; j < nr; ++j)
-              for (index_t i = 0; i < mr; ++i) {
-                const T v{out_re[i + j * MR], out_im[i + j * MR]};
-                if (store)
-                  ct[i + j * static_cast<std::size_t>(ldc)] = T{} - v;
-                else
-                  ct[i + j * static_cast<std::size_t>(ldc)] -= v;
-              }
+              for (index_t i = 0; i < mr; ++i)
+                ct[i + j * static_cast<std::size_t>(ldc)] -=
+                    T{out_re[i + j * MR], out_im[i + j * MR]};
           } else {
             micro_tile<MR, NR>(kc, ap, bp, out_re);
             for (index_t j = 0; j < nr; ++j)
-              for (index_t i = 0; i < mr; ++i) {
-                if (store)
-                  ct[i + j * static_cast<std::size_t>(ldc)] =
-                      T{} - out_re[i + j * MR];
-                else
-                  ct[i + j * static_cast<std::size_t>(ldc)] -=
-                      out_re[i + j * MR];
-              }
+              for (index_t i = 0; i < mr; ++i)
+                ct[i + j * static_cast<std::size_t>(ldc)] -=
+                    out_re[i + j * MR];
           }
         }
       }
@@ -730,31 +786,44 @@ void gemm_minus(index_t m, index_t n, index_t k, const T* a, index_t lda,
     gemm_minus_naive(m, n, k, a, lda, b, ldb, c, ldc);
     return;
   }
-  gemm_tiled(m, n, k, a, lda, b, ldb, c, ldc, /*overwrite=*/false);
+  gemm_tiled(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
+// Each product entry is formed by the same code as in gemm_minus on a
+// zero-filled C — column_chunk from T{} on small shapes, gemm_tiled into a
+// zeroed buffer otherwise — and then added once into its destination.
 template <class T>
-void gemm_minus_overwrite(index_t m, index_t n, index_t k, const T* a,
-                          index_t lda, const T* b, index_t ldb, T* c,
-                          index_t ldc) {
-  if (k == 0 || gemm_is_small<T>(m, n, k)) {
-    for (index_t j = 0; j < n; ++j)
-      std::fill_n(c + j * static_cast<std::size_t>(ldc), m, T{});
-    gemm_minus_naive(m, n, k, a, lda, b, ldb, c, ldc);
+void gemm_minus_scatter(index_t m, index_t n, index_t k, const T* a,
+                        index_t lda, const T* b, index_t ldb, T* d,
+                        index_t ldd, const index_t* rpos,
+                        const index_t* cpos) {
+  if (gemm_is_small<T>(m, n, k)) {
+    for_row_chunks(m, [&](auto rows, index_t i) {
+      constexpr index_t R = decltype(rows)::value;
+      for (index_t j = 0; j < n; ++j) {
+        T acc[R]{};
+        column_chunk<R>(k, a + i, lda, b + j * static_cast<std::size_t>(ldb),
+                        acc);
+        T* dcol = d + (cpos ? cpos[j] : j) * static_cast<std::size_t>(ldd);
+        if (rpos)
+          for (index_t r = 0; r < R; ++r) dcol[rpos[i + r]] += acc[r];
+        else
+          for (index_t r = 0; r < R; ++r) dcol[i + r] += acc[r];
+      }
+    });
     return;
   }
-  gemm_tiled(m, n, k, a, lda, b, ldb, c, ldc, /*overwrite=*/true);
-}
-
-// The (1,1,k) small-shape dispatch lands in gemm_minus_naive, so calling
-// the same (noinline) instantiation directly is bitwise identical by
-// construction — this entry just skips the dispatch and zero-fill wrapper.
-template <class T>
-T dot_minus(index_t k, const T* a, const T* b) {
-  T c{};
-  gemm_minus_naive(index_t{1}, index_t{1}, k, a, index_t{1}, b, k, &c,
-                   index_t{1});
-  return c;
+  thread_local std::vector<T> prod;
+  prod.assign(static_cast<std::size_t>(m) * n, T{});
+  gemm_tiled(m, n, k, a, lda, b, ldb, prod.data(), m);
+  for (index_t j = 0; j < n; ++j) {
+    T* dcol = d + (cpos ? cpos[j] : j) * static_cast<std::size_t>(ldd);
+    const T* pcol = prod.data() + j * static_cast<std::size_t>(m);
+    if (rpos)
+      for (index_t i = 0; i < m; ++i) dcol[rpos[i]] += pcol[i];
+    else
+      for (index_t i = 0; i < m; ++i) dcol[i] += pcol[i];
+  }
 }
 
 const char* panel_pivot_name(PanelPivot p) noexcept {
@@ -989,18 +1058,15 @@ template void gemm_minus(index_t, index_t, index_t, const float*, index_t,
                          const float*, index_t, float*, index_t);
 template void gemm_minus(index_t, index_t, index_t, const Complex*, index_t,
                          const Complex*, index_t, Complex*, index_t);
-template void gemm_minus_overwrite(index_t, index_t, index_t, const double*,
-                                   index_t, const double*, index_t, double*,
-                                   index_t);
-template void gemm_minus_overwrite(index_t, index_t, index_t, const float*,
-                                   index_t, const float*, index_t, float*,
-                                   index_t);
-template void gemm_minus_overwrite(index_t, index_t, index_t, const Complex*,
-                                   index_t, const Complex*, index_t, Complex*,
-                                   index_t);
-template double dot_minus(index_t, const double*, const double*);
-template float dot_minus(index_t, const float*, const float*);
-template Complex dot_minus(index_t, const Complex*, const Complex*);
+template void gemm_minus_scatter(index_t, index_t, index_t, const double*,
+                                 index_t, const double*, index_t, double*,
+                                 index_t, const index_t*, const index_t*);
+template void gemm_minus_scatter(index_t, index_t, index_t, const float*,
+                                 index_t, const float*, index_t, float*,
+                                 index_t, const index_t*, const index_t*);
+template void gemm_minus_scatter(index_t, index_t, index_t, const Complex*,
+                                 index_t, const Complex*, index_t, Complex*,
+                                 index_t, const index_t*, const index_t*);
 template void gemv_minus(index_t, index_t, const double*, index_t,
                          const double*, double*);
 template void gemv_minus(index_t, index_t, const float*, index_t,

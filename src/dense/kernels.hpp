@@ -112,21 +112,23 @@ template <class T>
 void gemm_minus(index_t m, index_t n, index_t k, const T* a, index_t lda,
                 const T* b, index_t ldb, T* c, index_t ldc);
 
-/// C = -(A·B): the β=0 variant of gemm_minus. Bitwise equal to zero-filling
-/// C and calling gemm_minus, without the redundant zero-fill pass — used by
-/// the factorization's update scratch. With k == 0 it zero-fills C.
+/// D(r(i), c(j)) += -(A·B)(i, j) for i < m, j < n: the trailing update of
+/// the factorizations, fused with its scatter into the destination block.
+/// A is m-by-k (lda), B k-by-n (ldb), D has leading dimension ldd; `rpos`
+/// (m entries) and `cpos` (n entries) map product rows/columns to rows/
+/// columns of D, nullptr meaning the identity. Each product entry is formed
+/// exactly as gemm_minus would form it in a zero-filled C (same dispatch,
+/// same term order and zero-skip) and then added once into D, so the result
+/// is bitwise equal to "zero-fill, gemm_minus, add at each position" — on
+/// every engine, since they all call this one kernel. Small shapes keep the
+/// products in registers (no scratch); tiled shapes go through a per-thread
+/// buffer. B may point into the same array as D when the entries it reads
+/// are disjoint from the entries written (the multi-RHS forward solve).
 template <class T>
-void gemm_minus_overwrite(index_t m, index_t n, index_t k, const T* a,
-                          index_t lda, const T* b, index_t ldb, T* c,
-                          index_t ldc);
-
-/// Returns the single entry of gemm_minus_overwrite(1, 1, k, ...) — the
-/// k-term dot product -Σ a[p]·b[p], bitwise equal to the (1,1,k) kernel
-/// dispatch (same term order, same zero-skip, compiled in the same unit).
-/// The factorization's scalar update fast path calls this once per pair,
-/// so it skips the full GEMM entry's dispatch work.
-template <class T>
-T dot_minus(index_t k, const T* a, const T* b);
+void gemm_minus_scatter(index_t m, index_t n, index_t k, const T* a,
+                        index_t lda, const T* b, index_t ldb, T* d,
+                        index_t ldd, const index_t* rpos,
+                        const index_t* cpos);
 
 /// y -= A·x for a dense m-by-n block (used by the triangular solves).
 template <class T>
@@ -237,21 +239,19 @@ extern template void gemm_minus(index_t, index_t, index_t, const float*,
 extern template void gemm_minus(index_t, index_t, index_t, const Complex*,
                                 index_t, const Complex*, index_t, Complex*,
                                 index_t);
-extern template void gemm_minus_overwrite(index_t, index_t, index_t,
-                                          const double*, index_t,
-                                          const double*, index_t, double*,
-                                          index_t);
-extern template void gemm_minus_overwrite(index_t, index_t, index_t,
-                                          const float*, index_t,
-                                          const float*, index_t, float*,
-                                          index_t);
-extern template void gemm_minus_overwrite(index_t, index_t, index_t,
-                                          const Complex*, index_t,
-                                          const Complex*, index_t, Complex*,
-                                          index_t);
-extern template double dot_minus(index_t, const double*, const double*);
-extern template float dot_minus(index_t, const float*, const float*);
-extern template Complex dot_minus(index_t, const Complex*, const Complex*);
+extern template void gemm_minus_scatter(index_t, index_t, index_t,
+                                        const double*, index_t, const double*,
+                                        index_t, double*, index_t,
+                                        const index_t*, const index_t*);
+extern template void gemm_minus_scatter(index_t, index_t, index_t,
+                                        const float*, index_t, const float*,
+                                        index_t, float*, index_t,
+                                        const index_t*, const index_t*);
+extern template void gemm_minus_scatter(index_t, index_t, index_t,
+                                        const Complex*, index_t,
+                                        const Complex*, index_t, Complex*,
+                                        index_t, const index_t*,
+                                        const index_t*);
 extern template void gemv_minus(index_t, index_t, const double*, index_t,
                                 const double*, double*);
 extern template void gemv_minus(index_t, index_t, const float*, index_t,

@@ -354,8 +354,7 @@ void DistributedLU<T>::factorize(minimpi::Comm& comm, const DistOptions& opt) {
   };
 
   // ---- task bodies (the arithmetic is identical to the strict loop:
-  // same kernels, same scratch handling, same scatter-add order).
-  std::vector<T> scratch;
+  // same kernels, same scatter-add order).
   std::vector<index_t> rpos, cpos, idx;
   std::size_t rest_ptr = 0;  // rest-updates complete in ascending K
 
@@ -498,48 +497,41 @@ void DistributedLU<T>::factorize(minimpi::Comm& comm, const DistOptions& opt) {
         if ((std::min(I, J) == K + 1) != near_class) continue;
         const auto& src_cols = S.U[K][uj].cols;
         const index_t c = static_cast<index_t>(src_cols.size());
-        scratch.assign(static_cast<std::size_t>(m) * c, T{});
-        dense::gemm_minus(m, c, b, lptr[bi], m, uptr[uj], b, scratch.data(),
-                          m);
+        // Destination block and the pair's positions in it: the diagonal
+        // block of I (I == J), L block (I, J) (I > J) or U block (I, J).
+        const index_t O = std::min(I, J);
+        const index_t bO = S.block_cols(O);
+        const index_t base = S.sn_start[O];
+        T* dst;
+        index_t ldd = bO;
+        const index_t *rp, *cp;
+        int waiting;  // the task this update feeds
         if (I == J) {
-          T* dst = diag_[I].data();
-          const index_t bI = S.block_cols(I);
-          const index_t base = S.sn_start[I];
-          for (index_t cc = 0; cc < c; ++cc)
-            for (index_t rr = 0; rr < m; ++rr)
-              dst[(src_rows[rr] - base) + (src_cols[cc] - base) * bI] +=
-                  scratch[rr + cc * m];
-          dec(tid(I, kDfac));
+          waiting = tid(I, kDfac);
+          dst = diag_[I].data();
+          rp = numeric::detail::local_positions(src_rows, base, bO, rpos);
+          cp = numeric::detail::local_positions(src_cols, base, bO, cpos);
         } else if (I > J) {
-          // destination L block (I, J).
           const index_t dbi = numeric::detail::find_block(S.L[J], I);
           GESP_ASSERT(dbi >= 0, "missing destination L block");
           const auto& dst_rows = S.L[J][dbi].rows;
-          numeric::detail::subset_positions(src_rows, dst_rows, rpos);
-          T* dst = lblocks_[J][dbi].data();
-          const index_t ldd = static_cast<index_t>(dst_rows.size());
-          const index_t base = S.sn_start[J];
-          for (index_t cc = 0; cc < c; ++cc) {
-            T* dcol = dst + (src_cols[cc] - base) * ldd;
-            for (index_t rr = 0; rr < m; ++rr)
-              dcol[rpos[rr]] += scratch[rr + cc * m];
-          }
-          dec(tid(J, kLpan));
+          waiting = tid(J, kLpan);
+          dst = lblocks_[J][dbi].data();
+          ldd = static_cast<index_t>(dst_rows.size());
+          rp = numeric::detail::scatter_positions(src_rows, dst_rows, rpos);
+          cp = numeric::detail::local_positions(src_cols, base, bO, cpos);
         } else {
           const index_t dbj = numeric::detail::find_block(S.U[I], J);
           GESP_ASSERT(dbj >= 0, "missing destination U block");
-          const auto& dst_cols = S.U[I][dbj].cols;
-          numeric::detail::subset_positions(src_cols, dst_cols, cpos);
-          T* dst = ublocks_[I][dbj].data();
-          const index_t bI = S.block_cols(I);
-          const index_t base = S.sn_start[I];
-          for (index_t cc = 0; cc < c; ++cc) {
-            T* dcol = dst + cpos[cc] * bI;
-            for (index_t rr = 0; rr < m; ++rr)
-              dcol[src_rows[rr] - base] += scratch[rr + cc * m];
-          }
-          dec(tid(I, kUpan));
+          waiting = tid(I, kUpan);
+          dst = ublocks_[I][dbj].data();
+          rp = numeric::detail::local_positions(src_rows, base, bO, rpos);
+          cp = numeric::detail::scatter_positions(src_cols,
+                                                  S.U[I][dbj].cols, cpos);
         }
+        dense::gemm_minus_scatter(m, c, b, lptr[bi], m, uptr[uj], b, dst, ldd,
+                                  rp, cp);
+        dec(waiting);
       }
     }
     if (!near_class) rest_ptr++;

@@ -124,4 +124,27 @@ inline void subset_positions(std::span<const index_t> sub,
   }
 }
 
+/// Product-to-destination positions for dense::gemm_minus_scatter: nullptr
+/// (the identity) when `sub` is all of `full`, else subset_positions into
+/// `pos`.
+inline const index_t* scatter_positions(std::span<const index_t> sub,
+                                        std::span<const index_t> full,
+                                        std::vector<index_t>& pos) {
+  if (sub.size() == full.size()) return nullptr;
+  subset_positions(sub, full, pos);
+  return pos.data();
+}
+
+/// The same for indices into a contiguous range [base, base + width) —
+/// rows or columns of a supernode's own block: nullptr when `idx` covers
+/// the whole range, else the offsets idx - base in `pos`.
+inline const index_t* local_positions(std::span<const index_t> idx,
+                                      index_t base, index_t width,
+                                      std::vector<index_t>& pos) {
+  if (static_cast<index_t>(idx.size()) == width) return nullptr;
+  pos.resize(idx.size());
+  for (std::size_t x = 0; x < idx.size(); ++x) pos[x] = idx[x] - base;
+  return pos.data();
+}
+
 }  // namespace gesp::numeric::detail

@@ -122,11 +122,10 @@ void LUFactors<T>::scatter_values(const sparse::CscMatrix<T>& A,
 // block and the U blocks of row O; the column part (column block J == O
 // against every L block I > O) lands in the L blocks of column O. Both
 // destination lists are sorted by block index, like L[K] and U[K], so one
-// forward cursor per part finds every destination block. Each pair keeps
-// the exact kernel call of a lone update — the scalar product through
-// dot_minus, every other shape through gemm_minus_overwrite into scratch,
-// then one add per destination entry — so the factors do not depend on how
-// the pairs are grouped.
+// forward cursor per part finds every destination block. Each pair is one
+// dense::gemm_minus_scatter call with that pair's shape, operands and
+// destination positions, exactly as a lone update would issue it, so the
+// factors do not depend on how the pairs are grouped.
 template <class T>
 void LUFactors<T>::update_owner(index_t K, const detail::OwnerGroup& g,
                                 UpdateScratch& ws) {
@@ -138,14 +137,6 @@ void LUFactors<T>::update_owner(index_t K, const detail::OwnerGroup& g,
   const index_t O = g.O;
   const index_t bO = S.block_cols(O);
   const index_t base = S.sn_start[O];
-  // prod = -(L(I,K) · U(K,J)), m-by-c; the β=0 kernel writes every entry,
-  // so no zero-fill pass over the scratch is needed.
-  auto product = [&](const T* lik, index_t m, const T* ukj, index_t c) {
-    const std::size_t len = static_cast<std::size_t>(m) * c;
-    if (ws.prod.size() < len) ws.prod.resize(len);
-    dense::gemm_minus_overwrite(m, c, b, lik, m, ukj, b, ws.prod.data(), m);
-    return static_cast<const T*>(ws.prod.data());
-  };
 
   if (g.has_row) {
     // Row part: L(O,K) against U(K,J) for J >= O; the rows are the same
@@ -153,69 +144,26 @@ void LUFactors<T>::update_owner(index_t K, const detail::OwnerGroup& g,
     const auto& rows = LK[g.li].rows;
     const index_t m = static_cast<index_t>(rows.size());
     const T* lik = lnz_[K].data() + l_off_[K][g.li];
-    // A row subset of full size IS the block: plain column adds.
-    const bool full = m == bO;
-    ws.local.resize(rows.size());
-    for (index_t rr = 0; rr < m; ++rr) ws.local[rr] = rows[rr] - base;
-    const index_t* rloc = ws.local.data();
+    const index_t* rloc = detail::local_positions(rows, base, bO, ws.local);
     std::size_t uj = static_cast<std::size_t>(g.ui);
     if (g.has_col) {
       // J == O: the diagonal block of O (full storage).
       const auto& cols = UK[uj].cols;
-      const index_t c = static_cast<index_t>(cols.size());
-      const T* ukj = unz_[K].data() + u_off_[K][uj];
-      T* dst = lnz_[O].data();
-      if (m == 1 && c == 1) {
-        // Scalar fast path (dominant when supernodes degenerate to single
-        // columns): still the dense library's dot, so the rounding is the
-        // exact kernel every other engine uses.
-        dst[rloc[0] + (cols[0] - base) * bO] += dense::dot_minus(b, lik, ukj);
-      } else {
-        const T* p = product(lik, m, ukj, c);
-        for (index_t cc = 0; cc < c; ++cc) {
-          T* dcol = dst + (cols[cc] - base) * bO;
-          const T* pcol = p + cc * static_cast<std::size_t>(m);
-          if (full)
-            for (index_t rr = 0; rr < m; ++rr) dcol[rr] += pcol[rr];
-          else
-            for (index_t rr = 0; rr < m; ++rr) dcol[rloc[rr]] += pcol[rr];
-        }
-      }
+      dense::gemm_minus_scatter(
+          m, static_cast<index_t>(cols.size()), b, lik, m,
+          unz_[K].data() + u_off_[K][uj], b, lnz_[O].data(), bO, rloc,
+          detail::local_positions(cols, base, bO, ws.pos));
       ++uj;
     }
     // J > O: the U blocks of row O, columns a subset, rows full height.
     detail::BlockCursor<symbolic::UBlock> dest(S.U[O], nu - uj);
     for (; uj < nu; ++uj) {
       const auto& cols = UK[uj].cols;
-      const index_t c = static_cast<index_t>(cols.size());
-      const T* ukj = unz_[K].data() + u_off_[K][uj];
       const std::size_t dbj = dest.seek(UK[uj].J);
-      const auto& dcols = S.U[O][dbj].cols;
-      T* dst = unz_[O].data() + u_off_[O][dbj];
-      if (m == 1 && c == 1) {
-        const auto cit = std::lower_bound(dcols.begin(), dcols.end(), cols[0]);
-        GESP_ASSERT(cit != dcols.end() && *cit == cols[0],
-                    "symbolic structure is not closed under updates");
-        dst[rloc[0] + (cit - dcols.begin()) * bO] +=
-            dense::dot_minus(b, lik, ukj);
-        continue;
-      }
-      const T* p = product(lik, m, ukj, c);
-      if (full && static_cast<std::size_t>(c) == dcols.size()) {
-        // Columns identical and rows full height: one contiguous add.
-        const std::size_t len = static_cast<std::size_t>(m) * c;
-        for (std::size_t x = 0; x < len; ++x) dst[x] += p[x];
-        continue;
-      }
-      detail::subset_positions(cols, dcols, ws.pos);
-      for (index_t cc = 0; cc < c; ++cc) {
-        T* dcol = dst + ws.pos[cc] * bO;
-        const T* pcol = p + cc * static_cast<std::size_t>(m);
-        if (full)
-          for (index_t rr = 0; rr < m; ++rr) dcol[rr] += pcol[rr];
-        else
-          for (index_t rr = 0; rr < m; ++rr) dcol[rloc[rr]] += pcol[rr];
-      }
+      dense::gemm_minus_scatter(
+          m, static_cast<index_t>(cols.size()), b, lik, m,
+          unz_[K].data() + u_off_[K][uj], b, unz_[O].data() + u_off_[O][dbj],
+          bO, rloc, detail::scatter_positions(cols, S.U[O][dbj].cols, ws.pos));
     }
   }
 
@@ -225,43 +173,18 @@ void LUFactors<T>::update_owner(index_t K, const detail::OwnerGroup& g,
     const auto& cols = UK[g.ui].cols;
     const index_t c = static_cast<index_t>(cols.size());
     const T* ukj = unz_[K].data() + u_off_[K][g.ui];
-    ws.local.resize(cols.size());
-    for (index_t cc = 0; cc < c; ++cc) ws.local[cc] = cols[cc] - base;
-    const index_t* cloc = ws.local.data();
+    const index_t* cloc = detail::local_positions(cols, base, bO, ws.local);
     std::size_t bi = static_cast<std::size_t>(g.li) + (g.has_row ? 1 : 0);
     detail::BlockCursor<symbolic::LBlock> dest(S.L[O], nl - bi);
     for (; bi < nl; ++bi) {
       const auto& rows = LK[bi].rows;
       const index_t m = static_cast<index_t>(rows.size());
-      const T* lik = lnz_[K].data() + l_off_[K][bi];
       const std::size_t dbi = dest.seek(LK[bi].I);
       const auto& drows = S.L[O][dbi].rows;
-      const index_t ldd = static_cast<index_t>(drows.size());
-      T* dst = lnz_[O].data() + l_off_[O][dbi];
-      if (m == 1 && c == 1) {
-        const auto rit = std::lower_bound(drows.begin(), drows.end(), rows[0]);
-        GESP_ASSERT(rit != drows.end() && *rit == rows[0],
-                    "symbolic structure is not closed under updates");
-        dst[(rit - drows.begin()) + cloc[0] * ldd] +=
-            dense::dot_minus(b, lik, ukj);
-        continue;
-      }
-      const T* p = product(lik, m, ukj, c);
-      if (m == ldd) {
-        // Row sets identical: straight vectorizable adds.
-        for (index_t cc = 0; cc < c; ++cc) {
-          T* dcol = dst + cloc[cc] * ldd;
-          const T* pcol = p + cc * static_cast<std::size_t>(m);
-          for (index_t rr = 0; rr < m; ++rr) dcol[rr] += pcol[rr];
-        }
-        continue;
-      }
-      detail::subset_positions(rows, drows, ws.pos);
-      for (index_t cc = 0; cc < c; ++cc) {
-        T* dcol = dst + cloc[cc] * ldd;
-        const T* pcol = p + cc * static_cast<std::size_t>(m);
-        for (index_t rr = 0; rr < m; ++rr) dcol[ws.pos[rr]] += pcol[rr];
-      }
+      dense::gemm_minus_scatter(
+          m, c, b, lnz_[K].data() + l_off_[K][bi], m, ukj, b,
+          lnz_[O].data() + l_off_[O][dbi], static_cast<index_t>(drows.size()),
+          detail::scatter_positions(rows, drows, ws.pos), cloc);
     }
   }
 }
@@ -723,7 +646,6 @@ void LUFactors<T>::solve_multi(std::span<T> X, index_t nrhs) const {
              Errc::invalid_argument, "solve_multi dimension mismatch");
   DenormalFlushGuard ftz(std::is_same_v<T, float>);
   const index_t n = S.n;
-  std::vector<T> seg;  // gathered block-row segment, b-by-nrhs
   std::vector<T> tmp;
   // Forward substitution, all right-hand sides at once.
   for (index_t K = 0; K < S.nsup; ++K) {
@@ -744,13 +666,9 @@ void LUFactors<T>::solve_multi(std::span<T> X, index_t nrhs) const {
       const auto& rows = S.L[K][bi].rows;
       const index_t m = static_cast<index_t>(rows.size());
       const T* blk = lnz_[K].data() + l_off_[K][bi];
-      // seg = -(L(I,K) · X(K,:)), then scatter-add into the target rows.
-      seg.assign(static_cast<std::size_t>(m) * nrhs, T{});
-      dense::gemm_minus(m, nrhs, b, blk, m, X.data() + base, n, seg.data(),
-                        m);
-      for (index_t c = 0; c < nrhs; ++c)
-        for (index_t r = 0; r < m; ++r)
-          X[rows[r] + c * static_cast<std::size_t>(n)] += seg[r + c * m];
+      // X(rows,:) -= L(I,K) · X(K,:), added straight into the target rows.
+      dense::gemm_minus_scatter(m, nrhs, b, blk, m, X.data() + base, n,
+                                X.data(), n, rows.data(), nullptr);
     }
   }
   // Backward substitution.

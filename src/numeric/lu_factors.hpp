@@ -184,16 +184,17 @@ class LUFactors {
   /// [lo, hi).
   void panel_lower(index_t K, index_t lo, index_t hi);
   void panel_upper(index_t K, index_t lo, index_t hi);
-  /// Per-thread scratch of update_owner.
+  /// Per-thread scratch of update_owner: destination positions only (the
+  /// products never leave dense::gemm_minus_scatter).
   struct UpdateScratch {
-    std::vector<T> prod;         ///< -(L(I,K)·U(K,J)), m-by-c
     std::vector<index_t> pos;    ///< subset positions in a destination
     std::vector<index_t> local;  ///< shared rows/cols, local to the owner
   };
   /// Every trailing-matrix update of source supernode K into the storage
-  /// of one owner supernode O = min(I, J): for each pair, scratch =
-  /// -(L(I,K)·U(K,J)) scatter-added into the destination block. The one
-  /// update routine of every shared-memory schedule.
+  /// of one owner supernode O = min(I, J): for each pair, one
+  /// dense::gemm_minus_scatter call adds -(L(I,K)·U(K,J)) into the
+  /// destination block at the pair's row/column positions. The one update
+  /// routine of every shared-memory schedule.
   void update_owner(index_t K, const detail::OwnerGroup& g,
                     UpdateScratch& ws);
   /// Diagonal-block factorization of supernode K (strategy dispatch plus

@@ -102,13 +102,15 @@ KernelSample measure_block(index_t b, int reps) {
 
 /// Per-update-pair overhead: the supernodal update loop pays a fixed cost
 /// per (source supernode, destination block) pair before any flops happen.
-/// A 2x2x2 GEMM is almost all fixed cost; use its per-call time.
+/// A 2x2x2 update through the factorization's kernel is almost all fixed
+/// cost; use its per-call time.
 double measure_pair_overhead(int reps) {
   const std::vector<double> a = random_block(2, 11);
   const std::vector<double> bb = random_block(2, 13);
   std::vector<double> c(4, 0.0);
   return time_kernel(reps, [&] {
-    dense::gemm_minus(2, 2, 2, a.data(), 2, bb.data(), 2, c.data(), 2);
+    dense::gemm_minus_scatter(2, 2, 2, a.data(), 2, bb.data(), 2, c.data(),
+                              2, nullptr, nullptr);
   });
 }
 

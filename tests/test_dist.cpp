@@ -235,17 +235,22 @@ TEST(DistLU, ComplexDistributedFactorization) {
       symbolic::analyze(A, {}));
   numeric::LUFactors<Complex> serial(sym, A, {});
   const auto Lref = serial.l_matrix();
+  const auto Uref = serial.u_matrix();
 
   const ProcessGrid grid{2, 2};
   minimpi::World world(grid.nprocs());
-  CscMatrix<Complex> Ldist;
+  CscMatrix<Complex> Ldist, Udist;
   world.run([&](minimpi::Comm& comm) {
     DistributedLU<Complex> dlu(comm, grid, sym, A, {});
     auto L = dlu.gather_l(comm);
-    if (comm.rank() == 0) Ldist = std::move(L);
-    dlu.gather_u(comm);  // keep the collective schedule aligned
+    auto U = dlu.gather_u(comm);
+    if (comm.rank() == 0) {
+      Ldist = std::move(L);
+      Udist = std::move(U);
+    }
   });
   EXPECT_EQ(testing::max_abs_diff(Lref, Ldist), 0.0);
+  EXPECT_EQ(testing::max_abs_diff(Uref, Udist), 0.0);
 }
 
 }  // namespace

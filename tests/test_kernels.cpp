@@ -3,10 +3,13 @@
 // awkward shapes around the microtile and blocking boundaries (fringes,
 // sub-tile sizes, lda > m), plus the exact guarantees the factorization
 // relies on: gemm_minus dispatch depends only on shape, and
-// gemm_minus_overwrite is bitwise equal to zero-fill + gemm_minus.
+// gemm_minus_scatter is bitwise equal to zero-fill + gemm_minus + one add
+// per destination position.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -72,74 +75,97 @@ void check_gemm_all_shapes() {
 TEST(GemmEquivalence, DoubleAllShapes) { check_gemm_all_shapes<double>(); }
 TEST(GemmEquivalence, ComplexAllShapes) { check_gemm_all_shapes<Complex>(); }
 
-// gemm_minus_overwrite must be *bitwise* equal to zero-filling C and
-// running gemm_minus — LUFactors::update_pair depends on it.
+// gemm_minus_scatter must be *bitwise* equal to its reference: zero-fill
+// a dense C, run gemm_minus, then add each C(i, j) once into
+// D(r(i), c(j)). Every factorization engine and the multi-RHS forward solve
+// rely on it. The shapes straddle gemm_is_small (register path on one side,
+// tiled path on the other), and the positions are either the identity or a
+// shuffled subset of a larger destination. B holds exact +0 and -0 where A
+// holds inf, so a kernel that drops gemm_minus's zero-skip turns a finite
+// entry into NaN and fails; NaN equals NaN only where both sides have one.
 template <class T>
-void check_overwrite_bitwise() {
-  for (index_t m : kShapes)
-    for (index_t n : kShapes)
-      for (index_t k : kShapes) {
-        const index_t lda = m + 1, ldb = k + 4, ldc = m + 2;
-        const auto A =
-            random_buffer<T>(static_cast<std::size_t>(lda) * k, 44);
-        const auto B =
-            random_buffer<T>(static_cast<std::size_t>(ldb) * n, 55);
-        // Garbage in C proves every entry is written.
-        auto c_over =
-            random_buffer<T>(static_cast<std::size_t>(ldc) * n, 66);
-        auto c_zero = c_over;
-        for (index_t j = 0; j < n; ++j)
-          for (index_t i = 0; i < m; ++i)
-            c_zero[i + j * static_cast<std::size_t>(ldc)] = T{};
-        gemm_minus_overwrite(m, n, k, A.data(), lda, B.data(), ldb,
-                             c_over.data(), ldc);
-        gemm_minus(m, n, k, A.data(), lda, B.data(), ldb, c_zero.data(),
-                   ldc);
-        for (std::size_t i = 0; i < c_over.size(); ++i)
-          ASSERT_EQ(c_over[i], c_zero[i])
-              << "m=" << m << " n=" << n << " k=" << k << " at " << i;
-      }
+bool same_entry(const T& x, const T& y) {
+  using std::isnan;
+  if constexpr (is_complex_v<T>)
+    return same_entry(x.real(), y.real()) && same_entry(x.imag(), y.imag());
+  else
+    return std::memcmp(&x, &y, sizeof(T)) == 0 || (isnan(x) && isnan(y));
 }
 
-TEST(GemmOverwrite, BitwiseEqualsZeroFillPlusGemmDouble) {
-  check_overwrite_bitwise<double>();
-}
-TEST(GemmOverwrite, BitwiseEqualsZeroFillPlusGemmComplex) {
-  check_overwrite_bitwise<Complex>();
+// `count` distinct positions of [0, range): shuffled, or 0..count-1.
+std::vector<index_t> shuffled_subset(index_t count, index_t range, Rng& rng,
+                                     bool shuffle) {
+  std::vector<index_t> all(static_cast<std::size_t>(range));
+  for (index_t x = 0; x < range; ++x) all[x] = x;
+  if (shuffle)
+    for (index_t x = range - 1; x > 0; --x)
+      std::swap(all[x], all[rng.next_index(x + 1)]);
+  all.resize(static_cast<std::size_t>(count));
+  return all;
 }
 
-// The scalar update fast path uses dot_minus for (1,1,k) products; it must
-// be bitwise identical to the full kernel entry for that shape.
+// One shape: A is m-by-k (lda = m + pad), B k-by-n (ldb = k + 2·pad); the
+// positions are the identity or a shuffled subset of a larger destination.
 template <class T>
-void check_dot_bitwise() {
-  for (index_t k : kShapes) {
-    auto A = random_buffer<T>(static_cast<std::size_t>(k), 12);
-    auto B = random_buffer<T>(static_cast<std::size_t>(k), 23);
-    if (k > 2) B[1] = T{};  // exercise the zero-skip
-    T full;
-    gemm_minus_overwrite(index_t{1}, index_t{1}, k, A.data(), index_t{1},
-                         B.data(), k, &full, index_t{1});
-    ASSERT_EQ(dot_minus(k, A.data(), B.data()), full) << "k=" << k;
-  }
-}
-
-TEST(GemmOverwrite, DotMinusBitwiseDouble) { check_dot_bitwise<double>(); }
-TEST(GemmOverwrite, DotMinusBitwiseComplex) { check_dot_bitwise<Complex>(); }
-
-TEST(GemmOverwrite, KZeroZeroFills) {
-  const index_t m = 9, n = 7, ldc = 12;
-  auto c = random_buffer<double>(static_cast<std::size_t>(ldc) * n, 7);
-  const auto orig = c;
-  gemm_minus_overwrite<double>(m, n, 0, nullptr, 1, nullptr, 1, c.data(),
-                               ldc);
-  for (index_t j = 0; j < n; ++j)
-    for (index_t i = 0; i < ldc; ++i) {
-      const std::size_t p = i + j * static_cast<std::size_t>(ldc);
-      if (i < m)
-        EXPECT_EQ(c[p], 0.0);
-      else
-        EXPECT_EQ(c[p], orig[p]);  // padding rows untouched
+void check_scatter_case(index_t m, index_t n, index_t k, index_t pad,
+                        bool shuffled, Rng& prng) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const index_t lda = m + pad, ldb = k + 2 * pad;
+  auto A = random_buffer<T>(static_cast<std::size_t>(lda) * k, 44);
+  auto B = random_buffer<T>(static_cast<std::size_t>(ldb) * n, 55);
+  for (index_t p = 0; p < k; ++p) {
+    for (index_t i = 0; i < m; ++i)
+      if ((i + 3 * p) % 4 == 0) A[i + p * lda] = static_cast<T>(inf);
+    for (index_t j = 0; j < n; ++j) {
+      if ((p + 2 * j) % 5 == 0) B[p + j * ldb] = static_cast<T>(0.0);
+      if ((p + 2 * j) % 5 == 1) B[p + j * ldb] = static_cast<T>(-0.0);
     }
+  }
+  const index_t dm = shuffled ? m + 5 : m, dn = shuffled ? n + 3 : n;
+  const index_t ldd = dm + 2;
+  // Identity positions are spelled out for the reference and passed to
+  // the kernel as nullptr.
+  const auto rpos = shuffled_subset(m, dm, prng, shuffled);
+  const auto cpos = shuffled_subset(n, dn, prng, shuffled);
+  const auto D0 = random_buffer<T>(static_cast<std::size_t>(ldd) * dn, 66);
+  auto d_ref = D0;
+  std::vector<T> c(static_cast<std::size_t>(m) * n, T{});
+  gemm_minus(m, n, k, A.data(), lda, B.data(), ldb, c.data(), m);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < m; ++i)
+      d_ref[rpos[i] + cpos[j] * static_cast<std::size_t>(ldd)] +=
+          c[i + j * static_cast<std::size_t>(m)];
+  auto d = D0;
+  gemm_minus_scatter(m, n, k, A.data(), lda, B.data(), ldb, d.data(), ldd,
+                     shuffled ? rpos.data() : nullptr,
+                     shuffled ? cpos.data() : nullptr);
+  for (std::size_t x = 0; x < d.size(); ++x)
+    ASSERT_TRUE(same_entry(d[x], d_ref[x]))
+        << "m=" << m << " n=" << n << " k=" << k << " pad=" << pad
+        << " shuffled=" << shuffled << " at " << x;
+}
+
+template <class T>
+void check_scatter_bitwise() {
+  Rng prng(77);
+  for (index_t m = 1; m <= 20; ++m)
+    for (index_t n = 1; n <= 8; ++n)
+      for (index_t k = 0; k <= 12; ++k)
+        for (const index_t pad : {0, 3})
+          for (const bool shuffled : {false, true}) {
+            check_scatter_case<T>(m, n, k, pad, shuffled, prng);
+            if (::testing::Test::HasFatalFailure()) return;
+          }
+}
+
+TEST(GemmScatter, BitwiseEqualsZeroFillGemmAddDouble) {
+  check_scatter_bitwise<double>();
+}
+TEST(GemmScatter, BitwiseEqualsZeroFillGemmAddFloat) {
+  check_scatter_bitwise<float>();
+}
+TEST(GemmScatter, BitwiseEqualsZeroFillGemmAddComplex) {
+  check_scatter_bitwise<Complex>();
 }
 
 template <class T>

@@ -91,30 +91,6 @@ TEST(FloatKernels, GemmEquivalenceAllShapes) {
       }
 }
 
-// gemm_minus_overwrite must be *bitwise* equal to zero-fill + gemm_minus
-// for float too — LUFactors<float>::update_pair depends on it.
-TEST(FloatKernels, OverwriteBitwiseEqualsZeroFillPlusGemm) {
-  for (index_t m : kShapes)
-    for (index_t n : kShapes)
-      for (index_t k : kShapes) {
-        const index_t lda = m + 1, ldb = k + 4, ldc = m + 2;
-        const auto A = random_buffer_f(static_cast<std::size_t>(lda) * k, 44);
-        const auto B = random_buffer_f(static_cast<std::size_t>(ldb) * n, 55);
-        auto c_over = random_buffer_f(static_cast<std::size_t>(ldc) * n, 66);
-        auto c_zero = c_over;
-        for (index_t j = 0; j < n; ++j)
-          for (index_t i = 0; i < m; ++i)
-            c_zero[i + j * static_cast<std::size_t>(ldc)] = 0.0f;
-        dense::gemm_minus_overwrite(m, n, k, A.data(), lda, B.data(), ldb,
-                                    c_over.data(), ldc);
-        dense::gemm_minus(m, n, k, A.data(), lda, B.data(), ldb,
-                          c_zero.data(), ldc);
-        for (std::size_t i = 0; i < c_over.size(); ++i)
-          ASSERT_EQ(c_over[i], c_zero[i])
-              << "m=" << m << " n=" << n << " k=" << k << " at " << i;
-      }
-}
-
 TEST(FloatKernels, TrsmLeftLowerUnitEquivalence) {
   for (index_t b : kShapes)
     for (index_t ncols : kShapes) {

@@ -193,8 +193,8 @@ TEST(SmpLU, ForkJoinBitwiseEqual4Threads) {
                                numeric::Schedule::kForkJoin);
 }
 
-// Scalar supernodes (max_block = 1): every update pair is 1x1 and takes the
-// dot_minus fast path, so the work is nearly all per-pair bookkeeping and
+// Scalar supernodes (max_block = 1): every update pair is a 1x1x1
+// gemm_minus_scatter call, so the work is nearly all per-pair bookkeeping and
 // each owner group holds many tiny pairs. Fork-join splits the work of one
 // K by owner group; its factors must still match serial byte for byte.
 TEST(SmpLU, ForkJoinOwnerGroupsScalarPairsBitwise) {
