@@ -80,7 +80,7 @@ struct Message {
                    " bytes is not a multiple of the element size " +
                    std::to_string(sizeof(T)));
     std::vector<T> out(data.size() / sizeof(T));
-    std::memcpy(out.data(), data.data(), data.size());
+    if (!out.empty()) std::memcpy(out.data(), data.data(), data.size());
     return out;
   }
 };

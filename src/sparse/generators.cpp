@@ -378,12 +378,16 @@ CscMatrix<double> near_singular_cascade(index_t n, index_t depth,
   // Placement is load-bearing twice over. First, the Schur complement a
   // supernode sends to the trailing matrix is invariant under in-block row
   // order, so growth routed *through* a block boundary can never be
-  // pivoted away — the whole chain must share one diagonal block. The
-  // partitioner turns the block's leading 8 columns into a relaxed leaf
-  // supernode and T2-joins the dense remainder into a single chunk of up
-  // to max_block columns, so 8 benign filler columns absorb the relaxed
-  // range and the 2*depth+2 chain columns land in one chunk (keep
-  // 2*depth+2 <= max_block). Second, determinant invariance makes any
+  // pivoted away — the chain must share as few diagonal blocks as
+  // possible. The partitioner makes the block's leading 8 filler columns a
+  // relaxed leaf supernode, T2-joins the dense remainder, amalgamates the
+  // two along the etree chain (the block is dense, so the merge stores no
+  // zeros) and cuts the result at max_block columns from the block start.
+  // With the default 24 and depth 11, eight feed/decay pairs land in the
+  // first chunk and three in the second; only the decay just before the
+  // cut loses its competitor to the next chunk, so the threshold rescue
+  // leaves growth ~1e6 that refinement absorbs. Second, determinant
+  // invariance makes any
   // in-block rescue concentrate the product of the decayed pivots
   // (gamma^depth) into deferred rows that retire near the chunk's end;
   // because the block is trailing there are no rows beneath it, so those
@@ -477,28 +481,29 @@ CscMatrix<double> badly_scaled(const CscMatrix<double>& A, double spread,
   return B;
 }
 
-CscMatrix<double> structural_deficiency(index_t n, index_t deficient,
-                                        std::uint64_t seed) {
-  GESP_CHECK(deficient > 0 && n > 4 * deficient + 2, Errc::invalid_argument,
-             "bad structural_deficiency parameters");
+namespace {
+
+/// Shared layout of the dependent-column-pair generators. Pair t occupies
+/// columns {4t, 4t+1} over a shared three-row pattern: A(4t+i, 4t+1) =
+/// A(4t+i, 4t)·(1 + gap(rng, i)), so the second pivot of each pair cancels
+/// to the gaps' differences. The rest is a diagonally dominant filler.
+template <class Gap>
+CscMatrix<double> dependent_column_pairs(index_t n, index_t pairs,
+                                         std::uint64_t seed, Gap gap) {
   Rng rng(seed);
   CooMatrix<double> A(n, n);
-  // Pair t occupies columns {4t, 4t+1}: column 4t+1 equals column 4t to a
-  // ~1e-13 relative difference over a shared three-row pattern, so the
-  // second pivot of the pair cancels far below sqrt(eps)·||A|| and the
-  // tiny-pivot replacement must step in.
-  for (index_t t = 0; t < deficient; ++t) {
+  for (index_t t = 0; t < pairs; ++t) {
     const index_t j = 4 * t;
     for (index_t i = 0; i < 3; ++i) {
       const double v = 0.5 + rng.next_double();
       A.add(j + i, j, v);
-      A.add(j + i, j + 1, v * (1.0 + 1e-13 * rng.uniform(0.5, 1.0)));
+      A.add(j + i, j + 1, v * (1.0 + gap(rng, i)));
     }
     A.add(j + 2, j + 2, 2.0 + rng.next_double());
     A.add(j + 3, j + 3, 2.0 + rng.next_double());
     A.add(j + 3, j + 2, rng.uniform(-0.3, 0.3));
   }
-  for (index_t i = 4 * deficient; i < n; ++i) {
+  for (index_t i = 4 * pairs; i < n; ++i) {
     A.add(i, i, 2.0 + rng.next_double());
     const index_t j = rng.next_index(n);
     if (j != i) A.add(i, j, rng.uniform(-0.3, 0.3));
@@ -506,6 +511,30 @@ CscMatrix<double> structural_deficiency(index_t n, index_t deficient,
   A.add(0, n - 1, 1e-3);
   A.add(n - 1, 0, 1e-3);
   return A.to_csc();
+}
+
+}  // namespace
+
+CscMatrix<double> structural_deficiency(index_t n, index_t deficient,
+                                        std::uint64_t seed) {
+  GESP_CHECK(deficient > 0 && n > 4 * deficient + 2, Errc::invalid_argument,
+             "bad structural_deficiency parameters");
+  // A ~1e-13 relative difference: the second pivot of each pair cancels
+  // far below sqrt(eps)·||A|| and the tiny-pivot replacement must step in.
+  return dependent_column_pairs(n, deficient, seed, [](Rng& rng, index_t) {
+    return 1e-13 * rng.uniform(0.5, 1.0);
+  });
+}
+
+CscMatrix<double> precision_gap_deficiency(index_t n, index_t pairs,
+                                           double gap, std::uint64_t seed) {
+  GESP_CHECK(pairs > 0 && n > 4 * pairs + 2 && gap > 0.0 && gap < 0.1,
+             Errc::invalid_argument,
+             "bad precision_gap_deficiency parameters");
+  // Row gaps -gap·u, 0, +gap·u: any two rows differ by gap/2 .. 2·gap.
+  return dependent_column_pairs(n, pairs, seed, [gap](Rng& rng, index_t i) {
+    return gap * static_cast<double>(i - 1) * rng.uniform(0.5, 1.0);
+  });
 }
 
 CscMatrix<double> inject_value_faults(const CscMatrix<double>& A,

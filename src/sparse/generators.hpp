@@ -110,9 +110,10 @@ CscMatrix<double> sparse_growth_adversary(index_t n, index_t depth,
 /// with an O(1) competitor row below each decayed pivot, so in-block
 /// threshold pivoting defeats the attack (gamma must be below tau·0.98 ≈
 /// 0.098 for the swap to trigger). Requirements: natural column order (a
-/// reordering scatters the chain), default relax (8), and
-/// 2*depth+2 <= max_block so the chain lands in a single T2 chunk — depth
-/// at most 11 with the default max_block of 24.
+/// reordering scatters the chain), default relax (8), and depth at most 11
+/// with the default max_block of 24: the amalgamated block is cut at
+/// max_block columns from its start, and every decay but the one just
+/// before the cut keeps its competitor in its own chunk.
 CscMatrix<double> near_singular_cascade(index_t n, index_t depth,
                                         double gamma, std::uint64_t seed);
 
@@ -141,6 +142,21 @@ CscMatrix<double> badly_scaled(const CscMatrix<double>& A, double spread,
 /// number to ~1/1e-13 without defeating backward stability.
 CscMatrix<double> structural_deficiency(index_t n, index_t deficient,
                                         std::uint64_t seed);
+
+/// Dependent column pairs whose cancelled pivots sit between the double
+/// and the float tiny-pivot thresholds: the mixed-precision promotion
+/// adversary. The second column of each pair differs from the first by
+/// the relative gaps -gap·u, 0, +gap·u (u in [0.5, 1]) over the pair's
+/// three rows, so under any row order the pair's second pivot is gap/2 to
+/// 2·gap relative to its entries. For sqrt(eps_d) < gap << sqrt(eps_f)
+/// (e.g. 4e-6) the double factorization keeps those pivots and refines to
+/// eps_d, while a float factorization must replace each one by
+/// sigma = sqrt(eps_f)·||A|| whatever the partition or the kernels'
+/// rounding; refinement over a replaced pivot p contracts the error along
+/// the pair's null vector by only 1 - p/sigma per step, so it stalls with
+/// berr ~ gap, far above the double target.
+CscMatrix<double> precision_gap_deficiency(index_t n, index_t pairs,
+                                           double gap, std::uint64_t seed);
 
 /// Seeded numerical fault injection: multiply `count` randomly chosen
 /// nonzeros by ±magnitude (random sign, ±50% jitter). The pattern is

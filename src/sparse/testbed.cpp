@@ -346,6 +346,12 @@ std::vector<AdversarialEntry> build_adversarial() {
       [] { return badly_scaled(convdiff2d(40, 40, 1.0, 0.5), 8.0, 156); });
   add("deficient-a", "numerically dependent column pairs", "gesp",
       [] { return structural_deficiency(600, 12, 157); });
+  // The double path keeps these pivots (first rung); mixed precision must
+  // promote, since float factors replace every one of them.
+  add("deficient-gap",
+      "dependent column pairs between the float and double tiny-pivot "
+      "thresholds",
+      "gesp", [] { return precision_gap_deficiency(600, 12, 4e-6, 158); });
 
   // Honest denominator: deep exact-tie growth that defeats the whole
   // in-block portfolio and falls through to GEPP (which converges).

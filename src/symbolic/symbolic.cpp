@@ -111,19 +111,93 @@ void gp_symbolic(const sparse::CscMatrix<T>& A,
   }
 }
 
-/// Partition columns into supernodes: relaxed leaf subtrees of the column
-/// etree are amalgamated wholesale; elsewhere a column joins its neighbor
-/// when the L structures nest exactly (T2 supernodes, flags precomputed by
-/// gp_symbolic); every supernode is split at max_block columns.
-std::vector<index_t> partition_supernodes(const std::vector<char>& t2_join,
-                                          std::span<const index_t> parent,
-                                          const SymbolicOptions& opt) {
-  const index_t n = static_cast<index_t>(t2_join.size());
-  std::vector<index_t> sn_start;
-  if (n == 0) {
-    sn_start.push_back(0);
-    return sn_start;
+// Zero budget of the etree-chain amalgamation, by merged width w (CHOLMOD's
+// defaults; Chen, Davis, Hager & Rajamanickam, ACM TOMS 2008): a merge
+// always goes through up to kChainAlwaysWidth columns, and beyond that only
+// while the estimated explicit-zero fraction of the merged L trapezoid
+// stays below the bound of the first width class that holds w.
+constexpr index_t kChainAlwaysWidth = 4;
+constexpr index_t kChainSmallWidth = 16;
+constexpr double kChainSmallZeros = 0.8;
+constexpr index_t kChainMediumWidth = 48;
+constexpr double kChainMediumZeros = 0.1;
+constexpr double kChainLargeZeros = 0.05;
+
+bool within_zero_budget(count_t w, double zero_frac) {
+  if (w <= kChainAlwaysWidth) return true;
+  if (w <= kChainSmallWidth) return zero_frac < kChainSmallZeros;
+  if (w <= kChainMediumWidth) return zero_frac < kChainMediumZeros;
+  return zero_frac < kChainLargeZeros;
+}
+
+/// Etree-chain amalgamation over the supernode boundaries `base` (size
+/// N+1): walking left to right, supernode [a,b) absorbs the next one [b,c)
+/// when b is the column-etree parent of b-1 and the merged supernode fits
+/// the zero budget. The estimate compares the stored L trapezoid
+/// w(w+1)/2 + w·r (w = c-a; r = rows >= c in the union of the merged
+/// columns' L structures, gathered exactly) with Σ|L(:,j)| over them.
+std::vector<index_t> amalgamate_chains(
+    const std::vector<index_t>& base,
+    const std::vector<std::vector<index_t>>& Lcols,
+    std::span<const index_t> parent) {
+  const index_t n = base.back();
+  std::vector<index_t> merged;
+  // mark[i] == b: row i is already gathered at the step of [b,c).
+  std::vector<index_t> mark(static_cast<std::size_t>(n), -1);
+  std::vector<index_t> cur, next;  // rows below [a,b); below [b,c) or [a,c)
+  count_t cur_nnz = 0;
+  index_t a = 0;
+  for (std::size_t k = 0; k + 1 < base.size(); ++k) {
+    const index_t b = base[k], c = base[k + 1];
+    next.clear();
+    count_t next_nnz = 0;
+    for (index_t j = b; j < c; ++j) {
+      next_nnz += static_cast<count_t>(Lcols[j].size());
+      for (index_t i : Lcols[j])
+        if (i >= c && mark[i] != b) {
+          mark[i] = b;
+          next.push_back(i);
+        }
+    }
+    const std::size_t own = next.size();
+    bool merge = false;
+    if (k > 0 && parent[b - 1] == b) {
+      for (index_t i : cur)
+        if (i >= c && mark[i] != b) next.push_back(i);
+      const count_t w = c - a, r = static_cast<count_t>(next.size());
+      const count_t trapezoid = w * (w + 1) / 2 + w * r;
+      const count_t zeros = trapezoid - cur_nnz - next_nnz;
+      merge = within_zero_budget(
+          w, static_cast<double>(zeros) / static_cast<double>(trapezoid));
+    }
+    if (merge) {
+      cur_nnz += next_nnz;
+    } else {
+      next.resize(own);
+      cur_nnz = next_nnz;
+      merged.push_back(b);
+      a = b;
+    }
+    std::swap(cur, next);
   }
+  merged.push_back(n);
+  return merged;
+}
+
+/// Partition columns into supernodes in three steps.
+///  1. Fundamental partition: a column joins its neighbor when the L
+///     structures nest exactly (T2 supernodes, flags precomputed by
+///     gp_symbolic). With relax > 1, maximal etree leaf subtrees of at most
+///     `relax` columns become one supernode each instead.
+///  2. With relax > 0, amalgamate_chains.
+///  3. Every supernode is split at max_block columns.
+/// relax = 0 skips both amalgamations: the fundamental T2 partition.
+std::vector<index_t> partition_supernodes(
+    const std::vector<char>& t2_join,
+    const std::vector<std::vector<index_t>>& Lcols,
+    std::span<const index_t> parent, const SymbolicOptions& opt) {
+  const index_t n = static_cast<index_t>(t2_join.size());
+  if (n == 0) return {0};
   // Relaxed ranges: maximal subtrees of size <= relax. After an etree
   // postorder each subtree is the contiguous range [v-size[v]+1, v].
   const std::vector<index_t> size = ordering::subtree_sizes(parent);
@@ -137,8 +211,7 @@ std::vector<index_t> partition_supernodes(const std::vector<char>& t2_join,
     }
   }
 
-  sn_start.push_back(0);
-  index_t width = 1;
+  std::vector<index_t> base{0};
   for (index_t j = 1; j < n; ++j) {
     bool join;
     if (range_id[j] != -1 && range_id[j] == range_id[j - 1]) {
@@ -148,13 +221,15 @@ std::vector<index_t> partition_supernodes(const std::vector<char>& t2_join,
     } else {
       join = t2_join[j] != 0;
     }
-    if (join && width < opt.max_block) {
-      ++width;
-    } else {
-      sn_start.push_back(j);
-      width = 1;
-    }
+    if (!join) base.push_back(j);
   }
+  base.push_back(n);
+  if (opt.relax > 0) base = amalgamate_chains(base, Lcols, parent);
+
+  std::vector<index_t> sn_start;
+  for (std::size_t k = 0; k + 1 < base.size(); ++k)
+    for (index_t j = base[k]; j < base[k + 1]; j += opt.max_block)
+      sn_start.push_back(j);
   sn_start.push_back(n);
   return sn_start;
 }
@@ -181,7 +256,7 @@ SymbolicLU analyze(const sparse::CscMatrix<T>& A, const SymbolicOptions& opt) {
 
   // --- 2. supernode partition.
   const std::vector<index_t> parent = ordering::column_etree(A);
-  S.sn_start = partition_supernodes(t2_join, parent, opt);
+  S.sn_start = partition_supernodes(t2_join, Lcols, parent, opt);
   S.nsup = static_cast<index_t>(S.sn_start.size()) - 1;
   S.col_to_sn.resize(static_cast<std::size_t>(S.n));
   for (index_t K = 0; K < S.nsup; ++K)

@@ -8,9 +8,13 @@
 //  1. Gilbert–Peierls reachability symbolic LU for the fixed (diagonal)
 //     pivot order: exact per-column L patterns and exact nnz(L), nnz(U).
 //  2. Supernode detection (consecutive columns with identical L structure),
-//     relaxed amalgamation of small column-etree subtrees, and splitting of
-//     oversized supernodes at `max_block` columns (the paper found 20-30
-//     best on the T3E and used 24).
+//     relaxed amalgamation of small column-etree subtrees, amalgamation
+//     along column-etree chains under a zero budget (the paper's "merge
+//     small supernodes into large ones", with CHOLMOD's width-graded
+//     budget: merged width <= 4 always, <= 16 below 80% estimated zeros,
+//     <= 48 below 10%, wider below 5%), and splitting of oversized
+//     supernodes at `max_block` columns (the paper found 20-30 best on the
+//     T3E and used 24).
 //  3. The nonuniform block partition of Figure 7: for every supernode pair,
 //     the row list of each L block and the column list of each U block —
 //     the patterns the block right-looking elimination of Figure 8 produces.
@@ -33,7 +37,14 @@
 namespace gesp::symbolic {
 
 struct SymbolicOptions {
-  index_t relax = 8;       ///< amalgamate etree subtrees up to this size
+  /// Amalgamation. relax > 0 merges each supernode into the next one
+  /// along a column-etree chain (b-1's parent is b) while the merged L
+  /// trapezoid's estimated zero fraction fits the budget: width <= 4
+  /// always, <= 16 below 80%, <= 48 below 10%, wider below 5%. relax > 1
+  /// also makes every maximal etree leaf subtree of at most `relax`
+  /// columns one supernode. relax = 0 gives the fundamental (T2)
+  /// partition.
+  index_t relax = 8;
   index_t max_block = 24;  ///< split supernodes wider than this (paper: 24)
 };
 

@@ -193,8 +193,14 @@ bool json_valid(const std::string& s) { return JsonScanner(s).valid(); }
 
 /// Produce a capture with real concurrency on both instrumented engines:
 /// a 4-thread task-DAG factorization and a 4-rank MiniMPI message ring.
+/// The grid is ordered first (the solver's transform) and sized so the task
+/// DAG keeps several workers busy: in natural order its band amalgamates
+/// into one supernode chain, and a small ordered grid is drained by the
+/// first worker to wake.
 void run_traced_workload() {
-  const auto A = sparse::convdiff2d(24, 20, 1.0, 0.5);
+  const auto A =
+      compute_transform(sparse::convdiff2d(48, 40, 1.0, 0.5), SolverOptions{})
+          .At;
   auto sym = std::make_shared<const symbolic::SymbolicLU>(
       symbolic::analyze(A, {}));
   numeric::NumericOptions nopt;

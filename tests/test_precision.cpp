@@ -190,12 +190,14 @@ TEST(MixedPrecision, SingleStopsAtFloatTarget) {
 }
 
 TEST(MixedPrecision, PromotesOnAdversarialGrowth) {
-  // The scaled near-singular cascade defeats the float factorization:
-  // refinement against single-precision factors stalls above the double
-  // target, so the driver must refactor in double. (Not every adversary
-  // promotes — wilkinson-block's growth is rescued by double-accumulating
-  // refinement — but this one demonstrably cannot be.)
-  const auto A = sparse::adversarial_entry("nsing-scaled").make();
+  // The precision-gap pairs defeat the float factorization: it must
+  // replace every cancelled pivot (they sit below the float tiny-pivot
+  // threshold but above the double one), so refinement against
+  // single-precision factors stalls above the double target and the solver
+  // must refactor in double. (Not every adversary promotes — wilkinson-
+  // block's growth is rescued by double-accumulating refinement — but this
+  // one cannot be, whatever the partition or the kernels' rounding.)
+  const auto A = sparse::adversarial_entry("deficient-gap").make();
   const auto b = rhs_for(A);
   std::vector<double> x(b.size());
   SolverOptions opt;
@@ -210,7 +212,7 @@ TEST(MixedPrecision, LadderTrailRecordsPromotionRung) {
   // Same matrix with the recovery ladder armed: the trail must show the
   // precision_promote rung was attempted before any stronger escalation —
   // the "adversarial ones may promote, and the trail must say so" contract.
-  const auto A = sparse::adversarial_entry("nsing-scaled").make();
+  const auto A = sparse::adversarial_entry("deficient-gap").make();
   const auto b = rhs_for(A);
   std::vector<double> x(b.size());
   SolverOptions opt;

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -200,13 +202,21 @@ TEST(ServeDist, HotPatternPromotedToBackupAndFailsOver) {
   const auto b = rhs_for(A);
   const count_t replicas0 = counter_value("serve.shard.replica_hits");
   const count_t reroutes0 = counter_value("serve.shard.reroutes");
+  const count_t replications0 = counter_value("serve.shard.replications");
   for (int s = 0; s < 3; ++s) {
     const auto r = svc.solve(A, b);
     EXPECT_EQ(r.owner_rank, primary);
     EXPECT_FALSE(r.replica_hit);
   }
-  // Hit 2 promoted the pattern; the backup (next rendezvous rank) now
-  // holds a replica alongside the primary's entry.
+  // Hit 2 promoted the pattern. Replication is asynchronous: the backup
+  // (next rendezvous rank) builds its replica while the primary keeps
+  // answering, and acks it to the gateway. Wait for the ack (bounded);
+  // then the backup holds a replica alongside the primary's entry.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (counter_value("serve.shard.replications") == replications0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   EXPECT_EQ(svc.cache_entries(), 2u);
   EXPECT_GE(svc.tier()->shard_entries(order[1]), 1u);
 

@@ -11,6 +11,7 @@
 
 #include "common/rng.hpp"
 #include "core/solver.hpp"
+#include "ordering/etree.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/testbed.hpp"
@@ -23,9 +24,9 @@ using sparse::CooMatrix;
 using sparse::CscMatrix;
 
 /// Dense boolean Gaussian elimination with diagonal pivots — the ground
-/// truth for the fill pattern of L and U under static pivoting.
-void dense_fill_oracle(const CscMatrix<double>& A, count_t& nnz_l,
-                       count_t& nnz_u) {
+/// truth for the fill pattern of L and U under static pivoting. Returns the
+/// column-major n×n pattern of L+U.
+std::vector<char> dense_fill_pattern(const CscMatrix<double>& A) {
   const index_t n = A.ncols;
   std::vector<char> B(static_cast<std::size_t>(n) * n, 0);
   for (index_t j = 0; j < n; ++j) {
@@ -40,6 +41,13 @@ void dense_fill_oracle(const CscMatrix<double>& A, count_t& nnz_l,
         if (B[k + j * static_cast<std::size_t>(n)])
           B[i + j * static_cast<std::size_t>(n)] = 1;
     }
+  return B;
+}
+
+void dense_fill_oracle(const CscMatrix<double>& A, count_t& nnz_l,
+                       count_t& nnz_u) {
+  const index_t n = A.ncols;
+  const std::vector<char> B = dense_fill_pattern(A);
   nnz_l = 0;
   nnz_u = 0;
   for (index_t j = 0; j < n; ++j)
@@ -135,6 +143,120 @@ TEST(Symbolic, RelaxationMergesSmallSupernodes) {
   const auto S1 = analyze(A, relaxed);
   EXPECT_LT(S1.nsup, S0.nsup);       // fewer, larger supernodes
   EXPECT_GE(S1.stored_L, S0.stored_L);  // at the cost of stored zeros
+}
+
+count_t update_pairs(const SymbolicLU& S) {
+  count_t pairs = 0;
+  for (index_t K = 0; K < S.nsup; ++K)
+    pairs += static_cast<count_t>(S.L[K].size()) *
+             static_cast<count_t>(S.U[K].size());
+  return pairs;
+}
+
+/// Matrices in the order the numeric phase factors them (the solver's
+/// transform, etree postorder included), where chain amalgamation acts.
+std::vector<CscMatrix<double>> ordered_partition_inputs() {
+  std::vector<CscMatrix<double>> out;
+  for (const char* name : {"sherman-s", "add20-s", "west0497-s", "mcca-s"})
+    out.push_back(
+        compute_transform(sparse::testbed_entry(name).make(), SolverOptions{})
+            .At);
+  out.push_back(
+      compute_transform(sparse::circuit_like(2000, 5, 10, 9), SolverOptions{})
+          .At);
+  return out;
+}
+
+TEST(Symbolic, ChainAmalgamationMergesOnlyEtreeChainEdges) {
+  // Without the max_block split, the relaxed partition only removes
+  // boundaries of the fundamental one. Each removed boundary b is either
+  // inside a relaxed leaf subtree (at most `relax` columns) or a chain
+  // edge of the column etree: parent[b-1] == b.
+  for (const auto& A : ordered_partition_inputs()) {
+    const std::vector<index_t> parent = ordering::column_etree(A);
+    const std::vector<index_t> size = ordering::subtree_sizes(parent);
+    for (const index_t relax : {1, 8}) {
+      SymbolicOptions fund, opt;
+      fund.relax = 0;
+      fund.max_block = opt.max_block = A.ncols;
+      opt.relax = relax;
+      const auto F = analyze(A, fund).sn_start;
+      const auto S = analyze(A, opt).sn_start;
+      ASSERT_LT(S.size(), F.size());
+      EXPECT_TRUE(std::includes(F.begin(), F.end(), S.begin(), S.end()));
+      for (const index_t b : F) {
+        if (std::binary_search(S.begin(), S.end(), b)) continue;
+        if (parent[b - 1] == b) continue;
+        // Not a chain edge: b-1 and b must share a maximal relaxed subtree.
+        index_t v = b;
+        while (parent[v] != -1 && size[parent[v]] <= relax) v = parent[v];
+        EXPECT_TRUE(size[v] <= relax && v - size[v] + 1 <= b - 1)
+            << "column " << b << " merged off the etree chain, relax "
+            << relax;
+      }
+    }
+  }
+}
+
+TEST(Symbolic, AmalgamatedSupernodesRespectMaxBlock) {
+  for (const auto& A : ordered_partition_inputs())
+    for (const index_t max_block : {1, 4, 8, 24}) {
+      SymbolicOptions opt;
+      opt.max_block = max_block;
+      const auto S = analyze(A, opt);
+      for (index_t K = 0; K < S.nsup; ++K)
+        EXPECT_LE(S.block_cols(K), max_block);
+    }
+}
+
+TEST(Symbolic, RelaxZeroIsTheFundamentalPartition) {
+  // relax = 0 turns amalgamation off: column j joins j-1 exactly when
+  // struct(L(:,j)) == struct(L(:,j-1)) \ {j-1} (T2), and runs are cut at
+  // max_block columns from their start.
+  for (const auto& A :
+       {random_full_diag(200, 3, 21), sparse::convdiff2d(12, 11, 1.0, 0.5)}) {
+    const index_t n = A.ncols;
+    const std::vector<char> B = dense_fill_pattern(A);
+    auto lrows_equal_shifted = [&](index_t j) {
+      for (index_t i = j; i < n; ++i)
+        if (B[i + (j - 1) * static_cast<std::size_t>(n)] !=
+            B[i + j * static_cast<std::size_t>(n)])
+          return false;
+      return true;
+    };
+    for (const index_t max_block : {4, 24, n}) {
+      std::vector<index_t> expect{0};
+      index_t width = 1;
+      for (index_t j = 1; j < n; ++j) {
+        if (lrows_equal_shifted(j) && width < max_block) {
+          ++width;
+        } else {
+          expect.push_back(j);
+          width = 1;
+        }
+      }
+      expect.push_back(n);
+      SymbolicOptions opt;
+      opt.relax = 0;
+      opt.max_block = max_block;
+      EXPECT_EQ(analyze(A, opt).sn_start, expect) << "max_block "
+                                                   << max_block;
+    }
+  }
+}
+
+TEST(Symbolic, ChainAmalgamationCutsUpdatePairs) {
+  // The circuit class has 2-3-column fundamental supernodes strung along
+  // etree chains; amalgamating them cuts Σ_K |L[K]|·|U[K]| at least 3×.
+  const auto A =
+      compute_transform(sparse::circuit_like(2000, 5, 10, 9), SolverOptions{})
+          .At;
+  SymbolicOptions none;
+  none.relax = 0;
+  const count_t fundamental = update_pairs(analyze(A, none));
+  const count_t relaxed = update_pairs(analyze(A, {}));
+  EXPECT_GE(fundamental, 3 * relaxed)
+      << fundamental << " pairs fundamental, " << relaxed << " relaxed";
 }
 
 TEST(Symbolic, StoredSizesCoverExactFill) {
