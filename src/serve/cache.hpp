@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -26,6 +27,16 @@
 #include "sparse/csc.hpp"
 
 namespace gesp::serve {
+
+/// Bitwise equality of value arrays — the byte view sparse::value_hash
+/// takes (so +0.0 != -0.0 and NaN == NaN, matching the hash).
+template <class T>
+bool same_values(const std::vector<T>& cached, const std::vector<T>& now) {
+  return cached.size() == now.size() &&
+         (cached.empty() ||
+          std::memcmp(cached.data(), now.data(),
+                      cached.size() * sizeof(T)) == 0);
+}
 
 /// One cached analysis + factorization.
 template <class T>
@@ -86,20 +97,12 @@ class FactorizationCache {
   void clear();
 
  private:
-  struct KeyHash {
-    std::size_t operator()(const sparse::PatternKey& k) const noexcept {
-      // The stored hash already mixes n/nnz/arrays; fold n back in so a
-      // pathological all-equal-hash input still spreads by size.
-      return static_cast<std::size_t>(k.hash ^
-                                      (static_cast<std::uint64_t>(k.n) << 32));
-    }
-  };
-
   void evict_over_budget_locked(const CacheEntry<T>* keep);
   void publish_locked();
 
   mutable std::mutex mu_;
-  std::unordered_map<sparse::PatternKey, EntryPtr, KeyHash> map_;
+  std::unordered_map<sparse::PatternKey, EntryPtr, sparse::PatternKeyHash>
+      map_;
   std::size_t max_entries_;
   std::size_t max_bytes_;
   std::size_t bytes_ = 0;

@@ -1,66 +1,29 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
+#include "serve/execute.hpp"
 #include "serve/shard.hpp"
 
 namespace gesp::serve {
-namespace {
-
-/// Failures the PR-1 recovery ladder can do something about; everything
-/// else (bad input, library bug) is rethrown to the client as-is.
-bool recoverable(Errc c) noexcept {
-  return c == Errc::numerically_singular || c == Errc::unstable;
-}
-
-/// Footprint estimate for one cache entry: the factors (stored supernodal
-/// values + structure), the retained transformed copy of A, the entry's
-/// exact-value check copy, and the O(n) transform vectors. Deliberately an
-/// estimate — the byte budget is a pressure valve, not an allocator. The
-/// factor values are charged at the precision they are actually stored at:
-/// a single-precision factorization costs half the dominant term, so a
-/// mixed-mode service fits ~2× the factorizations into one byte budget.
-template <class T>
-std::size_t estimate_bytes(const Solver<T>& s, const sparse::CscMatrix<T>& A) {
-  const SolveStats& st = s.stats();
-  const std::size_t factor_scalar =
-      s.active_precision() == Precision::single ? sizeof(float) : sizeof(T);
-  return factor_asset_bytes(st.stored_l, st.stored_u, st.nnz_l, st.nnz_u,
-                            A.ncols, A.nnz(), factor_scalar, sizeof(T));
-}
-
-/// Bitwise equality of value arrays — the same byte-level view value_hash
-/// takes (so +0.0 != -0.0 and NaN == NaN, matching the hash).
-template <class T>
-bool same_values(const std::vector<T>& cached, const std::vector<T>& now) {
-  return cached.size() == now.size() &&
-         (cached.empty() ||
-          std::memcmp(cached.data(), now.data(),
-                      cached.size() * sizeof(T)) == 0);
-}
-
-[[noreturn]] void reject(const char* why) {
-  metrics::global().counter("serve.rejected").inc();
-  trace::instant("serve", "reject");
-  throw_error(Errc::overloaded, why);
-}
-
-}  // namespace
-
 bool shard_options_set(const ShardOptions& s) noexcept {
-  return s.pr != 0 || s.pc != 0 || s.replication != 0 ||
-         s.shard_max_entries != 0 || s.shard_max_bytes != 0 ||
-         s.fault.armed();
+  const ShardOptions d;
+  return s.pr != d.pr || s.pc != d.pc || s.replication != d.replication ||
+         s.shard_max_entries != d.shard_max_entries ||
+         s.shard_max_bytes != d.shard_max_bytes ||
+         s.promote_hits != d.promote_hits ||
+         s.dist_fallthrough != d.dist_fallthrough ||
+         s.request_timeout_s != d.request_timeout_s ||
+         s.recv_timeout_s != d.recv_timeout_s || s.fault.armed();
 }
 
 template <class T>
 SolverService<T>::SolverService(const ServiceOptions& opt)
-    : opt_(opt), cache_(opt.cache_max_entries, opt.cache_max_bytes) {
+    : opt_(opt) {
   // ServiceOptions::backend is THE selector; the per-solver field is
   // derived from it so a caller-set solver.backend can never smuggle an
   // engine past the service (the old implicit-split failure mode).
@@ -77,9 +40,12 @@ SolverService<T>::SolverService(const ServiceOptions& opt)
   }
   GESP_CHECK(!shard_options_set(opt_.shard), Errc::invalid_argument,
              "SolverService: ShardOptions (grid/replication/shard budgets/"
-             "fault injection) require ServiceOptions::backend == "
-             "Backend::dist; a single-node backend would silently ignore "
-             "them");
+             "promotion/fall-through/timeouts/fault injection) require "
+             "ServiceOptions::backend == Backend::dist; a single-node "
+             "backend would silently ignore them");
+  core_ = std::make_unique<EntryExecutor<T>>(opt_, opt_.cache_max_entries,
+                                             opt_.cache_max_bytes,
+                                             metrics::global());
   workers_.reserve(static_cast<std::size_t>(opt_.num_workers));
   for (int i = 0; i < opt_.num_workers; ++i)
     workers_.emplace_back([this] { worker_loop(); });
@@ -101,12 +67,12 @@ template <class T>
 Response<T> SolverService<T>::solve(const sparse::CscMatrix<T>& A,
                                     std::span<const T> b,
                                     const RequestOptions& ropt) {
-  if (tier_) return tier_->solve(A, b, ropt);
   GESP_CHECK(A.nrows == A.ncols, Errc::invalid_argument,
              "SolverService::solve: matrix must be square");
   GESP_CHECK(b.size() == static_cast<std::size_t>(A.ncols),
              Errc::invalid_argument,
              "SolverService::solve: b size must equal the matrix dimension");
+  if (tier_) return tier_->solve(A, b, ropt);
   auto p = std::make_unique<Pending>();
   p->A = &A;
   // Routing cost, paid once per request on the client thread: one FNV pass
@@ -120,7 +86,7 @@ Response<T> SolverService<T>::solve(const sparse::CscMatrix<T>& A,
                                         std::chrono::duration<double>(
                                             ropt.deadline_s))
                     : Clock::time_point::max();
-  std::future<Outcome> fut = p->promise.get_future();
+  std::future<Outcome<T>> fut = p->promise.get_future();
   {
     std::lock_guard lk(mu_);
     metrics::global().counter("serve.requests").inc();
@@ -135,7 +101,7 @@ Response<T> SolverService<T>::solve(const sparse::CscMatrix<T>& A,
     trace::counter("serve.queue.depth", depth);
   }
   cv_.notify_all();
-  Outcome out = fut.get();
+  Outcome<T> out = fut.get();
   // Worker-side rejection / solver failure, rethrown on the client thread.
   if (!out.ok) throw Error(out.code, std::move(out.message));
   return std::move(out.resp);
@@ -143,19 +109,14 @@ Response<T> SolverService<T>::solve(const sparse::CscMatrix<T>& A,
 
 template <class T>
 void SolverService<T>::warm(const sparse::CscMatrix<T>& A) {
+  GESP_CHECK(A.nrows == A.ncols, Errc::invalid_argument,
+             "SolverService::warm: matrix must be square");
   if (tier_) {
     tier_->warm(A);
     return;
   }
-  GESP_CHECK(A.nrows == A.ncols, Errc::invalid_argument,
-             "SolverService::warm: matrix must be square");
-  bool matched = false;
-  auto e = cache_.acquire(A, &matched);
-  std::lock_guard elk(e->mu);
-  prepare_entry(*e, A, sparse::value_hash(A), /*arm_recovery=*/false,
-                /*hostile=*/false);
-  cache_.update_bytes(e, estimate_bytes(*e->solver, A),
-                      e->solver->active_precision());
+  core_->execute(A, sparse::pattern_key(A), sparse::value_hash(A), {},
+                 nullptr, {});
 }
 
 template <class T>
@@ -186,8 +147,8 @@ void SolverService<T>::stop() {
     leftover.swap(queue_);
   }
   for (auto& p : leftover)
-    p->promise.set_value(Outcome{{}, false, Errc::overloaded,
-                                 "service stopped before execution"});
+    p->promise.set_value(Outcome<T>{{}, false, Errc::overloaded,
+                                    "service stopped before execution"});
 }
 
 template <class T>
@@ -199,55 +160,22 @@ std::size_t SolverService<T>::queue_depth() const {
 
 template <class T>
 std::size_t SolverService<T>::cache_entries() const {
-  return tier_ ? tier_->cache_entries() : cache_.entries();
+  return tier_ ? tier_->cache_entries() : core_->cache().entries();
 }
 
 template <class T>
 std::size_t SolverService<T>::cache_bytes() const {
-  return tier_ ? tier_->cache_bytes() : cache_.bytes();
+  return tier_ ? tier_->cache_bytes() : core_->cache().bytes();
 }
 
 template <class T>
 std::size_t SolverService<T>::cache_single_bytes() const {
-  return tier_ ? 0 : cache_.single_bytes();
+  return tier_ ? tier_->cache_single_bytes() : core_->cache().single_bytes();
 }
 
 template <class T>
 bool SolverService<T>::is_hostile(const sparse::PatternKey& key) const {
-  if (tier_) return false;  // reputation lives shard-side, not aggregated
-  std::lock_guard lk(hostile_mu_);
-  auto it = hostile_.find(key);
-  return it != hostile_.end() && it->second.hostile;
-}
-
-template <class T>
-bool SolverService<T>::hostile_pattern(const sparse::PatternKey& key) {
-  std::lock_guard lk(hostile_mu_);
-  auto it = hostile_.find(key);
-  if (it == hostile_.end() || !it->second.hostile) return false;
-  metrics::global().counter("serve.recovery.hostile_hits").inc();
-  return true;
-}
-
-template <class T>
-void SolverService<T>::note_failed_recovery(const sparse::PatternKey& key) {
-  if (opt_.hostile_threshold <= 0) return;
-  std::lock_guard lk(hostile_mu_);
-  auto& st = hostile_[key];
-  ++st.failed_recoveries;
-  if (!st.hostile && st.failed_recoveries >= opt_.hostile_threshold) {
-    st.hostile = true;
-    metrics::global().counter("serve.recovery.hostile_marked").inc();
-    trace::instant("serve", "hostile_marked");
-  }
-}
-
-template <class T>
-void SolverService<T>::note_recovered(const sparse::PatternKey& key) {
-  std::lock_guard lk(hostile_mu_);
-  auto it = hostile_.find(key);
-  if (it != hostile_.end() && !it->second.hostile)
-    it->second.failed_recoveries = 0;
+  return tier_ ? tier_->is_hostile(key) : core_->is_hostile(key);
 }
 
 template <class T>
@@ -375,11 +303,13 @@ template <class T>
 void SolverService<T>::execute_batch(Batch& batch) {
   // Last line of defense for the worker thread: nothing may escape here —
   // a stray exception would terminate the process and strand every queued
-  // client. Expected failures are mapped inside execute_batch_impl; what
-  // remains (bad_alloc sizing the batch buffers, a future_error bug, …)
-  // resolves the batch's unfulfilled requests as Errc::internal.
+  // client. A solver failure resolves the batch's unfulfilled requests
+  // with its code; anything else (bad_alloc sizing the batch buffers, a
+  // future_error bug, …) as Errc::internal.
   try {
     execute_batch_impl(batch);
+  } catch (const Error& err) {
+    fail_unfulfilled(batch, err.code(), err.what());
   } catch (const std::exception& ex) {
     fail_unfulfilled(batch, Errc::internal, ex.what());
   } catch (...) {
@@ -393,7 +323,7 @@ void SolverService<T>::fail_unfulfilled(Batch& batch, Errc code,
                                         const char* msg) {
   for (auto& p : batch) {
     if (!p) continue;  // resolved already — every resolution nulls its slot
-    p->promise.set_value(Outcome{{}, false, code, msg});
+    p->promise.set_value(Outcome<T>{{}, false, code, msg});
     p.reset();
   }
 }
@@ -406,8 +336,8 @@ void SolverService<T>::execute_batch_impl(Batch& batch) {
   const auto now = Clock::now();
   // The slots in `batch` remain the owners; `live` points at the not-yet-
   // resolved ones. Every promise resolution nulls its slot, so the failure
-  // paths below (and the catch-all in execute_batch) can never touch a
-  // promise twice — set_value on a satisfied promise throws future_error.
+  // paths (the catch-alls in execute_batch) can never touch a promise
+  // twice — set_value on a satisfied promise throws future_error.
   std::vector<PendingPtr*> live;
   live.reserve(batch.size());
   for (auto& p : batch) {
@@ -416,9 +346,9 @@ void SolverService<T>::execute_batch_impl(Batch& batch) {
       metrics::global().counter("serve.rejected").inc();
       trace::instant("serve", "deadline_expired");
       p->promise.set_value(
-          Outcome{{}, false, Errc::overloaded,
-                  "deadline expired while queued; the service is "
-                  "overloaded or the deadline was too tight"});
+          Outcome<T>{{}, false, Errc::overloaded,
+                     "deadline expired while queued; the service is "
+                     "overloaded or the deadline was too tight"});
       p.reset();
     } else {
       live.push_back(&p);
@@ -436,213 +366,43 @@ void SolverService<T>::execute_batch_impl(Batch& batch) {
                            static_cast<double>(opt_.max_queue));
   refine::RefineOptions shed_refine = opt_.solver.refine;
   shed_refine.max_iters = 0;
-  const refine::RefineOptions* ov = shed ? &shed_refine : nullptr;
 
-  // One hostile snapshot per batch (every live request shares the pattern
-  // key — that is what collect_matches_locked coalesces on). A hostile
-  // pattern's cold build arms the ladder at the strongest rung up front,
-  // so a failure there gets no evict-and-retry: the retry would only
-  // repeat the same strongest-rung attempt.
-  const sparse::PatternKey bkey = (*live.front())->key;
-  const bool hostile = hostile_pattern(bkey);
-
-  for (int attempt = 0;; ++attempt) {
-    // Re-derived each attempt: a per_column batch can be partially
-    // fulfilled before a recoverable failure, and a fulfilled request's
-    // matrix (client-owned, borrowed) may already be out of scope — so
-    // never reach through a resolved slot.
-    const sparse::CscMatrix<T>& A = *(*live.front())->A;
-    const std::uint64_t vhash = (*live.front())->vhash;
-    const auto n = static_cast<std::size_t>(A.ncols);
-    const auto width = static_cast<index_t>(live.size());
-
-    bool pattern_matched = false;
-    auto e = cache_.acquire(A, &pattern_matched);
-    std::unique_lock elk(e->mu);
-    try {
-      Response<T> tmpl =
-          prepare_entry(*e, A, vhash, attempt > 0, hostile);
-      tmpl.backend = opt_.backend;
-      tmpl.shed = shed;
-      tmpl.recovered = attempt > 0;
-      tmpl.hostile = hostile;
-      tmpl.batch_width = width;
-      tmpl.precision = e->solver->active_precision();
-      cache_.update_bytes(e, estimate_bytes(*e->solver, A),
-                          tmpl.precision);
-
-      std::vector<std::vector<T>> xs(live.size());
-      if (opt_.batch_mode == BatchMode::blocked && live.size() > 1) {
-        GESP_TRACE_SPAN_ID("serve", "solve", width);
-        std::vector<T> B(n * live.size()), X(n * live.size());
-        for (std::size_t j = 0; j < live.size(); ++j)
-          std::copy((*live[j])->b.begin(), (*live[j])->b.end(),
-                    B.begin() + static_cast<std::ptrdiff_t>(j * n));
-        e->solver->solve_multi(B, X, width, ov);
-        tmpl.precision = e->solver->active_precision();
-        tmpl.berr = e->solver->stats().berr;
-        tmpl.refine_iterations = e->solver->stats().refine_iterations;
-        // Read the trail after the solves: the ladder can also escalate
-        // on a berr stall inside solve(), not just during factorization.
-        tmpl.recovery = e->solver->stats().recovery;
-        for (std::size_t j = 0; j < live.size(); ++j)
-          xs[j].assign(X.begin() + static_cast<std::ptrdiff_t>(j * n),
-                       X.begin() + static_cast<std::ptrdiff_t>((j + 1) * n));
-        for (std::size_t j = 0; j < live.size(); ++j)
-          fulfill(*live[j], tmpl, std::move(xs[j]));
-      } else {
-        for (std::size_t j = 0; j < live.size(); ++j) {
-          GESP_TRACE_SPAN("serve", "solve");
-          xs[j].resize(n);
-          e->solver->solve((*live[j])->b, xs[j], ov);
-          Response<T> r = tmpl;
-          r.precision = e->solver->active_precision();
-          r.berr = e->solver->stats().berr;
-          r.refine_iterations = e->solver->stats().refine_iterations;
-          r.recovery = e->solver->stats().recovery;
-          fulfill(*live[j], r, std::move(xs[j]));
-        }
-      }
-      // A mixed-mode promotion (or ladder escalation) during the solves
-      // replaced the float factors with double ones: re-account the entry
-      // at its real footprint so the byte budget stays honest.
-      if (e->solver->active_precision() != tmpl.precision)
-        cache_.update_bytes(e, estimate_bytes(*e->solver, A),
-                            e->solver->active_precision());
-      if (attempt > 0 || hostile) {
-        // Reputation update for an armed-ladder execution. "The ladder ran
-        // but its best-effort answer missed the policy thresholds" is a
-        // failed recovery even though a response was served — those
-        // best-effort patterns are exactly the persistently hostile ones.
-        const RecoveryTrail& tr = e->solver->stats().recovery;
-        if (!tr.attempts.empty() && !tr.recovered)
-          note_failed_recovery(bkey);
-        else if (attempt > 0)
-          note_recovered(bkey);
-      }
-      metrics::global().counter("serve.batches").inc();
-      metrics::global().histogram("serve.batch_width").record(
-          static_cast<double>(width));
-      if (shed)
-        metrics::global().counter("serve.shed_solves").inc(
-            static_cast<count_t>(live.size()));
-      return;
-    } catch (const Error& err) {
-      if (recoverable(err.code())) {
-        metrics::global().counter("serve.recovery.failures").inc();
-        // A failure with the ladder armed (the evict-and-retry rebuild, or
-        // a hostile strongest-rung build) counts against the pattern's
-        // reputation; enough of them and the pattern goes hostile.
-        if (attempt > 0 || hostile) note_failed_recovery(bkey);
-      }
-      if (attempt == 0 && !hostile && opt_.evict_on_failure &&
-          recoverable(err.code())) {
-        // Recovery wiring: a poisoned cached factorization (stale entry
-        // that has drifted numerically singular/unstable) is evicted, and
-        // the batch retries once on a cold rebuild with the recovery
-        // ladder armed. The entry mutex is released before erase() not for
-        // deadlock safety — the established nesting is entry-then-cache
-        // (update_bytes takes the cache mutex while the entry mutex is
-        // held, and no path takes an entry mutex while holding the cache
-        // mutex) — but simply because erase() has no use for it.
-        elk.unlock();
-        cache_.erase(e);
-        // A per_column batch may have fulfilled some requests before the
-        // failure; only the remainder retries.
-        live.erase(std::remove_if(live.begin(), live.end(),
-                                  [](PendingPtr* sp) { return !*sp; }),
-                   live.end());
-        if (live.empty()) return;
-        metrics::global().counter("serve.retries").inc();
-        trace::instant("serve", "evict_and_retry");
-        continue;
-      }
-      if (opt_.evict_on_failure && recoverable(err.code())) {
-        // No retry budget left (hostile, or the armed retry itself
-        // failed), but the poisoned entry still must not be served again.
-        elk.unlock();
-        cache_.erase(e);
-      }
-      for (auto* sp : live) {
-        if (!*sp) continue;  // fulfilled before the failure
-        (*sp)->promise.set_value(
-            Outcome{{}, false, err.code(), err.what()});
-        sp->reset();
-      }
-      return;
-    }
-  }
+  // Every live request shares the (pattern key, value hash) pair — that is
+  // what collect_matches_locked coalesces on — so the batch is one group
+  // for the core. It answers each request as soon as its x exists; a
+  // failure that ends the group throws, and execute_batch fails whatever
+  // is still unanswered.
+  std::vector<GroupRhs<T>> group;
+  group.reserve(live.size());
+  for (PendingPtr* sp : live) group.push_back({(*sp)->A, (*sp)->b});
+  const Pending& head = **live.front();
+  const Response<T> done = core_->execute(
+      *head.A, head.key, head.vhash, group, shed ? &shed_refine : nullptr,
+      [&](std::size_t j, Response<T>&& r) {
+        r.backend = opt_.backend;
+        r.shed = shed;
+        fulfill(*live[j], std::move(r));
+      });
+  metrics::global().counter("serve.batches").inc();
+  metrics::global().histogram("serve.batch_width").record(
+      static_cast<double>(done.batch_width));
+  if (shed)
+    metrics::global().counter("serve.shed_solves").inc(
+        static_cast<count_t>(done.batch_width));
 }
 
 template <class T>
-void SolverService<T>::fulfill(PendingPtr& p, const Response<T>& tmpl,
-                               std::vector<T>&& x) {
-  Response<T> r = tmpl;
-  r.x = std::move(x);
+void SolverService<T>::fulfill(PendingPtr& p, Response<T>&& r) {
   r.latency_s =
       std::chrono::duration<double>(Clock::now() - p->enqueued).count();
   // Microseconds: the histogram's power-of-two buckets would fold every
   // sub-second latency into one bucket if recorded in seconds.
   metrics::global().histogram("serve.latency_us").record(r.latency_s * 1e6);
   window_latency_us_.record(r.latency_s * 1e6);
-  p->promise.set_value(Outcome{std::move(r), true, Errc::overloaded, {}});
+  p->promise.set_value(Outcome<T>{std::move(r), true, {}, {}});
   // Null the owning slot: the retry/error/catch-all paths skip resolved
   // requests by this marker.
   p.reset();
-}
-
-template <class T>
-Response<T> SolverService<T>::prepare_entry(CacheEntry<T>& e,
-                                            const sparse::CscMatrix<T>& A,
-                                            std::uint64_t vhash,
-                                            bool arm_recovery, bool hostile) {
-  Response<T> r;
-  if (!e.solver) {
-    GESP_TRACE_SPAN("serve", "factor_cold");
-    metrics::global().counter("serve.cache.miss").inc();
-    SolverOptions so = opt_.solver;
-    if (arm_recovery || hostile) so.recovery.enabled = true;
-    // A hostile pattern has already burned through ladder climbs on
-    // earlier requests; start at the strongest rung instead of replaying
-    // the climb.
-    if (hostile) so.recovery.start_rung = RecoveryRung::gepp;
-    e.solver = std::make_unique<Solver<T>>(A, so);
-    e.value_hash = vhash;
-    e.values = A.values;
-  } else if (e.value_hash == vhash && same_values(e.values, A.values)) {
-    // Value hit — hash AND exact byte equality, the same two-step check
-    // the pattern arrays get on acquire: the factors are current, go
-    // straight to the solves.
-    metrics::global().counter("serve.cache.value_hit").inc();
-    r.pattern_hit = true;
-    r.value_hit = true;
-  } else {
-    // Pattern hit: reuse the cached analysis (equilibration, permutations,
-    // symbolic structure) and redo only the numeric factorization. A
-    // value-hash collision (equal hashes, different bytes) lands here too
-    // — degraded to a refactorize and counted, never served stale.
-    if (e.value_hash == vhash)
-      metrics::global().counter("serve.cache.value_hash_collisions").inc();
-    GESP_TRACE_SPAN("serve", "refactorize");
-    metrics::global().counter("serve.cache.pattern_hit").inc();
-    if (opt_.values_delta) {
-      // Near-values hit: let the solver diff the values and absorb the
-      // change with the cheapest route (noop / SMW / partial); it falls
-      // back to the full refactorize on its own for large drifts or an
-      // escalated configuration.
-      const count_t full_before = e.solver->stats().delta.full;
-      e.solver->refactorize_delta(A);
-      r.value_delta = e.solver->stats().delta.full == full_before;
-      if (r.value_delta)
-        metrics::global().counter("serve.cache.value_delta").inc();
-    } else {
-      e.solver->refactorize(A);
-    }
-    e.value_hash = vhash;
-    e.values = A.values;
-    r.pattern_hit = true;
-  }
-  return r;
 }
 
 template class SolverService<double>;

@@ -6,7 +6,8 @@
 // routes requests onto cached factorizations. This service provides that
 // layer:
 //
-//   * a pattern-keyed factorization cache (cache.hpp): a request with a
+//   * a pattern-keyed factorization cache (cache.hpp), run by the one
+//     execution core every backend shares (execute.hpp): a request with a
 //     known pattern but new values takes the refactorize fast path; a
 //     known (pattern, values) pair goes straight to triangular solves;
 //   * a request queue with RHS batching: concurrent single-RHS requests
@@ -44,7 +45,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -57,6 +57,8 @@ namespace gesp::serve {
 
 template <class T>
 class ShardedTier;
+template <class T>
+class EntryExecutor;
 
 /// How a batch of coalesced single-RHS requests is executed.
 enum class BatchMode {
@@ -203,6 +205,21 @@ struct Response {
   RecoveryTrail recovery;
 };
 
+/// What a serving path hands back to the waiting client. Errors travel by
+/// value (code + message, rethrown as gesp::Error on the client thread)
+/// rather than as a std::exception_ptr: an exception_ptr shared across
+/// threads synchronizes through refcounts inside libstdc++'s
+/// uninstrumented runtime, which ThreadSanitizer cannot see and reports as
+/// a race on every rejected request. The sharded tier's response envelope
+/// carries the same fields.
+template <class T>
+struct Outcome {
+  Response<T> resp;
+  bool ok = true;
+  Errc code = Errc::internal;
+  std::string message;
+};
+
 template <class T>
 class SolverService {
  public:
@@ -240,13 +257,13 @@ class SolverService {
   /// sums over every shard (a dead rank's shard counts as empty).
   std::size_t cache_entries() const;
   std::size_t cache_bytes() const;
-  /// Bytes held by single-precision cache entries (mixed/single modes;
-  /// single-node backends only — 0 under dist).
+  /// Bytes held by single-precision cache entries (mixed/single modes);
+  /// the fleet-wide sum under dist.
   std::size_t cache_single_bytes() const;
   std::size_t queue_depth() const;
-  /// Whether `key`'s pattern has been marked hostile (inspection/tests;
-  /// single-node backends only — hostile reputation lives shard-side
-  /// under dist and is not aggregated, so this returns false there).
+  /// Whether `key`'s pattern has been marked hostile (inspection/tests).
+  /// Under dist the reputation lives on each shard; the key's current
+  /// owner shard answers.
   bool is_hostile(const sparse::PatternKey& key) const;
   /// The sharded tier behind Backend::dist (null otherwise) — the
   /// introspection surface for routing/failover tests and tools.
@@ -256,19 +273,6 @@ class SolverService {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// What a worker hands back to the waiting client. Errors travel by
-  /// value (code + message, rethrown as gesp::Error on the client thread)
-  /// rather than as a std::exception_ptr: an exception_ptr shared across
-  /// threads synchronizes through refcounts inside libstdc++'s
-  /// uninstrumented runtime, which ThreadSanitizer cannot see and reports
-  /// as a race on every rejected request.
-  struct Outcome {
-    Response<T> resp;
-    bool ok = true;
-    Errc code = Errc::overloaded;
-    std::string message;
-  };
-
   struct Pending {
     const sparse::CscMatrix<T>* A = nullptr;
     sparse::PatternKey key;
@@ -276,7 +280,7 @@ class SolverService {
     std::span<const T> b;
     Clock::time_point enqueued;
     Clock::time_point deadline;  ///< time_point::max() when none
-    std::promise<Outcome> promise;
+    std::promise<Outcome<T>> promise;
   };
   using PendingPtr = std::unique_ptr<Pending>;
   using Batch = std::vector<PendingPtr>;
@@ -288,50 +292,22 @@ class SolverService {
   /// Move queued requests matching (key, vhash) into `batch` (locked).
   void collect_matches_locked(Batch& batch);
   /// Execute `batch`, resolving every promise exactly once. Never throws:
-  /// anything escaping execute_batch_impl resolves the batch's unfulfilled
-  /// requests with Errc::internal instead of killing the worker thread.
+  /// a gesp::Error escaping execute_batch_impl resolves the batch's
+  /// unfulfilled requests with its code, anything else with Errc::internal
+  /// instead of killing the worker thread.
   void execute_batch(Batch& batch);
   void execute_batch_impl(Batch& batch);
   /// Resolve every not-yet-fulfilled request in `batch` as an error.
   void fail_unfulfilled(Batch& batch, Errc code, const char* msg);
-  /// Stamp latency onto a copy of `tmpl`, attach x, resolve the promise,
-  /// and null the owning batch slot (the "this request is done" marker).
-  void fulfill(PendingPtr& p, const Response<T>& tmpl, std::vector<T>&& x);
-  /// Cold-build / refactorize / reuse the entry for the batch's matrix;
-  /// returns the response template describing the path taken. Entry mutex
-  /// must be held. `hostile` starts a cold build's recovery ladder at the
-  /// strongest rung instead of climbing from the bottom.
-  Response<T> prepare_entry(CacheEntry<T>& e, const sparse::CscMatrix<T>& A,
-                            std::uint64_t vhash, bool arm_recovery,
-                            bool hostile);
-
-  /// Per-pattern recovery reputation. Lives beside (not inside) the cache
-  /// on purpose: the failure path evicts the poisoned entry, and the whole
-  /// point of the hostile mark is to outlive that eviction.
-  struct HostileState {
-    int failed_recoveries = 0;  ///< consecutive armed-ladder failures
-    bool hostile = false;
-  };
-  struct PatternKeyHash {
-    std::size_t operator()(const sparse::PatternKey& k) const noexcept {
-      return static_cast<std::size_t>(
-          k.hash ^ (static_cast<std::uint64_t>(k.n) << 32));
-    }
-  };
-  /// Hostile check taken at batch start; counts a serve.recovery
-  /// hostile-hit when true.
-  bool hostile_pattern(const sparse::PatternKey& key);
-  /// An armed-ladder rebuild failed for `key`: bump its failure count and
-  /// mark it hostile at the threshold.
-  void note_failed_recovery(const sparse::PatternKey& key);
-  /// An armed-ladder rebuild succeeded: a not-yet-hostile pattern gets its
-  /// consecutive-failure count back (hostile marks are not forgiven).
-  void note_recovered(const sparse::PatternKey& key);
+  /// Stamp latency onto `r`, resolve the promise, and null the owning
+  /// batch slot (the "this request is done" marker).
+  void fulfill(PendingPtr& p, Response<T>&& r);
 
   ServiceOptions opt_;
-  FactorizationCache<T> cache_;
-  /// Backend::dist: the whole service is this tier; the worker pool,
-  /// queue and cache above stay idle.
+  /// Single-node backends: the cache and the execution core behind it.
+  std::unique_ptr<EntryExecutor<T>> core_;
+  /// Backend::dist: the whole service is this tier; no core, and the
+  /// worker pool and queue stay idle.
   std::unique_ptr<ShardedTier<T>> tier_;
 
   mutable std::mutex mu_;
@@ -339,10 +315,6 @@ class SolverService {
   std::list<PendingPtr> queue_;
   bool stop_ = false;
   std::vector<std::thread> workers_;
-
-  mutable std::mutex hostile_mu_;  ///< leaf lock; never held across others
-  std::unordered_map<sparse::PatternKey, HostileState, PatternKeyHash>
-      hostile_;
 
   /// Effective knobs, read lock-free on the hot paths (worker batching,
   /// shed check). Initialized from the configured options; only the

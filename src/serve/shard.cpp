@@ -18,7 +18,7 @@
 #include "dist/dist_solver.hpp"
 #include "dist/grid.hpp"
 #include "dist/minimpi.hpp"
-#include "serve/cache.hpp"
+#include "serve/execute.hpp"
 
 namespace gesp::serve {
 namespace {
@@ -33,32 +33,6 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-/// Bitwise value equality — the same byte view value_hash takes.
-template <class T>
-bool same_values(const std::vector<T>& cached, const std::vector<T>& now) {
-  return cached.size() == now.size() &&
-         (cached.empty() ||
-          std::memcmp(cached.data(), now.data(),
-                      cached.size() * sizeof(T)) == 0);
-}
-
-/// Shard-side footprint of a cached entry — the shared core accounting, at
-/// the precision the factors are actually stored at.
-template <class T>
-std::size_t entry_bytes(const Solver<T>& s, const sparse::CscMatrix<T>& A) {
-  const SolveStats& st = s.stats();
-  const std::size_t factor_scalar =
-      s.active_precision() == Precision::single ? sizeof(float) : sizeof(T);
-  return factor_asset_bytes(st.stored_l, st.stored_u, st.nnz_l, st.nnz_u,
-                            A.ncols, A.nnz(), factor_scalar, sizeof(T));
-}
-
-[[noreturn]] void reject(const char* why) {
-  metrics::global().counter("serve.rejected").inc();
-  trace::instant("serve", "reject");
-  throw_error(Errc::overloaded, why);
 }
 
 /// A rank's own kill fault must terminate it even when it fires inside a
@@ -83,17 +57,41 @@ struct ReqHeader {
   std::uint64_t owner_index = 0;
   std::int64_t n = 0;
   std::int64_t nnz = 0;
+  std::uint64_t key_hash = 0;  ///< PatternKey::hash, computed by the client
   std::uint64_t vhash = 0;
   std::int64_t nb = 0;
+
+  sparse::PatternKey key() const {
+    return {static_cast<index_t>(n), static_cast<count_t>(nnz), key_hash};
+  }
 };
 
-enum : std::uint64_t {
-  kFlagPatternHit = 1u << 0,
-  kFlagValueHit = 1u << 1,
-  kFlagValueDelta = 1u << 2,
-  kFlagReplicaHit = 1u << 3,
-  /// Owner asks the gateway to replicate this pattern to its backup.
-  kFlagPromote = 1u << 4,
+template <class T>
+ReqHeader request_header(std::uint64_t id, std::uint64_t kind,
+                         const sparse::CscMatrix<T>& A,
+                         const sparse::PatternKey& key, std::uint64_t vhash,
+                         std::size_t nb) {
+  ReqHeader h;
+  h.id = id;
+  h.kind = kind;
+  h.n = A.ncols;
+  h.nnz = static_cast<std::int64_t>(A.nnz());
+  h.key_hash = key.hash;
+  h.vhash = vhash;
+  h.nb = static_cast<std::int64_t>(nb);
+  return h;
+}
+
+/// Owner asks the gateway to replicate this pattern to its backup.
+constexpr std::uint64_t kFlagPromote = 1u << 0;
+
+/// The Response route flags the envelope carries, one bit each above
+/// kFlagPromote.
+template <class T>
+constexpr bool Response<T>::*kRouteFlags[] = {
+    &Response<T>::pattern_hit, &Response<T>::value_hit,
+    &Response<T>::value_delta, &Response<T>::replica_hit,
+    &Response<T>::recovered,   &Response<T>::hostile,
 };
 
 /// Response envelope header (kResponse / kReplicaAck); followed by x
@@ -122,15 +120,17 @@ struct HistBlob {
 /// Per-rank counters aggregated at stop via Comm::reduce_sum_vec, in this
 /// fixed order. Shard-local names match the single-node serve.* names
 /// where the meaning is identical, so dashboards read one namespace.
+/// Every counter the execution core records is listed here.
 constexpr const char* kShardCounters[] = {
     "serve.shard.requests",       "serve.cache.miss",
     "serve.cache.pattern_hit",    "serve.cache.value_hit",
-    "serve.cache.value_delta",    "serve.shard.replica_hits",
+    "serve.cache.value_delta",    "serve.cache.value_hash_collisions",
+    "serve.retries",              "serve.recovery.failures",
+    "serve.recovery.hostile_hits", "serve.recovery.hostile_marked",
     "serve.shard.solve_failures", "serve.shard.collective",
     "serve.shard.collective_aborts",
 };
-constexpr std::size_t kNumShardCounters =
-    sizeof(kShardCounters) / sizeof(kShardCounters[0]);
+constexpr std::size_t kNumShardCounters = std::size(kShardCounters);
 
 template <class T>
 std::vector<std::byte> pack_request(const ReqHeader& h,
@@ -182,68 +182,70 @@ void unpack_request(const minimpi::Message& m, ReqHeader& h,
   get(b.data(), nb * sizeof(T));
 }
 
-/// Result of serving one request against a local shard.
 template <class T>
-struct LocalResult {
-  bool ok = true;
-  Errc code = Errc::internal;
-  std::string message;
-  std::uint64_t flags = 0;
-  double berr = 0.0;
-  int refine_iterations = 0;
-  Precision precision = Precision::double_;
-  std::vector<T> x;
-};
-
-template <class T>
-std::vector<std::byte> pack_response(std::uint64_t id,
-                                     const LocalResult<T>& r) {
+std::vector<std::byte> pack_response(std::uint64_t id, const Outcome<T>& o,
+                                     bool promote) {
+  const Response<T>& r = o.resp;
   RespHeader h;
   h.id = id;
-  h.ok = r.ok ? 1 : 0;
-  h.code = static_cast<std::int64_t>(r.code);
-  h.flags = r.flags;
+  h.ok = o.ok ? 1 : 0;
+  h.code = static_cast<std::int64_t>(o.code);
+  h.flags = promote ? kFlagPromote : 0;
+  for (std::size_t i = 0; i < std::size(kRouteFlags<T>); ++i)
+    if (r.*kRouteFlags<T>[i]) h.flags |= kFlagPromote << (i + 1);
   h.berr = r.berr;
   h.refine_iterations = r.refine_iterations;
   h.precision = static_cast<std::int64_t>(r.precision);
-  h.nx = r.ok ? static_cast<std::int64_t>(r.x.size())
-              : static_cast<std::int64_t>(r.message.size());
-  std::vector<std::byte> w(sizeof h + (r.ok ? r.x.size() * sizeof(T)
-                                            : r.message.size()));
+  h.nx = static_cast<std::int64_t>(o.ok ? r.x.size() : o.message.size());
+  const std::size_t payload =
+      o.ok ? r.x.size() * sizeof(T) : o.message.size();
+  std::vector<std::byte> w(sizeof h + payload);
   std::memcpy(w.data(), &h, sizeof h);
-  if (r.ok && !r.x.empty())
-    std::memcpy(w.data() + sizeof h, r.x.data(), r.x.size() * sizeof(T));
-  else if (!r.ok && !r.message.empty())
-    std::memcpy(w.data() + sizeof h, r.message.data(), r.message.size());
+  if (payload > 0)
+    std::memcpy(w.data() + sizeof h,
+                o.ok ? static_cast<const void*>(r.x.data())
+                     : static_cast<const void*>(o.message.data()),
+                payload);
   return w;
 }
 
 template <class T>
-LocalResult<T> unpack_response(const minimpi::Message& m, RespHeader& h) {
+Outcome<T> unpack_response(const minimpi::Message& m, RespHeader& h) {
   GESP_CHECK(m.data.size() >= sizeof(RespHeader), Errc::comm,
              "shard: truncated response envelope");
   std::memcpy(&h, m.data.data(), sizeof h);
-  LocalResult<T> r;
-  r.ok = h.ok != 0;
-  r.code = static_cast<Errc>(h.code);
-  r.flags = h.flags;
+  Outcome<T> o;
+  o.ok = h.ok != 0;
+  o.code = static_cast<Errc>(h.code);
+  Response<T>& r = o.resp;
+  for (std::size_t i = 0; i < std::size(kRouteFlags<T>); ++i)
+    r.*kRouteFlags<T>[i] = (h.flags & (kFlagPromote << (i + 1))) != 0;
   r.berr = h.berr;
   r.refine_iterations = static_cast<int>(h.refine_iterations);
   r.precision = static_cast<Precision>(h.precision);
   const auto nx = static_cast<std::size_t>(h.nx);
   const std::size_t want =
-      sizeof h + nx * (r.ok ? sizeof(T) : sizeof(char));
+      sizeof h + nx * (o.ok ? sizeof(T) : sizeof(char));
   GESP_CHECK(h.nx >= 0 && m.data.size() == want, Errc::comm,
              "shard: mangled response envelope");
-  if (r.ok) {
+  if (o.ok) {
     r.x.resize(nx);
     if (nx > 0)
       std::memcpy(r.x.data(), m.data.data() + sizeof h, nx * sizeof(T));
   } else {
-    r.message.assign(
+    o.message.assign(
         reinterpret_cast<const char*>(m.data.data()) + sizeof h, nx);
   }
-  return r;
+  return o;
+}
+
+/// One rank's kShardCounters values, in order.
+std::vector<double> shard_counters(const metrics::Registry& reg) {
+  std::vector<double> v(kNumShardCounters, 0.0);
+  for (std::size_t i = 0; i < kNumShardCounters; ++i)
+    if (const metrics::Counter* c = reg.find_counter(kShardCounters[i]))
+      v[i] = static_cast<double>(c->value());
+  return v;
 }
 
 HistBlob hist_blob(const metrics::Histogram* h) {
@@ -282,13 +284,6 @@ template <class T>
 struct ShardedTier<T>::Impl {
   using Clock = std::chrono::steady_clock;
 
-  struct Outcome {
-    Response<T> resp;
-    bool ok = true;
-    Errc code = Errc::comm;
-    std::string message;
-  };
-
   struct Pending {
     const sparse::CscMatrix<T>* A = nullptr;
     sparse::PatternKey key;
@@ -298,7 +293,7 @@ struct ShardedTier<T>::Impl {
     bool collective = false;
     Clock::time_point enqueued;
     Clock::time_point deadline;  ///< client deadline_s; max() when none
-    std::promise<Outcome> promise;
+    std::promise<Outcome<T>> promise;
   };
   using PendingPtr = std::unique_ptr<Pending>;
 
@@ -315,22 +310,15 @@ struct ShardedTier<T>::Impl {
     Clock::time_point timeout;
   };
 
-  struct KeyHash {
-    std::size_t operator()(const sparse::PatternKey& k) const noexcept {
-      return static_cast<std::size_t>(
-          k.hash ^ (static_cast<std::uint64_t>(k.n) << 32));
-    }
-  };
-
-  /// One rank's shard. The cache is internally synchronized (the facade
-  /// reads entry counts concurrently); everything else is touched only by
-  /// the owning rank's thread — or by the gateway after that rank died,
-  /// which cannot race a thread that no longer runs.
+  /// One rank's shard. The core's cache and hostile reputation are
+  /// internally synchronized (the facade reads them concurrently);
+  /// everything else is touched only by the owning rank's thread — or by
+  /// the gateway after that rank died, which cannot race a thread that no
+  /// longer runs.
   struct ShardState {
-    std::unique_ptr<FactorizationCache<T>> cache;
-    std::unordered_map<sparse::PatternKey, int, KeyHash> hits;
-    std::unordered_map<sparse::PatternKey, bool, KeyHash> promoted;
     metrics::Registry reg;  ///< rank-local serve.* metrics
+    std::unique_ptr<EntryExecutor<T>> core;  ///< records into `reg`
+    std::unordered_map<sparse::PatternKey, int, sparse::PatternKeyHash> hits;
     // One-entry collective cache, advanced in deterministic lockstep on
     // every rank (all ranks see the identical episode stream).
     sparse::PatternKey coll_key{};
@@ -355,24 +343,34 @@ struct ShardedTier<T>::Impl {
   void server_body(minimpi::Comm& comm);
 
   // Gateway helpers (rank-0 thread only).
+  /// First alive rank other than `skip` in `key`'s rendezvous order (-1
+  /// when there is none) and its position in that order.
+  int alive_owner(const sparse::PatternKey& key,
+                  std::uint64_t* index = nullptr, int skip = -1) const;
+  Clock::time_point request_deadline() const;
   void dispatch_shard(minimpi::Comm& comm, PendingPtr p);
   void on_response(minimpi::Comm& comm, const minimpi::Message& m);
-  void settle(minimpi::Comm& comm, PendingPtr p, LocalResult<T>&& r,
-              int served_by);
-  void maybe_replicate(minimpi::Comm& comm, const sparse::PatternKey& key,
-                       const sparse::CscMatrix<T>& A, int serving_rank);
+  /// Serve `p` on the gateway's own shard and settle it.
+  void serve_local(minimpi::Comm& comm, PendingPtr p, const ReqHeader& h);
+  void settle(minimpi::Comm& comm, PendingPtr p, Outcome<T>&& o,
+              bool promote, int served_by);
+  void maybe_replicate(minimpi::Comm& comm, const Pending& p,
+                       int serving_rank);
   void handle_deaths(minimpi::Comm& comm, std::uint64_t mask);
   void run_collective(minimpi::Comm& comm, PendingPtr p);
   void shutdown_fleet(minimpi::Comm& comm);
   void fail_everything(Errc code, const char* msg);
 
   // Shared rank-side helpers.
-  LocalResult<T> serve_request(ShardState& st, const ReqHeader& h,
-                               const sparse::CscMatrix<T>& A,
-                               std::span<const T> b);
+  /// One request against this rank's shard: the execution core with one
+  /// right-hand side (none for kKindWarm / kKindReplicate), plus the
+  /// shard's replica flag and promotion count (`promote`).
+  Outcome<T> serve_request(ShardState& st, const ReqHeader& h,
+                           const sparse::CscMatrix<T>& A,
+                           std::span<const T> b, bool& promote);
   void collective_episode(minimpi::Comm& comm, ShardState& st,
                           const ReqHeader& h, const sparse::CscMatrix<T>& A,
-                          std::span<const T> b, LocalResult<T>* out);
+                          std::span<const T> b, Response<T>* out);
   void send_metrics(minimpi::Comm& comm, ShardState& st);
 
   void fulfill(PendingPtr& p, Response<T>&& r);
@@ -413,13 +411,15 @@ struct ShardedTier<T>::Impl {
 
   // Route memo: pattern -> goes to the collective path (route_mu_).
   std::mutex route_mu_;
-  std::unordered_map<sparse::PatternKey, bool, KeyHash> route_coll_;
+  std::unordered_map<sparse::PatternKey, bool, sparse::PatternKeyHash>
+      route_coll_;
 
   // Gateway-thread state (rank 0 only; no locking needed).
   std::unordered_map<std::uint64_t, InFlight> inflight_;
   std::unordered_map<std::uint64_t, Replication> repl_;
   std::deque<PendingPtr> collq_;
-  std::unordered_map<sparse::PatternKey, bool, KeyHash> replicated_;
+  std::unordered_map<sparse::PatternKey, bool, sparse::PatternKeyHash>
+      replicated_;
   std::uint64_t next_id_ = 1;
   std::uint64_t seen_dead_ = 0;
   bool collective_ok_ = true;
@@ -451,11 +451,16 @@ ShardedTier<T>::Impl::Impl(const ServiceOptions& opt) : opt_(opt) {
         std::chrono::duration<double>(std::max(1e-3, opt_.adapt_window_s)));
     next_adapt_ = Clock::now() + adapt_window_;
   }
+  // Per-shard numerics: serial or threaded per num_threads; the sharding
+  // IS the dist parallelism on the routed path.
+  ServiceOptions core_opt = opt_;
+  core_opt.solver.backend =
+      opt_.solver.num_threads > 1 ? Backend::threaded : Backend::serial;
   shards_.reserve(static_cast<std::size_t>(nranks_));
   for (int r = 0; r < nranks_; ++r) {
     auto st = std::make_unique<ShardState>();
-    st->cache = std::make_unique<FactorizationCache<T>>(shard_max_entries_,
-                                                        shard_max_bytes_);
+    st->core = std::make_unique<EntryExecutor<T>>(
+        core_opt, shard_max_entries_, shard_max_bytes_, st->reg);
     shards_.push_back(std::move(st));
   }
   minimpi::WorldOptions w;
@@ -479,13 +484,13 @@ void ShardedTier<T>::Impl::fulfill(PendingPtr& p, Response<T>&& r) {
       std::chrono::duration<double>(Clock::now() - p->enqueued).count();
   metrics::global().histogram("serve.latency_us").record(r.latency_s * 1e6);
   window_latency_us_.record(r.latency_s * 1e6);
-  p->promise.set_value(Outcome{std::move(r), true, Errc::comm, {}});
+  p->promise.set_value(Outcome<T>{std::move(r), true, {}, {}});
   p.reset();
 }
 
 template <class T>
 void ShardedTier<T>::Impl::fail(PendingPtr& p, Errc code, std::string msg) {
-  p->promise.set_value(Outcome{{}, false, code, std::move(msg)});
+  p->promise.set_value(Outcome<T>{{}, false, code, std::move(msg)});
   p.reset();
 }
 
@@ -530,7 +535,7 @@ Response<T> ShardedTier<T>::Impl::submit(const sparse::CscMatrix<T>& A,
           ? p->enqueued + std::chrono::duration_cast<Clock::duration>(
                               std::chrono::duration<double>(ropt.deadline_s))
           : Clock::time_point::max();
-  std::future<Outcome> fut = p->promise.get_future();
+  std::future<Outcome<T>> fut = p->promise.get_future();
   {
     std::lock_guard lk(fmu_);
     metrics::global().counter("serve.requests").inc();
@@ -544,7 +549,7 @@ Response<T> ShardedTier<T>::Impl::submit(const sparse::CscMatrix<T>& A,
     const auto depth = static_cast<double>(frontend_.size());
     metrics::global().gauge("serve.queue.depth").set(depth);
   }
-  Outcome out = fut.get();
+  Outcome<T> out = fut.get();
   if (!out.ok) throw Error(out.code, std::move(out.message));
   return std::move(out.resp);
 }
@@ -562,8 +567,7 @@ void ShardedTier<T>::Impl::stop() {
   // Anything still queued lost the race against a dead gateway; it must
   // not hang its client.
   for (auto& p : frontend_)
-    p->promise.set_value(Outcome{{}, false, Errc::overloaded,
-                                 "service stopped before execution"});
+    fail(p, Errc::overloaded, "service stopped before execution");
   frontend_.clear();
 }
 
@@ -571,88 +575,40 @@ void ShardedTier<T>::Impl::stop() {
 // Shard-side request handling (server ranks AND the gateway's own shard).
 
 template <class T>
-LocalResult<T> ShardedTier<T>::Impl::serve_request(
-    ShardState& st, const ReqHeader& h, const sparse::CscMatrix<T>& A,
-    std::span<const T> b) {
-  LocalResult<T> r;
+Outcome<T> ShardedTier<T>::Impl::serve_request(ShardState& st,
+                                               const ReqHeader& h,
+                                               const sparse::CscMatrix<T>& A,
+                                               std::span<const T> b,
+                                               bool& promote) {
   st.reg.counter("serve.shard.requests").inc();
   const auto t0 = Clock::now();
-  bool matched = false;
-  auto e = st.cache->acquire(A, &matched);
-  std::lock_guard elk(e->mu);
+  const sparse::PatternKey key = h.key();
+  const GroupRhs<T> rhs{&A, b};
+  const std::span<const GroupRhs<T>> group(&rhs,
+                                           h.kind == kKindSolve ? 1 : 0);
+  Outcome<T> o;
+  promote = false;
   try {
-    const bool had_solver = static_cast<bool>(e->solver);
-    if (!e->solver) {
-      GESP_TRACE_SPAN("serve", "shard_factor_cold");
-      st.reg.counter("serve.cache.miss").inc();
-      SolverOptions so = opt_.solver;
-      // Per-shard numerics: serial or threaded per num_threads; the
-      // sharding IS the dist parallelism on this path.
-      so.backend =
-          so.num_threads > 1 ? Backend::threaded : Backend::serial;
-      e->solver = std::make_unique<Solver<T>>(A, so);
-      e->value_hash = h.vhash;
-      e->values = A.values;
-    } else if (e->value_hash == h.vhash && same_values(e->values, A.values)) {
-      st.reg.counter("serve.cache.value_hit").inc();
-      r.flags |= kFlagPatternHit | kFlagValueHit;
-    } else {
-      GESP_TRACE_SPAN("serve", "shard_refactorize");
-      st.reg.counter("serve.cache.pattern_hit").inc();
-      if (opt_.values_delta) {
-        const count_t full_before = e->solver->stats().delta.full;
-        e->solver->refactorize_delta(A);
-        if (e->solver->stats().delta.full == full_before) {
-          r.flags |= kFlagValueDelta;
-          st.reg.counter("serve.cache.value_delta").inc();
-        }
-      } else {
-        e->solver->refactorize(A);
-      }
-      e->value_hash = h.vhash;
-      e->values = A.values;
-      r.flags |= kFlagPatternHit;
-    }
-    if (h.owner_index > 0 && had_solver) {
-      // A backup answered from its replica — the failover payoff.
-      r.flags |= kFlagReplicaHit;
-      st.reg.counter("serve.shard.replica_hits").inc();
-    }
-    st.cache->update_bytes(e, entry_bytes(*e->solver, A),
-                           e->solver->active_precision());
-    if (h.kind == kKindSolve) {
-      GESP_TRACE_SPAN("serve", "shard_solve");
-      r.x.resize(static_cast<std::size_t>(A.ncols));
-      e->solver->solve(b, r.x);
-    }
-    r.precision = e->solver->active_precision();
-    r.berr = e->solver->stats().berr;
-    r.refine_iterations = e->solver->stats().refine_iterations;
+    std::vector<T> x;
+    o.resp = st.core->execute(
+        A, key, h.vhash, group, nullptr,
+        [&x](std::size_t, Response<T>&& r) { x = std::move(r.x); });
+    o.resp.x = std::move(x);
+    // A backup answered from its replica — the failover payoff (counted
+    // once, by the gateway, as serve.shard.replica_hits).
+    o.resp.replica_hit = h.owner_index > 0 && o.resp.pattern_hit;
     // Promotion: the primary owner counts this pattern's solves and flags
     // the gateway exactly once at the threshold.
-    if (h.kind == kKindSolve && h.owner_index == 0 && promote_hits_ > 0 &&
-        replication_ >= 2) {
-      int& hits = st.hits[e->key];
-      ++hits;
-      if (hits >= promote_hits_ && !st.promoted[e->key]) {
-        st.promoted[e->key] = true;
-        r.flags |= kFlagPromote;
-      }
-    }
+    promote = h.kind == kKindSolve && h.owner_index == 0 &&
+              promote_hits_ > 0 && replication_ >= 2 &&
+              ++st.hits[key] == promote_hits_;
   } catch (const Error& err) {
-    // A failed factorization (or solve) must not be served again — evict,
-    // answer with the typed error. (The entry mutex may be held across
-    // erase: the established nesting is entry -> cache.)
     st.reg.counter("serve.shard.solve_failures").inc();
-    st.cache->erase(e);
-    r = LocalResult<T>{};
-    r.ok = false;
-    r.code = err.code();
-    r.message = err.what();
+    o = Outcome<T>{{}, false, err.code(), err.what()};
   }
   st.reg.histogram("serve.shard.solve_us")
       .record(std::chrono::duration<double>(Clock::now() - t0).count() * 1e6);
-  return r;
+  return o;
 }
 
 template <class T>
@@ -661,16 +617,16 @@ void ShardedTier<T>::Impl::collective_episode(minimpi::Comm& comm,
                                               const ReqHeader& h,
                                               const sparse::CscMatrix<T>& A,
                                               std::span<const T> b,
-                                              LocalResult<T>* out) {
+                                              Response<T>* out) {
   // Deterministic lockstep: every rank sees the identical episode stream
   // (same wire bytes, checksummed), so every rank takes the same branch
   // below and the collective calls stay aligned.
-  const sparse::PatternKey key = sparse::pattern_key(A);
+  const sparse::PatternKey key = h.key();
   st.reg.counter("serve.shard.collective").inc();
   if (st.coll && st.coll_key == key) {
-    if (out) out->flags |= kFlagPatternHit;
+    if (out) out->pattern_hit = true;
     if (st.coll_vhash == h.vhash && same_values(st.coll_values, A.values)) {
-      if (out) out->flags |= kFlagValueHit;
+      if (out) out->value_hit = true;
     } else {
       st.coll->refactorize(comm, A);
       st.coll_vhash = h.vhash;
@@ -702,11 +658,8 @@ void ShardedTier<T>::Impl::collective_episode(minimpi::Comm& comm,
 
 template <class T>
 void ShardedTier<T>::Impl::send_metrics(minimpi::Comm& comm, ShardState& st) {
-  std::vector<double> v(kNumShardCounters, 0.0);
-  for (std::size_t i = 0; i < kNumShardCounters; ++i)
-    if (const metrics::Counter* c = st.reg.find_counter(kShardCounters[i]))
-      v[i] = static_cast<double>(c->value());
-  comm.reduce_sum_vec(0, tags::kReduce, v);  // non-root: one send
+  comm.reduce_sum_vec(0, tags::kReduce,
+                      shard_counters(st.reg));  // non-root: one send
   const HistBlob blob =
       hist_blob(st.reg.find_histogram("serve.shard.solve_us"));
   comm.send(0, tags::kMetrics, &blob, sizeof blob);
@@ -724,13 +677,17 @@ void ShardedTier<T>::Impl::server_body(minimpi::Comm& comm) {
       send_metrics(comm, st);
       return;
     }
-    if (m.tag == tags::kRequest || m.tag == tags::kReplicate) {
-      ReqHeader h;
-      sparse::CscMatrix<T> A;
-      std::vector<T> b;
-      unpack_request(m, h, A, b);
-      LocalResult<T> r = serve_request(st, h, A, b);
-      const auto wire = pack_response(h.id, r);
+    if (m.tag != tags::kRequest && m.tag != tags::kReplicate &&
+        m.tag != tags::kCollective)
+      continue;  // unknown tag in the serve block: forward compatibility
+    ReqHeader h;
+    sparse::CscMatrix<T> A;
+    std::vector<T> b;
+    unpack_request(m, h, A, b);
+    if (m.tag != tags::kCollective) {
+      bool promote = false;
+      const Outcome<T> o = serve_request(st, h, A, b, promote);
+      const auto wire = pack_response(h.id, o, promote);
       // A kill fault targeting this rank fires here and propagates: the
       // rank dies mid-service, which is exactly the chaos case the
       // gateway's re-route path covers.
@@ -739,26 +696,18 @@ void ShardedTier<T>::Impl::server_body(minimpi::Comm& comm) {
                 wire.data(), wire.size());
       continue;
     }
-    if (m.tag == tags::kCollective) {
-      ReqHeader h;
-      sparse::CscMatrix<T> A;
-      std::vector<T> b;
-      unpack_request(m, h, A, b);
-      try {
-        collective_episode(comm, st, h, A, b, nullptr);
-      } catch (const Error& e) {
-        if (is_kill_error(e)) throw;
-        // A lost peer (or numeric failure) aborted the episode mid-flight;
-        // this rank keeps serving its shard. The gateway disables further
-        // collectives after any failure, so the now-divergent collective
-        // caches are never consulted again.
-        st.coll.reset();
-        st.coll_values.clear();
-        st.reg.counter("serve.shard.collective_aborts").inc();
-      }
-      continue;
+    try {
+      collective_episode(comm, st, h, A, b, nullptr);
+    } catch (const Error& e) {
+      if (is_kill_error(e)) throw;
+      // A lost peer (or numeric failure) aborted the episode mid-flight;
+      // this rank keeps serving its shard. The gateway disables further
+      // collectives after any failure, so the now-divergent collective
+      // caches are never consulted again.
+      st.coll.reset();
+      st.coll_values.clear();
+      st.reg.counter("serve.shard.collective_aborts").inc();
     }
-    // Unknown tag in the serve block: tolerated (forward compatibility).
   }
 }
 
@@ -799,128 +748,109 @@ void ShardedTier<T>::Impl::gateway_body(minimpi::Comm& comm) {
 }
 
 template <class T>
-void ShardedTier<T>::Impl::dispatch_shard(minimpi::Comm& comm, PendingPtr p) {
-  const auto order = rendezvous_order(p->key, nranks_);
-  int owner = 0;
-  std::uint64_t oidx = 0;
+int ShardedTier<T>::Impl::alive_owner(const sparse::PatternKey& key,
+                                      std::uint64_t* index,
+                                      int skip) const {
+  const auto order = rendezvous_order(key, nranks_);
   for (std::size_t i = 0; i < order.size(); ++i) {
-    if (!world_->is_dead(order[i])) {
-      owner = order[i];
-      oidx = i;
-      break;
+    if (order[i] != skip && !world_->is_dead(order[i])) {
+      if (index) *index = i;
+      return order[i];
     }
   }
+  return -1;
+}
+
+template <class T>
+typename ShardedTier<T>::Impl::Clock::time_point
+ShardedTier<T>::Impl::request_deadline() const {
+  return opt_.shard.request_timeout_s > 0
+             ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                  std::chrono::duration<double>(
+                                      opt_.shard.request_timeout_s))
+             : Clock::time_point::max();
+}
+
+template <class T>
+void ShardedTier<T>::Impl::dispatch_shard(minimpi::Comm& comm, PendingPtr p) {
+  std::uint64_t oidx = 0;
+  const int owner = std::max(0, alive_owner(p->key, &oidx));
   if (oidx > 0) {
     // The key's primary is dead: deterministic failover to the next
     // rendezvous rank — which holds a replica if the pattern was hot.
     metrics::global().counter("serve.shard.failovers").inc();
     trace::instant("serve", "shard_failover");
   }
-  ReqHeader h;
-  h.id = next_id_++;
-  h.kind = p->warm ? kKindWarm : kKindSolve;
+  ReqHeader h = request_header(next_id_++, p->warm ? kKindWarm : kKindSolve,
+                               *p->A, p->key, p->vhash, p->b.size());
   h.owner_index = oidx;
-  h.n = p->A->ncols;
-  h.nnz = static_cast<std::int64_t>(p->A->nnz());
-  h.vhash = p->vhash;
-  h.nb = p->warm ? 0 : static_cast<std::int64_t>(p->b.size());
   if (owner == comm.rank()) {
-    LocalResult<T> r = serve_request(
-        *shards_[0], h, *p->A,
-        p->warm ? std::span<const T>{} : p->b);
-    settle(comm, std::move(p), std::move(r), /*served_by=*/0);
+    serve_local(comm, std::move(p), h);
     return;
   }
   InFlight f;
-  f.wire = pack_request(h, *p->A,
-                        p->warm ? std::span<const T>{} : p->b);
+  f.wire = pack_request(h, *p->A, p->b);
   f.target = owner;
-  f.timeout = opt_.shard.request_timeout_s > 0
-                  ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                       std::chrono::duration<double>(
-                                           opt_.shard.request_timeout_s))
-                  : Clock::time_point::max();
+  f.timeout = request_deadline();
   f.p = std::move(p);
   comm.send(owner, tags::kRequest, f.wire.data(), f.wire.size());
   inflight_.emplace(h.id, std::move(f));
 }
 
 template <class T>
+void ShardedTier<T>::Impl::serve_local(minimpi::Comm& comm, PendingPtr p,
+                                       const ReqHeader& h) {
+  bool promote = false;
+  Outcome<T> o = serve_request(*shards_[0], h, *p->A, p->b, promote);
+  settle(comm, std::move(p), std::move(o), promote, /*served_by=*/0);
+}
+
+template <class T>
 void ShardedTier<T>::Impl::settle(minimpi::Comm& comm, PendingPtr p,
-                                  LocalResult<T>&& r, int served_by) {
-  if (!r.ok) {
-    fail(p, r.code, std::move(r.message));
+                                  Outcome<T>&& o, bool promote,
+                                  int served_by) {
+  if (!o.ok) {
+    fail(p, o.code, std::move(o.message));
     return;
   }
-  if (r.flags & kFlagPromote)
-    maybe_replicate(comm, p->key, *p->A, served_by);
-  Response<T> resp;
-  resp.backend = Backend::dist;
-  resp.owner_rank = served_by;
-  resp.pattern_hit = (r.flags & kFlagPatternHit) != 0;
-  resp.value_hit = (r.flags & kFlagValueHit) != 0;
-  resp.value_delta = (r.flags & kFlagValueDelta) != 0;
-  resp.replica_hit = (r.flags & kFlagReplicaHit) != 0;
-  resp.berr = r.berr;
-  resp.refine_iterations = r.refine_iterations;
-  resp.precision = r.precision;
-  resp.x = std::move(r.x);
-  if (resp.replica_hit)
+  if (promote) maybe_replicate(comm, *p, served_by);
+  o.resp.backend = Backend::dist;
+  o.resp.owner_rank = served_by;
+  if (o.resp.replica_hit)
     metrics::global().counter("serve.shard.replica_hits").inc();
-  fulfill(p, std::move(resp));
+  fulfill(p, std::move(o.resp));
 }
 
 template <class T>
 void ShardedTier<T>::Impl::maybe_replicate(minimpi::Comm& comm,
-                                           const sparse::PatternKey& key,
-                                           const sparse::CscMatrix<T>& A,
+                                           const Pending& p,
                                            int serving_rank) {
-  if (replication_ < 2 || replicated_.count(key)) return;
-  const auto order = rendezvous_order(key, nranks_);
-  int backup = -1;
+  if (replication_ < 2 || replicated_.count(p.key)) return;
   std::uint64_t bidx = 0;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (order[i] != serving_rank && !world_->is_dead(order[i])) {
-      backup = order[i];
-      bidx = i;
-      break;
-    }
-  }
+  const int backup = alive_owner(p.key, &bidx, serving_rank);
   if (backup < 0) return;  // nobody left to replicate to
-  replicated_.emplace(key, true);
+  replicated_.emplace(p.key, true);
   metrics::global().counter("serve.shard.promotions").inc();
   trace::instant("serve", "shard_promote");
-  ReqHeader h;
-  h.id = next_id_++;
-  h.kind = kKindReplicate;
+  ReqHeader h =
+      request_header(next_id_++, kKindReplicate, *p.A, p.key, p.vhash, 0);
   h.owner_index = bidx;
-  h.n = A.ncols;
-  h.nnz = static_cast<std::int64_t>(A.nnz());
-  h.vhash = sparse::value_hash(A);
-  h.nb = 0;
   if (backup == comm.rank()) {
-    serve_request(*shards_[0], h, A, {});
+    bool promote = false;
+    serve_request(*shards_[0], h, *p.A, {}, promote);
     metrics::global().counter("serve.shard.replications").inc();
     return;
   }
-  const auto wire = pack_request(h, A, std::span<const T>{});
+  const auto wire = pack_request(h, *p.A, std::span<const T>{});
   comm.send(backup, tags::kReplicate, wire.data(), wire.size());
-  Replication rep;
-  rep.target = backup;
-  rep.timeout = opt_.shard.request_timeout_s > 0
-                    ? Clock::now() +
-                          std::chrono::duration_cast<Clock::duration>(
-                              std::chrono::duration<double>(
-                                  opt_.shard.request_timeout_s))
-                    : Clock::time_point::max();
-  repl_.emplace(h.id, rep);
+  repl_.emplace(h.id, Replication{backup, request_deadline()});
 }
 
 template <class T>
 void ShardedTier<T>::Impl::on_response(minimpi::Comm& comm,
                                        const minimpi::Message& m) {
   RespHeader rh;
-  LocalResult<T> r = unpack_response<T>(m, rh);
+  Outcome<T> o = unpack_response<T>(m, rh);
   if (m.tag == tags::kReplicaAck) {
     if (repl_.erase(rh.id) > 0)
       metrics::global().counter("serve.shard.replications").inc();
@@ -930,7 +860,8 @@ void ShardedTier<T>::Impl::on_response(minimpi::Comm& comm,
   if (it == inflight_.end()) return;  // timed out / re-routed: late answer
   InFlight f = std::move(it->second);
   inflight_.erase(it);
-  settle(comm, std::move(f.p), std::move(r), m.src);
+  settle(comm, std::move(f.p), std::move(o), (rh.flags & kFlagPromote) != 0,
+         m.src);
 }
 
 template <class T>
@@ -945,9 +876,8 @@ void ShardedTier<T>::Impl::handle_deaths(minimpi::Comm& comm,
     trace::instant("serve", "shard_rank_death", r);
     // Its shard died with it: evict so capacity accounting stays honest
     // and a resurrected pattern re-factors at its new owner.
-    shards_[static_cast<std::size_t>(r)]->cache->clear();
+    shards_[static_cast<std::size_t>(r)]->core->cache().clear();
     shards_[static_cast<std::size_t>(r)]->hits.clear();
-    shards_[static_cast<std::size_t>(r)]->promoted.clear();
   }
   // Re-route in-flight requests addressed to a dead rank: deterministic
   // next-alive rendezvous owner, bounded attempts, Errc::comm at worst.
@@ -960,76 +890,46 @@ void ShardedTier<T>::Impl::handle_deaths(minimpi::Comm& comm,
       doomed.push_back(id);
       continue;
     }
-    const auto order = rendezvous_order(f.p->key, nranks_);
-    int owner = 0;
     std::uint64_t oidx = 0;
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      if (!world_->is_dead(order[i])) {
-        owner = order[i];
-        oidx = i;
-        break;
-      }
-    }
+    const int owner = std::max(0, alive_owner(f.p->key, &oidx));
     metrics::global().counter("serve.shard.reroutes").inc();
     trace::instant("serve", "shard_reroute", owner);
     ++f.attempts;
-    if (owner == comm.rank()) {
-      ReqHeader h;
-      std::memcpy(&h, f.wire.data(), sizeof h);
-      h.owner_index = oidx;
-      LocalResult<T> r = serve_request(
-          *shards_[0], h, *f.p->A,
-          f.p->warm ? std::span<const T>{} : f.p->b);
-      settle(comm, std::move(f.p), std::move(r), 0);
-      doomed.push_back(id);
-      continue;
-    }
-    // Rewrite the stored envelope's owner_index in place and re-send.
+    // Rewrite the stored envelope's owner_index in place.
     ReqHeader h;
     std::memcpy(&h, f.wire.data(), sizeof h);
     h.owner_index = oidx;
     std::memcpy(f.wire.data(), &h, sizeof h);
+    if (owner == comm.rank()) {
+      serve_local(comm, std::move(f.p), h);
+      doomed.push_back(id);
+      continue;
+    }
     f.target = owner;
     comm.send(owner, tags::kRequest, f.wire.data(), f.wire.size());
   }
   for (std::uint64_t id : doomed) inflight_.erase(id);
   // In-flight replications to a dead backup just evaporate; the pattern
   // can be promoted again by its owner's future hits.
-  for (auto it = repl_.begin(); it != repl_.end();) {
-    if (world_->is_dead(it->second.target))
-      it = repl_.erase(it);
-    else
-      ++it;
-  }
+  std::erase_if(repl_, [&](const auto& kv) {
+    return world_->is_dead(kv.second.target);
+  });
 }
 
 template <class T>
 void ShardedTier<T>::Impl::run_collective(minimpi::Comm& comm, PendingPtr p) {
   GESP_TRACE_SPAN("serve", "shard_collective");
-  ReqHeader h;
-  h.id = next_id_++;
-  h.kind = p->warm ? kKindWarm : kKindSolve;
-  h.n = p->A->ncols;
-  h.nnz = static_cast<std::int64_t>(p->A->nnz());
-  h.vhash = p->vhash;
-  h.nb = p->warm ? 0 : static_cast<std::int64_t>(p->b.size());
-  const std::span<const T> b =
-      p->warm ? std::span<const T>{} : p->b;
+  const ReqHeader h =
+      request_header(next_id_++, p->warm ? kKindWarm : kKindSolve, *p->A,
+                     p->key, p->vhash, p->b.size());
   try {
-    const auto wire = pack_request(h, *p->A, b);
+    const auto wire = pack_request(h, *p->A, p->b);
     for (int r = 1; r < nranks_; ++r)
       comm.send(r, tags::kCollective, wire.data(), wire.size());
-    LocalResult<T> r;
-    collective_episode(comm, *shards_[0], h, *p->A, b, &r);
     Response<T> resp;
+    collective_episode(comm, *shards_[0], h, *p->A, p->b, &resp);
     resp.backend = Backend::dist;
     resp.owner_rank = -1;  // the whole grid served it
-    resp.pattern_hit = (r.flags & kFlagPatternHit) != 0;
-    resp.value_hit = (r.flags & kFlagValueHit) != 0;
-    resp.berr = r.berr;
-    resp.refine_iterations = r.refine_iterations;
-    resp.precision = r.precision;
-    resp.x = std::move(r.x);
     fulfill(p, std::move(resp));
   } catch (const Error& e) {
     // One failed episode permanently disables the collective path: the
@@ -1058,11 +958,7 @@ void ShardedTier<T>::Impl::shutdown_fleet(minimpi::Comm& comm) {
   // by raw-bucket merge. A rank that dies during shutdown forfeits its
   // numbers — aggregation must never block the stop path.
   try {
-    std::vector<double> total(kNumShardCounters, 0.0);
-    for (std::size_t i = 0; i < kNumShardCounters; ++i)
-      if (const metrics::Counter* c =
-              shards_[0]->reg.find_counter(kShardCounters[i]))
-        total[i] = static_cast<double>(c->value());
+    std::vector<double> total = shard_counters(shards_[0]->reg);
     if (world_->dead_mask() == 0) {
       total = comm.reduce_sum_vec(0, tags::kReduce, total,
                                   static_cast<int>(alive.size()));
@@ -1221,12 +1117,8 @@ void ShardedTier<T>::Impl::gateway_loop(minimpi::Comm& comm) {
         ++it;
       }
     }
-    for (auto it = repl_.begin(); it != repl_.end();) {
-      if (now > it->second.timeout)
-        it = repl_.erase(it);
-      else
-        ++it;
-    }
+    std::erase_if(repl_,
+                  [&](const auto& kv) { return now > kv.second.timeout; });
 
     // 5b. Adaptive admission: one controller step per window (opt_.adapt).
     if (controller_ && now >= next_adapt_) adapt_step(now);
@@ -1264,18 +1156,11 @@ template <class T>
 Response<T> ShardedTier<T>::solve(const sparse::CscMatrix<T>& A,
                                   std::span<const T> b,
                                   const RequestOptions& ropt) {
-  GESP_CHECK(A.nrows == A.ncols, Errc::invalid_argument,
-             "SolverService::solve: matrix must be square");
-  GESP_CHECK(b.size() == static_cast<std::size_t>(A.ncols),
-             Errc::invalid_argument,
-             "SolverService::solve: b size must equal the matrix dimension");
   return impl_->submit(A, b, ropt, /*warm=*/false);
 }
 
 template <class T>
 void ShardedTier<T>::warm(const sparse::CscMatrix<T>& A) {
-  GESP_CHECK(A.nrows == A.ncols, Errc::invalid_argument,
-             "SolverService::warm: matrix must be square");
   impl_->submit(A, {}, RequestOptions{}, /*warm=*/true);
 }
 
@@ -1291,10 +1176,7 @@ int ShardedTier<T>::nranks() const {
 
 template <class T>
 int ShardedTier<T>::owner_of(const sparse::PatternKey& key) const {
-  const auto order = rendezvous_order(key, impl_->nranks_);
-  for (int r : order)
-    if (!impl_->world_->is_dead(r)) return r;
-  return -1;
+  return impl_->alive_owner(key);
 }
 
 template <class T>
@@ -1305,22 +1187,40 @@ std::uint64_t ShardedTier<T>::dead_mask() const {
 template <class T>
 std::size_t ShardedTier<T>::cache_entries() const {
   std::size_t total = 0;
-  for (const auto& st : impl_->shards_) total += st->cache->entries();
+  for (const auto& st : impl_->shards_) total += st->core->cache().entries();
   return total;
 }
 
 template <class T>
 std::size_t ShardedTier<T>::cache_bytes() const {
   std::size_t total = 0;
-  for (const auto& st : impl_->shards_) total += st->cache->bytes();
+  for (const auto& st : impl_->shards_) total += st->core->cache().bytes();
   return total;
+}
+
+template <class T>
+std::size_t ShardedTier<T>::cache_single_bytes() const {
+  std::size_t total = 0;
+  for (const auto& st : impl_->shards_)
+    total += st->core->cache().single_bytes();
+  return total;
+}
+
+template <class T>
+bool ShardedTier<T>::is_hostile(const sparse::PatternKey& key) const {
+  const int owner = owner_of(key);
+  return owner >= 0 &&
+         impl_->shards_[static_cast<std::size_t>(owner)]->core->is_hostile(
+             key);
 }
 
 template <class T>
 std::size_t ShardedTier<T>::shard_entries(int rank) const {
   GESP_CHECK(rank >= 0 && rank < impl_->nranks_, Errc::invalid_argument,
              "shard_entries: rank out of range");
-  return impl_->shards_[static_cast<std::size_t>(rank)]->cache->entries();
+  return impl_->shards_[static_cast<std::size_t>(rank)]
+      ->core->cache()
+      .entries();
 }
 
 template <class T>

@@ -9,6 +9,18 @@
 // FactorizationCache, one instance per rank, so the fleet caches ~R x the
 // patterns of a single node under the same per-rank budget.
 //
+// Each shard runs its requests through its own EntryExecutor
+// (execute.hpp), the execution core the single-node service uses: one
+// right-hand side per request, none for a warm or a replication. Cold /
+// value-hit / pattern-hit preparation, byte accounting, failure eviction
+// with the armed retry, and the hostile reputation (evict_on_failure,
+// hostile_threshold) are therefore the single-node rules, and the core's
+// factor_cold / refactorize / solve trace spans name the same work on
+// every backend. The shard itself keeps only routing, the replica flag,
+// promotion counting, the collective fall-through and the transport; the
+// response envelope carries the core's Response fields except the
+// recovery trail.
+//
 // Routing is rendezvous (HRW) hashing over sparse::PatternKey: every rank
 // scores every (key, rank) pair with the same pure mix function, and the
 // descending score order IS the key's owner preference list — no routing
@@ -40,13 +52,13 @@
 // request carries a watchdog deadline, and re-route attempts are capped —
 // never a hung service.
 //
-// Fleet metrics: each rank records its serve.* counters and the
-// serve.shard.solve_us histogram into a rank-local Registry; stop()
-// aggregates them onto the gateway (Comm::reduce_sum_vec for the counters,
-// Histogram::merge for the latency buckets) and publishes the totals into
-// metrics::global(). Gateway-side routing counters
-// (serve.shard.{reroutes,replica_hits,failovers,...}) go to the global
-// registry directly.
+// Fleet metrics: each rank records its serve.* counters (every counter the
+// core records included) and the serve.shard.solve_us histogram into a
+// rank-local Registry; stop() aggregates them onto the gateway
+// (Comm::reduce_sum_vec for the counters, Histogram::merge for the latency
+// buckets) and publishes the totals into metrics::global(). Gateway-side
+// routing counters (serve.shard.{reroutes,replica_hits,failovers,...}) go
+// to the global registry directly.
 #pragma once
 
 #include <cstdint>
@@ -76,7 +88,8 @@ class ShardedTier {
   ShardedTier& operator=(const ShardedTier&) = delete;
 
   /// Route + solve; blocks until the owning shard (or a collective
-  /// episode) answered. Same contract as SolverService::solve.
+  /// episode) answered. Same contract as SolverService::solve, which
+  /// validates A and b before calling.
   Response<T> solve(const sparse::CscMatrix<T>& A, std::span<const T> b,
                     const RequestOptions& ropt = {});
 
@@ -98,6 +111,9 @@ class ShardedTier {
   /// Fleet-wide sums over the per-rank shards.
   std::size_t cache_entries() const;
   std::size_t cache_bytes() const;
+  std::size_t cache_single_bytes() const;
+  /// Hostile reputation of `key` on its current owner shard.
+  bool is_hostile(const sparse::PatternKey& key) const;
   /// One shard's entry count (tests: capacity spread, post-kill eviction).
   std::size_t shard_entries(int rank) const;
   std::size_t queue_depth() const;

@@ -206,6 +206,16 @@ struct PatternKey {
   friend bool operator==(const PatternKey&, const PatternKey&) = default;
 };
 
+/// Hasher for unordered containers keyed by PatternKey. The stored hash
+/// already mixes n/nnz/arrays; n is folded back in so a pathological
+/// all-equal-hash input still spreads by size.
+struct PatternKeyHash {
+  std::size_t operator()(const PatternKey& k) const noexcept {
+    return static_cast<std::size_t>(k.hash ^
+                                    (static_cast<std::uint64_t>(k.n) << 32));
+  }
+};
+
 template <class T>
 PatternKey pattern_key(const CscMatrix<T>& A) {
   PatternKey k;

@@ -2,15 +2,19 @@
 // after a rank death), backend dispatch + ShardOptions validation behind
 // the single SolverService API, replica promotion and failover, the
 // over-budget collective fall-through, bitwise parity with a single-node
-// replay, and kill-rank chaos (every request ends with an answer or a
-// typed Errc — never a hang). Faults fire on deterministic send ordinals,
-// so every assertion is scheduled, not timing-lucky.
+// replay (one request stream, including failures and hostile marking,
+// replayed on serial, threaded and dist), shard-side introspection and
+// byte accounting, and kill-rank chaos (every request ends with an answer
+// or a typed Errc — never a hang). Faults fire on deterministic send
+// ordinals, so every assertion is scheduled, not timing-lucky.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -19,6 +23,7 @@
 #include "serve/shard.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/ops.hpp"
+#include "sparse/testbed.hpp"
 
 namespace {
 
@@ -49,6 +54,30 @@ serve::ServiceOptions dist_options() {
 /// to factor. Index i is stable across the whole test binary.
 sparse::CscMatrix<double> pattern(int i) {
   return sparse::convdiff2d(8 + i, 7, 1.0, 0.5);
+}
+
+/// Structurally fine but exactly singular: every GESP rung (and GEPP)
+/// fails on it.
+sparse::CscMatrix<double> singular2x2() {
+  sparse::CscMatrix<double> A;
+  A.nrows = A.ncols = 2;
+  A.colptr = {0, 2, 4};
+  A.rowind = {0, 1, 0, 1};
+  A.values = {1.0, 1.0, 1.0, 1.0};
+  return A;
+}
+
+/// Singularity made fatal and the middle ladder rungs off, so armed
+/// rebuilds of singular2x2 fail too and the pattern goes hostile after
+/// two requests.
+serve::ServiceOptions hostile_options(serve::ServiceOptions opt) {
+  opt.solver.tiny_pivot = TinyPivotOption::fail;
+  opt.solver.recovery.try_aggressive_smw = false;
+  opt.solver.recovery.try_unscaled_refactor = false;
+  opt.solver.recovery.try_threshold = false;
+  opt.solver.recovery.try_panel_rrp = false;
+  opt.hostile_threshold = 2;
+  return opt;
 }
 
 /// First pattern index whose rendezvous primary (all ranks alive) is
@@ -121,6 +150,24 @@ TEST(ServeDist, SingleNodeBackendRejectsShardOptions) {
   fopt.shard.fault.schedule(
       {minimpi::FaultKind::kill_rank, /*rank=*/1, /*nth_send=*/0, 0.0});
   EXPECT_THROW(serve::SolverService<double>{fopt}, Error);
+  // Every remaining ShardOptions field counts, not just the grid/budgets.
+  const std::vector<void (*)(serve::ShardOptions&)> knobs = {
+      [](serve::ShardOptions& s) { s.promote_hits = 5; },
+      [](serve::ShardOptions& s) { s.dist_fallthrough = false; },
+      [](serve::ShardOptions& s) { s.request_timeout_s = 5.0; },
+      [](serve::ShardOptions& s) { s.recv_timeout_s = 5.0; },
+  };
+  for (std::size_t k = 0; k < knobs.size(); ++k) {
+    serve::ServiceOptions kopt;
+    kopt.backend = Backend::serial;
+    knobs[k](kopt.shard);
+    try {
+      serve::SolverService<double> svc(kopt);
+      ADD_FAILURE() << "serial backend accepted ShardOptions knob " << k;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), Errc::invalid_argument) << "knob " << k;
+    }
+  }
 }
 
 TEST(ServeDist, ResponseCarriesBackendAndOwner) {
@@ -302,6 +349,161 @@ TEST(ServeDist, PatternHitAnswersBitwiseMatchSingleNodeReplay) {
             0)
       << "sharded pattern-hit answer differs bitwise from the single-node "
          "replay";
+}
+
+/// What one request of the parity stream produced on one backend.
+struct Served {
+  bool ok = false;
+  Errc code = Errc::internal;  ///< when !ok
+  std::vector<double> x;
+  bool pattern_hit = false, value_hit = false, value_delta = false;
+  bool recovered = false, hostile = false;
+  Precision precision = Precision::double_;
+};
+
+/// Warm the base values, then replay one request stream: value hit, delta
+/// pattern hit, full pattern hit, then the singular2x2 hostile sequence
+/// (two failing requests mark the pattern, a healthy third is served
+/// hostile).
+std::vector<Served> replay_stream(const serve::ServiceOptions& opt) {
+  const auto base = pattern(1);
+  auto delta = base;  // a handful of changed entries: SMW or partial
+  delta.values[0] *= 1.4;
+  delta.values[delta.values.size() / 2] *= 0.9;
+  auto full = base;
+  for (auto& v : full.values) v *= 1.25;
+  const auto S = singular2x2();
+  auto G = S;
+  G.values = {1.0, 1.0, 1.0, 2.0};
+  const sparse::CscMatrix<double>* stream[] = {&base, &delta, &full,
+                                               &S,    &S,     &G};
+
+  serve::SolverService<double> svc(hostile_options(opt));
+  svc.warm(base);
+  std::vector<Served> out;
+  for (const auto* A : stream) {
+    Served s;
+    try {
+      const auto r = svc.solve(*A, rhs_for(*A));
+      s.ok = true;
+      s.x = r.x;
+      s.pattern_hit = r.pattern_hit;
+      s.value_hit = r.value_hit;
+      s.value_delta = r.value_delta;
+      s.recovered = r.recovered;
+      s.hostile = r.hostile;
+      s.precision = r.precision;
+    } catch (const Error& e) {
+      s.code = e.code();
+    }
+    out.push_back(std::move(s));
+  }
+  EXPECT_TRUE(svc.is_hostile(sparse::pattern_key(S)));
+  svc.stop();
+  return out;
+}
+
+TEST(ServeDist, RequestStreamMatchesAcrossBackends) {
+  // One execution core serves every backend, so the same stream must give
+  // the same answers bit for bit, the same route flags, and the same
+  // failures — the failure and hostile policy included.
+  serve::ServiceOptions serial;
+  serial.backend = Backend::serial;
+  serial.batch_mode = serve::BatchMode::per_column;
+  serve::ServiceOptions threaded = serial;
+  threaded.backend = Backend::threaded;
+  threaded.solver.num_threads = 1;
+  const auto want = replay_stream(serial);
+
+  // The stream takes the routes it claims to.
+  ASSERT_EQ(want.size(), 6u);
+  EXPECT_TRUE(want[0].ok && want[0].value_hit);
+  EXPECT_TRUE(want[1].ok && want[1].pattern_hit && want[1].value_delta);
+  EXPECT_TRUE(want[2].ok && want[2].pattern_hit && !want[2].value_delta);
+  EXPECT_FALSE(want[3].ok);
+  EXPECT_FALSE(want[4].ok);
+  EXPECT_TRUE(want[5].ok && want[5].hostile);
+
+  const std::pair<const char*, serve::ServiceOptions> others[] = {
+      {"threaded", threaded}, {"dist", dist_options()}};
+  for (const auto& [name, opt] : others) {
+    const auto got = replay_stream(opt);
+    ASSERT_EQ(got.size(), want.size()) << name;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      SCOPED_TRACE(std::string(name) + " request " + std::to_string(i));
+      ASSERT_EQ(got[i].ok, want[i].ok);
+      if (!want[i].ok) {
+        EXPECT_EQ(got[i].code, want[i].code);
+        continue;
+      }
+      ASSERT_EQ(got[i].x.size(), want[i].x.size());
+      EXPECT_EQ(std::memcmp(got[i].x.data(), want[i].x.data(),
+                            want[i].x.size() * sizeof(double)),
+                0)
+          << "answer differs bitwise from the serial replay";
+      EXPECT_EQ(got[i].pattern_hit, want[i].pattern_hit);
+      EXPECT_EQ(got[i].value_hit, want[i].value_hit);
+      EXPECT_EQ(got[i].value_delta, want[i].value_delta);
+      EXPECT_EQ(got[i].recovered, want[i].recovered);
+      EXPECT_EQ(got[i].hostile, want[i].hostile);
+      EXPECT_EQ(got[i].precision, want[i].precision);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Shard-side accounting and introspection.
+
+TEST(ServeDist, MixedPromotionIsChargedOnEveryBackend) {
+  // The solve promotes this entry's float factors to double. The entry
+  // must then be charged at double size on a shard exactly as on a single
+  // node — the bytes are re-accounted after the solve, not before it.
+  const auto A = sparse::adversarial_entry("deficient-gap").make();
+  const auto b = rhs_for(A);
+  serve::ServiceOptions serial;
+  serial.backend = Backend::serial;
+  std::size_t bytes[2] = {};
+  const serve::ServiceOptions opts[] = {serial, dist_options()};
+  for (int k = 0; k < 2; ++k) {
+    serve::ServiceOptions opt = opts[k];
+    opt.solver.precision = Precision::mixed;
+    opt.solver.num_threads = 1;
+    serve::SolverService<double> svc(opt);
+    const auto r = svc.solve(A, b);
+    EXPECT_EQ(r.precision, Precision::double_) << "backend " << k;
+    bytes[k] = svc.cache_bytes();
+    EXPECT_EQ(svc.cache_single_bytes(), 0u) << "backend " << k;
+    svc.stop();
+  }
+  EXPECT_GT(bytes[0], 0u);
+  EXPECT_EQ(bytes[1], bytes[0]);
+}
+
+TEST(ServeDist, IntrospectionAnswersFromTheShards) {
+  {
+    // Single-precision bytes: the fleet-wide sum over every shard.
+    auto opt = dist_options();
+    opt.solver.precision = Precision::mixed;
+    serve::SolverService<double> svc(opt);
+    svc.warm(pattern(0));
+    svc.warm(pattern(1));
+    EXPECT_GT(svc.cache_single_bytes(), 0u);
+    EXPECT_EQ(svc.cache_single_bytes(), svc.cache_bytes());
+    svc.stop();
+  }
+  {
+    // Hostile reputation: the pattern's owner shard answers.
+    serve::SolverService<double> svc(hostile_options(dist_options()));
+    const auto S = singular2x2();
+    const auto key = sparse::pattern_key(S);
+    const auto b = rhs_for(S);
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_THROW(svc.solve(S, b), Error) << "request " << i;
+      EXPECT_EQ(svc.is_hostile(key), i == 1) << "request " << i;
+    }
+    EXPECT_FALSE(svc.is_hostile(sparse::pattern_key(pattern(0))));
+    svc.stop();
+  }
 }
 
 // ---------------------------------------------------------------------------

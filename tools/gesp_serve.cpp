@@ -39,7 +39,10 @@
 //   --backend=serial|threaded|dist, --threads=N
 //                         service engine (default serial). dist runs the
 //                         sharded multi-rank tier: requests route to the
-//                         rank owning their pattern key
+//                         rank owning their pattern key. --workers,
+//                         --max-batch, --linger-us, --per-column and
+//                         --no-shed are single-node knobs and a usage
+//                         error under dist
 //   --grid=PxQ            dist: process grid (default near-square over 4)
 //   --replication=N       dist: copies of a hot pattern (default 2)
 //   --shard-entries=N, --shard-mb=N
@@ -141,6 +144,8 @@ int main(int argc, char** argv) {
   long long kill_at = 3;
   serve::ServiceOptions sopt;
   sopt.backend = Backend::serial;
+  // Worker-pool knobs; shards ignore them, so --backend=dist rejects them.
+  const char* single_node_flag = nullptr;
 
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
@@ -158,10 +163,13 @@ int main(int argc, char** argv) {
       clients = std::atoi(v5);
     } else if (const char* v6 = value_of(a, "--workers")) {
       sopt.num_workers = std::atoi(v6);
+      single_node_flag = "--workers";
     } else if (const char* v7 = value_of(a, "--max-batch")) {
       sopt.max_batch = static_cast<index_t>(std::atoi(v7));
+      single_node_flag = "--max-batch";
     } else if (const char* v8 = value_of(a, "--linger-us")) {
       sopt.batch_linger_s = std::atof(v8) * 1e-6;
+      single_node_flag = "--linger-us";
     } else if (const char* v9 = value_of(a, "--max-queue")) {
       sopt.max_queue = static_cast<std::size_t>(std::atoll(v9));
     } else if (const char* v10 = value_of(a, "--cache-entries")) {
@@ -224,8 +232,10 @@ int main(int argc, char** argv) {
       generate = true;
     } else if (std::strcmp(a, "--per-column") == 0) {
       sopt.batch_mode = serve::BatchMode::per_column;
+      single_node_flag = "--per-column";
     } else if (std::strcmp(a, "--no-shed") == 0) {
       sopt.shed_refinement = false;
+      single_node_flag = "--no-shed";
     } else if (std::strcmp(a, "--warm") == 0) {
       warm = true;
     } else if (a[0] == '-') {
@@ -237,6 +247,11 @@ int main(int argc, char** argv) {
     }
   }
   if (workload_path.empty()) generate = true;
+  if (single_node_flag && sopt.backend == Backend::dist)
+    usage((std::string(single_node_flag) +
+           " is a single-node worker-pool knob; shards ignore it under "
+           "--backend=dist")
+              .c_str());
   if (kill_rank >= 0) {
     if (sopt.backend != Backend::dist)
       usage("--kill-rank is a dist chaos knob; add --backend=dist");
