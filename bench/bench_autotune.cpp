@@ -6,9 +6,9 @@
 //
 // Experiment 2 (analyze-time tuning): tuned-vs-default numeric factor time
 // over the paper testbed. "Default" is the paper configuration every other
-// bench uses (block 24, 4 threads, kAuto); "tuned" hands the same request
+// bench uses (block 24, 4 threads); "tuned" hands the same request
 // to the calibrated tuner under TunePolicy::model and lets it pick block
-// size, thread count and schedule per matrix. Min-of-reps timing; the
+// size and thread count per matrix. Min-of-reps timing; the
 // tuner's own analyze-time cost is reported separately (it is a one-off
 // per pattern, not a per-factorization cost).
 //
@@ -225,8 +225,6 @@ int main(int argc, char** argv) {
               cal.pair_overhead_s * 1e9, stock.pair_overhead_s * 1e9);
   std::printf("  task dispatch  %8.2f us     (stock %6.2f)\n",
               cal.task_overhead_s * 1e6, stock.task_overhead_s * 1e6);
-  std::printf("  level barrier  %8.2f us     (stock %6.2f)\n",
-              cal.barrier_overhead_s * 1e6, stock.barrier_overhead_s * 1e6);
   std::printf("  msg latency    %8.2f us     (stock %6.2f)\n",
               cal.latency_s * 1e6, stock.latency_s * 1e6);
   std::printf("  bandwidth      %8.2f GB/s   (stock %6.3f)\n\n",

@@ -65,7 +65,7 @@ void BM_GemmMinusFloat(benchmark::State& state) {
 BENCHMARK(BM_GemmMinusFloat)->Arg(8)->Arg(16)->Arg(24)->Arg(32)->Arg(48);
 
 // The naive triple loop the tiled kernel replaced — kept benchmarked so the
-// speedup is visible in the same BENCH_kernels.json.
+// speedup is visible in the same run.
 void BM_GemmMinusNaive(benchmark::State& state) {
   const index_t b = static_cast<index_t>(state.range(0));
   const index_t m = 4 * b, c = 2 * b;
@@ -240,17 +240,15 @@ void BM_NumericFactor(benchmark::State& state) {
 }
 BENCHMARK(BM_NumericFactor);
 
-// Threaded factorization, fork-join barriers vs the etree task DAG, at the
-// thread counts of the perf trajectory (arg = threads). Real time, since
-// CPU time sums over workers.
-void numeric_factor_threads(benchmark::State& state,
-                            numeric::Schedule sched) {
+// Threaded factorization on the etree task DAG at the thread counts of
+// the perf trajectory (arg = threads; 1 runs the sweep in its stated
+// order). Real time, since CPU time sums over workers.
+void BM_NumericFactorThreads(benchmark::State& state) {
   const auto A = sparse::convdiff2d(60, 60, 1.0, 0.5);
   auto sym = std::make_shared<const symbolic::SymbolicLU>(
       symbolic::analyze(A, {}));
   numeric::NumericOptions opt;
   opt.num_threads = static_cast<int>(state.range(0));
-  opt.schedule = sched;
   for (auto _ : state) {
     numeric::LUFactors<double> F(sym, A, opt);
     benchmark::DoNotOptimize(F.pivot_growth());
@@ -258,16 +256,7 @@ void numeric_factor_threads(benchmark::State& state,
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           sym->flops);
 }
-
-void BM_NumericFactorForkJoin(benchmark::State& state) {
-  numeric_factor_threads(state, numeric::Schedule::kForkJoin);
-}
-BENCHMARK(BM_NumericFactorForkJoin)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-void BM_NumericFactorTaskDag(benchmark::State& state) {
-  numeric_factor_threads(state, numeric::Schedule::kTaskDag);
-}
-BENCHMARK(BM_NumericFactorTaskDag)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+BENCHMARK(BM_NumericFactorThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_GeppFactor(benchmark::State& state) {
   const auto A = sparse::convdiff2d(60, 60, 1.0, 0.5);

@@ -4,7 +4,7 @@
 // 4 processor T3E timings. This indicates that our distributed data
 // structure and message passing algorithm do not incur much overhead."
 //
-// Here: the shared-memory fork-join factorization at P threads vs the
+// Here: the shared-memory task-DAG factorization at P threads vs the
 // modeled P-process distributed factorization, plus the distributed
 // overhead factor. (On a 1-core container the SMP wall time does not
 // speed up with threads; the comparison uses the model's time for the

@@ -78,9 +78,9 @@ for b in $BENCHES; do
     # EXPERIMENTS.md table).
     "build/bench/$b" --out=BENCH_delta.json || note_failure "$b"
   elif [ "$b" = "bench_kernels" ]; then
-    # google-benchmark binary: also record the machine-readable perf
-    # trajectory (GEMM GFLOP/s per block size, factorization per schedule
-    # and thread count) next to this script.
+    # google-benchmark binary (GEMM GFLOP/s per block size, factorization
+    # per thread count). Its JSON is a per-run artifact, like the one CI's
+    # bench-smoke job uploads, not a committed history.
     "build/bench/$b" --benchmark_out=BENCH_kernels.json \
       --benchmark_out_format=json || note_failure "$b"
   elif [ "$b" = "bench_autotune" ]; then
@@ -99,7 +99,7 @@ done
 echo "###############################################################"
 echo "### observability snapshot (BENCH_trace.json / BENCH_metrics.json)"
 echo "###############################################################"
-# Machine-readable companion to BENCH_kernels.json: a traced 4-thread
+# Observability snapshot: a traced 4-thread
 # solve (repeated, so per-call vs cumulative phase times both appear) on
 # the transonic-airfoil proxy, plus the full metrics registry. Open the
 # trace in chrome://tracing; validate with tools/check_trace.py.

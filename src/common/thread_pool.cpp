@@ -33,10 +33,9 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::parallel_for(
-    index_t n, const std::function<void(index_t, index_t, int)>& body,
-    index_t grain) {
+    index_t n, const std::function<void(index_t, index_t, int)>& body) {
   const int P = num_threads();
-  if (P == 1 || n <= 1 || n <= grain) {
+  if (P == 1 || n <= 1) {
     if (n > 0) body(0, n, 0);
     return;
   }
@@ -155,10 +154,9 @@ void TaskGraph::run(ThreadPool& pool) {
           if (!ready.empty()) cv.notify_all();
         }
       };
-  // grain=0: with P workers this always fans out; with P==1 it drains
-  // inline on the calling thread.
-  pool.parallel_for(static_cast<index_t>(pool.num_threads()), drain,
-                    /*grain=*/0);
+  // One drain loop per worker; with P == 1 it drains inline on the
+  // calling thread.
+  pool.parallel_for(static_cast<index_t>(pool.num_threads()), drain);
   if (err) std::rethrow_exception(err);
 }
 

@@ -1,8 +1,7 @@
-// Minimal persistent fork-join thread pool for the shared-memory
-// factorization path (the SuperLU_MT-style execution the paper compares
-// against). parallel_for splits an index range into per-worker chunks and
-// joins before returning — the barrier semantics the block algorithm's
-// iteration structure needs for bitwise-reproducible results.
+// Minimal persistent thread pool and the dependency-counter task DAG the
+// shared-memory factorization runs on. parallel_for splits an index range
+// into per-worker chunks and joins before returning; TaskGraph::run uses it
+// to start one drain loop per worker.
 #pragma once
 
 #include <condition_variable>
@@ -28,11 +27,9 @@ class ThreadPool {
 
   /// Run body(begin, end, worker_id) over [0, n) split into contiguous
   /// chunks, one per worker (including the calling thread); returns after
-  /// all chunks complete. When n <= grain the body runs inline on the
-  /// calling thread — tiny supernodes skip the wakeup/join round-trip.
+  /// all chunks complete. A one-thread pool or n <= 1 runs inline.
   void parallel_for(index_t n,
-                    const std::function<void(index_t, index_t, int)>& body,
-                    index_t grain = 1);
+                    const std::function<void(index_t, index_t, int)>& body);
 
  private:
   void worker_loop(int id);

@@ -278,7 +278,6 @@ void Solver<T>::consult_tuner() {
       opt_.symbolic.max_block = d.max_block;
       sym_.reset();  // factor() re-analyzes under the chosen block
     }
-    opt_.schedule = d.schedule;
     opt_.num_threads = std::clamp(d.num_threads, 1, std::max(1, in.max_threads));
     if constexpr (std::is_same_v<T, double>) {
       // A precision override must satisfy the same constraints the

@@ -214,7 +214,6 @@ struct TuneInputs {
 struct TuneDecision {
   bool changed = false;
   index_t max_block = 0;  ///< chosen symbolic.max_block (0 = keep request)
-  numeric::Schedule schedule = numeric::Schedule::kAuto;
   int num_threads = 1;
   Precision precision = Precision::double_;
   int pr = 0, pc = 0;     ///< dist only: grid shape, pr·pc == dist_nprocs
@@ -313,11 +312,11 @@ struct SolverOptions {
   bool estimate_ferr = false;   ///< forward error bound (expensive)
   bool estimate_rcond = false;  ///< condition estimate (expensive)
   /// Shared-memory threads for the numeric factorization (bitwise
-  /// identical results at any count). 1 = serial.
+  /// identical results at any count). 1 runs the elimination sweep in its
+  /// stated order; more runs it as a task DAG.
   int num_threads = 1;
-  /// Thread schedule for the factorization: kAuto picks the task-DAG
-  /// scheduler whenever num_threads > 1; kForkJoin forces the per-phase
-  /// barrier baseline.
+  /// Single-valued (kAuto): the thread count alone selects the engine. Kept
+  /// because callers still copy it into NumericOptions::schedule.
   numeric::Schedule schedule = numeric::Schedule::kAuto;
   /// Graceful-degradation ladder (keeps a copy of A while enabled).
   RecoveryPolicy recovery;

@@ -17,6 +17,11 @@ namespace gesp::numeric {
 namespace {
 
 dense::PivotPolicy pivot_policy(const NumericOptions& opt) {
+  GESP_CHECK(!(opt.record_replacements &&
+               opt.panel_pivot != dense::PanelPivot::static_),
+             Errc::invalid_argument,
+             "SMW replacement recording assumes the unpivoted factorization; "
+             "it cannot combine with an in-block pivoting strategy");
   dense::PivotPolicy policy;
   policy.tiny_threshold = opt.tiny_threshold;
   policy.aggressive = opt.aggressive_replacement;
@@ -214,29 +219,13 @@ void LUFactors<T>::panel_upper(index_t K, index_t lo, index_t hi) {
 
 template <class T>
 void LUFactors<T>::eliminate(const NumericOptions& opt) {
-  GESP_CHECK(!(opt.record_replacements &&
-               opt.panel_pivot != dense::PanelPivot::static_),
-             Errc::invalid_argument,
-             "SMW replacement recording assumes the unpivoted factorization; "
-             "it cannot combine with an in-block pivoting strategy");
-  growth_abort_ = opt.growth_abort;
-  const index_t N = sym_->nsup;
-  rowperm_.assign(static_cast<std::size_t>(N), {});
-  umax_k_.assign(static_cast<std::size_t>(N), 0.0);
-  stats_k_.assign(static_cast<std::size_t>(N), {});
-  repl_k_.assign(static_cast<std::size_t>(N), {});
-  // Float only: flush subnormals for the whole elimination (see
-  // denormal.hpp). Placed before the pool so workers inherit the mode.
-  DenormalFlushGuard ftz(std::is_same_v<T, float>);
-  ThreadPool pool(opt.num_threads);
-  const bool dag =
-      opt.schedule == Schedule::kTaskDag ||
-      (opt.schedule == Schedule::kAuto && pool.num_threads() > 1);
-  if (dag)
-    eliminate_taskdag(opt, pool);
-  else
-    eliminate_forkjoin(opt, pool, nullptr);
-  finish_elimination();
+  const dense::PivotPolicy policy = pivot_policy(opt);
+  const std::size_t N = static_cast<std::size_t>(sym_->nsup);
+  rowperm_.assign(N, {});
+  umax_k_.assign(N, 0.0);
+  stats_k_.assign(N, {});
+  repl_k_.assign(N, {});
+  sweep(opt, policy, nullptr);
 }
 
 template <class T>
@@ -253,13 +242,13 @@ void LUFactors<T>::merge_pivot_stats() {
 }
 
 template <class T>
-void LUFactors<T>::finish_elimination() {
+void LUFactors<T>::finish_elimination(bool aborted) {
   const index_t N = sym_->nsup;
   pivoted_ = false;
   for (index_t K = 0; K < N && !pivoted_; ++K)
     pivoted_ = !rowperm_[K].empty();
   merge_pivot_stats();
-  finish_growth(false);
+  finish_growth(aborted);
   if (stats_.replaced > 0)
     metrics::global().counter("numeric.pivots_replaced").inc(stats_.replaced);
   if (stats_.swaps > 0)
@@ -278,173 +267,135 @@ void LUFactors<T>::finish_elimination() {
   }
 }
 
-// Fork-join schedule; also the serial path, and — given `dirty` — the
-// partial sweep of refactorize_partial. Per supernode K: factor the
-// diagonal block, fork the panel solves, then fork K's owner groups (each
-// group writes only its owner's storage, so groups run concurrently) and
-// join before K+1: every destination receives its updates in ascending K.
+// The one elimination sweep (the paper's point: static pivoting fixes the
+// whole elimination before numerics begin, so its steps can be stated once
+// and then scheduled). K ascends; each step of supernode K is stated with
+// the earlier steps it waits for:
+//   F(K)      diagonal factor, after the last update into owner K;
+//   panels    up to P chunks of panel solves per side, after F(K);
+//   M(K)      growth-monitor milestone, after the panels (block row K of U
+//             is final here, so the running growth is known before any
+//             update);
+//   Upd(K,O)  one per owner group — the pairs whose destination storage
+//             belongs to owner O = min(I,J) — after M(K) and after the
+//             previous update into owner O.
+// Every dependency points to an earlier step, so the stated order is a
+// topological order: on one thread each step runs as it is stated; on more,
+// each step becomes a TaskGraph task and independent etree subtrees
+// pipeline with no per-supernode barrier. Grouping pairs by owner keeps the
+// task count proportional to the block structure, not to the pair count.
 //
-// The partial sweep runs this schedule regardless of
-// NumericOptions::schedule: every full-factorization engine is bitwise
-// identical to serial, so "identical to full under any schedule" holds by
-// transitivity. Dirty supernodes run the complete step (the closure makes
-// every owner of a dirty K dirty); clean supernodes keep their blocks
-// untouched and only replay the owner groups whose owner is dirty — a
-// re-scattered destination needs the contribution of EVERY source, clean or
-// not, in ascending-K order.
+// Bitwise reproducibility: the updates into one owner are chained in
+// ascending source-K order — the serial accumulation order — and within
+// one K each destination block receives at most one update (pairs have
+// distinct (I,J)). F(K) waits on the chain of owner K, so every diagonal
+// factor sees exactly the serial operand values.
+//
+// With `dirty` it is the partial sweep of refactorize_partial. Dirty
+// supernodes run every step (the closure makes every owner of a dirty K
+// dirty). Clean supernodes keep their blocks and only replay the owner
+// groups whose owner is dirty — a re-scattered destination needs the
+// contribution of EVERY source, clean or not, in ascending K — and those
+// replays wait on nothing but the owner chain.
+//
+// Growth abort: M(K) lowers `stop` to K when its monitor trips, and every
+// step of a supernode at or past `stop` becomes a no-op. Steps of earlier
+// supernodes still run, so the first supernode over the threshold — the
+// one finish_growth reports — is the same on every thread count.
 template <class T>
-void LUFactors<T>::eliminate_forkjoin(const NumericOptions& opt,
-                                      ThreadPool& pool,
-                                      const std::vector<char>* dirty) {
+void LUFactors<T>::sweep(const NumericOptions& opt,
+                         const dense::PivotPolicy& policy,
+                         const std::vector<char>* dirty) {
+  using TaskId = TaskGraph::TaskId;
   const symbolic::SymbolicLU& S = *sym_;
   const index_t N = S.nsup;
-  const dense::PivotPolicy policy = pivot_policy(opt);
-  // Per-worker scratch so the owner groups can run concurrently.
-  std::vector<UpdateScratch> ws(static_cast<std::size_t>(pool.num_threads()));
-  std::vector<detail::OwnerGroup> groups;
-
-  for (index_t K = 0; K < N; ++K) {
-    const bool eliminate_k = dirty == nullptr || (*dirty)[K];
-    if (eliminate_k) {
-      // (1) factor the diagonal block (strategy dispatch; static pivots
-      // with tiny replacement by default). Bookkeeping goes to the per-K
-      // sinks; finish_elimination merges them in ascending K.
-      factor_diag(K, policy, stats_k_[K],
-                  opt.record_replacements ? &repl_k_[K] : nullptr);
-      // (2) panels: L(I,K) and U(K,J) block lists in parallel.
-      {
-        GESP_TRACE_SPAN_ID("factor", "panel", K);
-        pool.parallel_for(
-            static_cast<index_t>(S.L[K].size()),
-            [&](index_t lo, index_t hi, int) { panel_lower(K, lo, hi); },
-            /*grain=*/2);
-        pool.parallel_for(
-            static_cast<index_t>(S.U[K].size()),
-            [&](index_t lo, index_t hi, int) { panel_upper(K, lo, hi); },
-            /*grain=*/2);
-      }
-      // In-flight growth monitor: block row K of U is final after the
-      // panel phase, so the running growth is known before any update.
-      if (monitor_supernode(K)) finish_growth(/*aborted=*/true);
-    }
-    // (3) rank-b update of the trailing matrix, one owner group per task.
-    detail::owner_groups(S, K, groups);
-    if (!eliminate_k)
-      std::erase_if(groups, [dirty](const detail::OwnerGroup& g) {
-        return !(*dirty)[g.O];
-      });
-    if (groups.empty()) continue;
-    GESP_TRACE_SPAN_ID("factor", "update", K);
-    pool.parallel_for(
-        static_cast<index_t>(groups.size()),
-        [&](index_t lo, index_t hi, int w) {
-          for (index_t gi = lo; gi < hi; ++gi)
-            update_owner(K, groups[gi], ws[w]);
-        },
-        /*grain=*/1);
-  }
-}
-
-// Task-DAG schedule (the paper's point: static pivoting fixes the whole
-// elimination structure up front, so the numeric phase can be scheduled in
-// advance). Tasks per supernode K: F(K) = diagonal factor, a few
-// panel-solve chunks, a "panels done" milestone M(K), and one update task
-// Upd(K,O) per owner group — the pairs whose destination storage belongs to
-// owner supernode O = min(I,J) (I>J lands in L's column J, I<J in U's row
-// I, I==J in the diagonal). Grouping the (I,J) pairs by owner keeps the
-// task count proportional to the block structure rather than to the
-// (potentially enormous) number of block pairs, while independent etree
-// subtrees still pipeline with no per-supernode barrier.
-//
-// Bitwise reproducibility: updates into the blocks of one owner are
-// chained through last_owner[] in ascending source-K order — the serial
-// accumulation order — and within one K each destination block receives at
-// most one update (pairs have distinct (I,J)). F(K) depends on the chain
-// of owner K, so the diagonal factors see exactly the serial operand
-// values.
-template <class T>
-void LUFactors<T>::eliminate_taskdag(const NumericOptions& opt,
-                                     ThreadPool& pool) {
-  const symbolic::SymbolicLU& S = *sym_;
-  const index_t N = S.nsup;
-  const dense::PivotPolicy policy = pivot_policy(opt);
-
-  // Pivot stats/replacements go to the per-supernode sinks (merged in K
-  // order by finish_elimination) so concurrent F(K) tasks never touch
-  // shared state and the recorded order matches serial.
   const bool record = opt.record_replacements;
-  // Growth-abort flag: once any milestone's monitor trips, remaining tasks
-  // degrade to no-ops so the graph drains quickly; the violation itself is
-  // reported deterministically from umax_k_ by finish_growth (the blocks
-  // already written are exactly the serial values, so which supernodes
-  // violate is schedule-independent even if the drain order is not).
-  std::atomic<bool> abort{false};
-
+  growth_abort_ = opt.growth_abort;
+  // Float only: flush subnormals for the whole elimination (see
+  // denormal.hpp). Placed before the pool so workers inherit the mode.
+  DenormalFlushGuard ftz(std::is_same_v<T, float>);
+  ThreadPool pool(opt.num_threads);
+  const index_t P = pool.num_threads();
+  std::atomic<index_t> stop{N};
   TaskGraph graph;
-  // Last task that wrote into each owner supernode's storage.
-  std::vector<TaskGraph::TaskId> last_owner(static_cast<std::size_t>(N), -1);
-  const index_t P = static_cast<index_t>(pool.num_threads());
-  std::vector<detail::OwnerGroup> groups;
 
+  // State one step of supernode K: run it now on one thread, else add it
+  // to the graph. Returns its task id (-1 when it already ran).
+  const auto step = [&](index_t K, auto fn) -> TaskId {
+    const auto guarded = [K, &stop, fn] {
+      if (K < stop.load()) fn();
+    };
+    if (P == 1) {
+      guarded();
+      return -1;
+    }
+    return graph.add_task(guarded);
+  };
+  const auto depend = [&](TaskId before, TaskId after) {
+    if (before >= 0 && after >= 0) graph.add_dependency(before, after);
+  };
+  // Last step that wrote into each owner supernode's storage.
+  std::vector<TaskId> last_owner(static_cast<std::size_t>(N), -1);
+  const auto update = [&](index_t K, const detail::OwnerGroup& g,
+                          TaskId after) {
+    const TaskId t = step(K, [this, K, g] {
+      GESP_TRACE_SPAN_ID("factor", "update", g.O);
+      thread_local UpdateScratch ws;
+      update_owner(K, g, ws);
+    });
+    depend(after, t);
+    depend(last_owner[g.O], t);
+    last_owner[g.O] = t;
+  };
+
+  std::vector<detail::OwnerGroup> groups;
+  std::vector<TaskId> panels;
   for (index_t K = 0; K < N; ++K) {
-    const index_t nl = static_cast<index_t>(S.L[K].size());
-    const index_t nu = static_cast<index_t>(S.U[K].size());
-    // F(K): factor the diagonal block after the last update into owner K.
-    const auto fk = graph.add_task([this, K, &policy, record, &abort] {
-      if (abort.load(std::memory_order_relaxed)) return;
+    detail::owner_groups(S, K, groups);
+    if (dirty != nullptr && !(*dirty)[K]) {
+      for (const detail::OwnerGroup& g : groups)
+        if ((*dirty)[g.O]) update(K, g, -1);
+      continue;
+    }
+    // Pivot bookkeeping goes to the per-K sinks (merged in ascending K by
+    // finish_elimination), so concurrent F(K) never touch shared state.
+    const TaskId fk = step(K, [this, K, &policy, record] {
       factor_diag(K, policy, stats_k_[K], record ? &repl_k_[K] : nullptr);
     });
-    if (last_owner[K] >= 0) graph.add_dependency(last_owner[K], fk);
-    // Panel solves in up to P chunks per side (plenty for the pool while
-    // keeping the task count linear in the block structure), then a
-    // milestone M(K) the update tasks hang off. The milestone doubles as
-    // the in-flight growth monitor — block row K of U is final here — so
-    // it is created even when there is nothing to update.
-    const auto mk = graph.add_task([this, K, &abort] {
-      if (abort.load(std::memory_order_relaxed)) return;
-      if (monitor_supernode(K)) abort.store(true, std::memory_order_relaxed);
+    depend(last_owner[K], fk);
+    panels.clear();
+    const index_t nl = static_cast<index_t>(S.L[K].size());
+    for (index_t ch = 0, nch = std::min(P, nl); ch < nch; ++ch) {
+      const index_t lo = nl * ch / nch, hi = nl * (ch + 1) / nch;
+      panels.push_back(step(K, [this, K, lo, hi] {
+        GESP_TRACE_SPAN_ID("factor", "panelL", K);
+        panel_lower(K, lo, hi);
+      }));
+    }
+    const index_t nu = static_cast<index_t>(S.U[K].size());
+    for (index_t ch = 0, nch = std::min(P, nu); ch < nch; ++ch) {
+      const index_t lo = nu * ch / nch, hi = nu * (ch + 1) / nch;
+      panels.push_back(step(K, [this, K, lo, hi] {
+        GESP_TRACE_SPAN_ID("factor", "panelU", K);
+        panel_upper(K, lo, hi);
+      }));
+    }
+    const TaskId mk = step(K, [this, K, &stop] {
+      if (!monitor_supernode(K)) return;
+      index_t cur = stop.load();
+      while (K < cur && !stop.compare_exchange_weak(cur, K)) {
+      }
     });
-    if (nl + nu > 0) {
-      const index_t lchunks = std::min(P, nl), uchunks = std::min(P, nu);
-      for (index_t ch = 0; ch < lchunks; ++ch) {
-        const index_t lo = nl * ch / lchunks, hi = nl * (ch + 1) / lchunks;
-        const auto t = graph.add_task([this, K, lo, hi, &abort] {
-          if (abort.load(std::memory_order_relaxed)) return;
-          GESP_TRACE_SPAN_ID("factor", "panelL", K);
-          panel_lower(K, lo, hi);
-        });
-        graph.add_dependency(fk, t);
-        graph.add_dependency(t, mk);
-      }
-      for (index_t ch = 0; ch < uchunks; ++ch) {
-        const index_t lo = nu * ch / uchunks, hi = nu * (ch + 1) / uchunks;
-        const auto t = graph.add_task([this, K, lo, hi, &abort] {
-          if (abort.load(std::memory_order_relaxed)) return;
-          GESP_TRACE_SPAN_ID("factor", "panelU", K);
-          panel_upper(K, lo, hi);
-        });
-        graph.add_dependency(fk, t);
-        graph.add_dependency(t, mk);
-      }
-    } else {
-      graph.add_dependency(fk, mk);
+    for (const TaskId t : panels) {
+      depend(fk, t);
+      depend(t, mk);
     }
-    // Upd(K,O), one per owner group in ascending O.
-    detail::owner_groups(S, K, groups);
-    for (const detail::OwnerGroup& g : groups) {
-      const auto upd = graph.add_task([this, K, g, &abort] {
-        if (abort.load(std::memory_order_relaxed)) return;
-        GESP_TRACE_SPAN_ID("factor", "update", g.O);
-        thread_local UpdateScratch ws;
-        update_owner(K, g, ws);
-      });
-      graph.add_dependency(mk, upd);
-      if (last_owner[g.O] >= 0) graph.add_dependency(last_owner[g.O], upd);
-      last_owner[g.O] = upd;
-    }
+    if (panels.empty()) depend(fk, mk);
+    for (const detail::OwnerGroup& g : groups) update(K, g, mk);
   }
 
   graph.run(pool);
+  finish_elimination(stop.load() < N);
 }
 
 template <class T>
@@ -456,11 +407,7 @@ void LUFactors<T>::refactorize_partial(const sparse::CscMatrix<T>& A,
   GESP_CHECK(dirty.size() == static_cast<std::size_t>(sym_->nsup),
              Errc::invalid_argument,
              "dirty set size does not match the supernode count");
-  GESP_CHECK(!(opt.record_replacements &&
-               opt.panel_pivot != dense::PanelPivot::static_),
-             Errc::invalid_argument,
-             "SMW replacement recording assumes the unpivoted factorization; "
-             "it cannot combine with an in-block pivoting strategy");
+  const dense::PivotPolicy policy = pivot_policy(opt);
   {
     // A dirty set that is not closed would scatter-add updates into blocks
     // that were never reset — silent corruption. Verify instead of trusting.
@@ -470,7 +417,6 @@ void LUFactors<T>::refactorize_partial(const sparse::CscMatrix<T>& A,
                Errc::invalid_argument,
                "dirty set is not closed under update reachability");
   }
-  growth_abort_ = opt.growth_abort;
   const index_t N = sym_->nsup;
   for (index_t K = 0; K < N; ++K) {
     if (!dirty[K]) continue;
@@ -482,10 +428,7 @@ void LUFactors<T>::refactorize_partial(const sparse::CscMatrix<T>& A,
     repl_k_[K].clear();
   }
   scatter_values(A, &dirty);
-  DenormalFlushGuard ftz(std::is_same_v<T, float>);
-  ThreadPool pool(opt.num_threads);
-  eliminate_forkjoin(opt, pool, &dirty);
-  finish_elimination();
+  sweep(opt, policy, &dirty);
 }
 
 template <class T>

@@ -18,32 +18,17 @@
 #include "sparse/csc.hpp"
 #include "symbolic/symbolic.hpp"
 
-namespace gesp {
-class ThreadPool;
-}
-
 namespace gesp::numeric {
 
 namespace detail {
 struct OwnerGroup;
 }
 
-/// How the shared-memory factorization is scheduled across threads. Both
-/// schedules produce bitwise identical factors (and identical to serial):
-/// every destination block receives its updates in ascending source-K
-/// order, the same order the serial loop uses.
+/// Kept only because callers copy SolverOptions::schedule into
+/// NumericOptions::schedule; kAuto is its single value. The thread count
+/// alone selects how the elimination sweep runs (see num_threads).
 enum class Schedule {
-  /// kTaskDag when num_threads > 1, plain serial execution otherwise.
   kAuto,
-  /// Per-phase fork-join barriers at every supernode (the SuperLU_MT-style
-  /// baseline the paper compares against); the update phase forks one task
-  /// per owner group.
-  kForkJoin,
-  /// Dependency-counter task DAG over the supernodal elimination tree:
-  /// diagonal factor / panel solve / block update tasks release their
-  /// successors individually, so independent subtrees pipeline instead of
-  /// synchronizing at every K.
-  kTaskDag,
 };
 
 /// Options for the numeric factorization.
@@ -58,12 +43,12 @@ struct NumericOptions {
   /// Record each replacement (global column, delta) so the solve can be
   /// corrected by the Sherman–Morrison–Woodbury formula.
   bool record_replacements = false;
-  /// Shared-memory parallel factorization (the SuperLU_MT-style execution
-  /// the paper compares against): panel TRSMs and the owner groups of the
-  /// rank-b update are spread across this many threads, so the result is
-  /// bitwise identical to the serial factorization. 1 = serial.
+  /// Shared-memory parallel factorization: 1 runs the elimination sweep's
+  /// steps in the order it states them; more runs them as a task DAG over
+  /// the supernodal elimination tree on this many threads. The factors are
+  /// bitwise identical at every count.
   int num_threads = 1;
-  /// Thread schedule; see Schedule. Ignored when num_threads == 1.
+  /// Single-valued (see Schedule); nothing reads it.
   Schedule schedule = Schedule::kAuto;
   /// Pivot-selection strategy inside each diagonal block. Non-static
   /// strategies confine row interchanges to the diagonal block, so the
@@ -150,8 +135,8 @@ class LUFactors {
   /// re-scattered from `A` and re-eliminated, receiving the updates of
   /// every source (clean sources replay their pairs from the retained
   /// panels), in the serial ascending-K accumulation order — the result is
-  /// bitwise identical to constructing a fresh LUFactors from `A` under
-  /// any schedule. `opt` must describe the same pivoting configuration
+  /// bitwise identical to constructing a fresh LUFactors from `A` at any
+  /// thread count. `opt` must describe the same pivoting configuration
   /// (and in particular the same tiny_threshold) as the original
   /// factorization, or the clean blocks would encode stale decisions.
   void refactorize_partial(const sparse::CscMatrix<T>& A,
@@ -166,19 +151,21 @@ class LUFactors {
   void scatter_values(const sparse::CscMatrix<T>& A,
                       const std::vector<char>* dirty);
   void eliminate(const NumericOptions& opt);
-  /// Ascending-K sweep with a join per phase (serial when the pool has one
-  /// thread). With `dirty` it is the partial sweep of refactorize_partial:
-  /// dirty supernodes run the full factor/panel/update step, clean
-  /// supernodes only replay their owner groups whose owner is dirty.
-  void eliminate_forkjoin(const NumericOptions& opt, ThreadPool& pool,
-                          const std::vector<char>* dirty);
+  /// The one elimination sweep of every shared-memory engine: states the
+  /// F / panel / monitor / owner-group steps of each K with their
+  /// dependencies, and runs them in that order on one thread or as a task
+  /// DAG on more. With `dirty` it is the partial sweep of
+  /// refactorize_partial: dirty supernodes run every step, clean ones only
+  /// replay their owner groups whose owner is dirty.
+  void sweep(const NumericOptions& opt, const dense::PivotPolicy& policy,
+             const std::vector<char>* dirty);
   /// pivoted_ scan + per-K stats merge + growth finish + metrics (the
-  /// common tail of eliminate and refactorize_partial).
-  void finish_elimination();
+  /// common tail of every sweep); `aborted` says the growth monitor
+  /// stopped the sweep early.
+  void finish_elimination(bool aborted);
   /// Rebuild stats_/replacements_ from the per-supernode sinks in
   /// ascending K — the serial recording order.
   void merge_pivot_stats();
-  void eliminate_taskdag(const NumericOptions& opt, ThreadPool& pool);
   /// Panel solves of supernode K: L(I,K) <- L(I,K)·U(K,K)^{-1} for the L
   /// blocks [lo, hi), U(K,J) <- L(K,K)^{-1}·P_K·U(K,J) for the U blocks
   /// [lo, hi).
@@ -193,13 +180,12 @@ class LUFactors {
   /// Every trailing-matrix update of source supernode K into the storage
   /// of one owner supernode O = min(I, J): for each pair, one
   /// dense::gemm_minus_scatter call adds -(L(I,K)·U(K,J)) into the
-  /// destination block at the pair's row/column positions. The one update
-  /// routine of every shared-memory schedule.
+  /// destination block at the pair's row/column positions.
   void update_owner(index_t K, const detail::OwnerGroup& g,
                     UpdateScratch& ws);
   /// Diagonal-block factorization of supernode K (strategy dispatch plus
   /// the local-permutation bookkeeping); stats/replacements go to the
-  /// given per-K sinks so the task-DAG schedule can run F(K) concurrently.
+  /// given per-K sinks so the task DAG can run F(K) concurrently.
   void factor_diag(index_t K, const dense::PivotPolicy& policy,
                    dense::PivotStats& stats,
                    std::vector<dense::PivotReplacement<T>>* repl);

@@ -146,12 +146,19 @@ Response<T> EntryExecutor<T>::execute(const sparse::CscMatrix<T>& A0,
 
       // Read after each solve: the ladder can also escalate (and mixed
       // mode promote) on a berr stall inside solve(), not just during
-      // factorization.
+      // factorization. A promotion replaced the float factors with double
+      // ones: re-account the entry at its real footprint before the answer
+      // is delivered, so a client never sees the stale byte count.
+      Precision charged = factored;
       const auto stamp = [&] {
         tmpl.precision = s.active_precision();
         tmpl.berr = s.stats().berr;
         tmpl.refine_iterations = s.stats().refine_iterations;
         tmpl.recovery = s.stats().recovery;
+        if (tmpl.precision != charged) {
+          charged = tmpl.precision;
+          cache_.update_bytes(e, estimate_bytes(s, n, nnz), charged);
+        }
       };
       const auto un = static_cast<std::size_t>(n);
       if (opt_.batch_mode == BatchMode::blocked && rest.size() > 1) {
@@ -179,12 +186,6 @@ Response<T> EntryExecutor<T>::execute(const sparse::CscMatrix<T>& A0,
           deliver(done++, std::move(r));
         }
       }
-      // A mixed-mode promotion (or ladder escalation) during the solves
-      // replaced the float factors with double ones: re-account the entry
-      // at its real footprint so the byte budget stays honest.
-      if (s.active_precision() != factored)
-        cache_.update_bytes(e, estimate_bytes(s, n, nnz),
-                            s.active_precision());
       if (attempt > 0 || hostile) {
         // Reputation update for an armed-ladder execution. "The ladder ran
         // but its best-effort answer missed the policy thresholds" is a

@@ -12,7 +12,8 @@
 //   * the solves run (blocked solve_multi or one solve() per column, per
 //     ServiceOptions::batch_mode), with an optional refinement override;
 //   * the entry's bytes are accounted before the solves and re-accounted
-//     after them, so a mixed-precision promotion is charged;
+//     after the solve that promotes it, before that answer is delivered,
+//     so a mixed-precision promotion is charged;
 //   * on any gesp::Error the entry is erased (evict_on_failure); a
 //     recoverable failure gets one cold retry with the recovery ladder
 //     armed;

@@ -95,7 +95,8 @@ constexpr bool Response<T>::*kRouteFlags[] = {
 };
 
 /// Response envelope header (kResponse / kReplicaAck); followed by x
-/// (T[nx]) on success or the error message bytes (char[nx]) on failure.
+/// (T[nx]) on success or the error message bytes (char[nx]) on failure,
+/// then by the recovery trail's nattempts attempt records.
 struct RespHeader {
   std::uint64_t id = 0;
   std::uint64_t ok = 0;
@@ -105,6 +106,20 @@ struct RespHeader {
   std::int64_t refine_iterations = 0;
   std::int64_t precision = 0;  ///< static_cast<int>(Precision)
   std::int64_t nx = 0;
+  std::int64_t final_rung = 0;       ///< RecoveryTrail::final_rung
+  std::uint64_t trail_recovered = 0;  ///< RecoveryTrail::recovered
+  std::int64_t nattempts = 0;
+};
+
+/// One RecoveryAttempt in the response envelope; followed by its detail
+/// text (char[ndetail]).
+struct AttemptRecord {
+  std::int64_t rung = 0;
+  std::uint64_t success = 0;
+  double berr = 0.0;
+  double pivot_growth = 0.0;
+  std::int64_t trigger = 0;
+  std::int64_t ndetail = 0;
 };
 
 /// Raw wire form of a rank-local histogram (kMetrics), merged on the
@@ -197,15 +212,35 @@ std::vector<std::byte> pack_response(std::uint64_t id, const Outcome<T>& o,
   h.refine_iterations = r.refine_iterations;
   h.precision = static_cast<std::int64_t>(r.precision);
   h.nx = static_cast<std::int64_t>(o.ok ? r.x.size() : o.message.size());
+  h.final_rung = static_cast<std::int64_t>(r.recovery.final_rung);
+  h.trail_recovered = r.recovery.recovered ? 1 : 0;
+  h.nattempts = static_cast<std::int64_t>(r.recovery.attempts.size());
   const std::size_t payload =
       o.ok ? r.x.size() * sizeof(T) : o.message.size();
-  std::vector<std::byte> w(sizeof h + payload);
-  std::memcpy(w.data(), &h, sizeof h);
-  if (payload > 0)
-    std::memcpy(w.data() + sizeof h,
-                o.ok ? static_cast<const void*>(r.x.data())
-                     : static_cast<const void*>(o.message.data()),
-                payload);
+  std::size_t trail = 0;
+  for (const RecoveryAttempt& a : r.recovery.attempts)
+    trail += sizeof(AttemptRecord) + a.detail.size();
+  std::vector<std::byte> w(sizeof h + payload + trail);
+  std::byte* p = w.data();
+  auto put = [&](const void* src, std::size_t bytes) {
+    if (bytes > 0) std::memcpy(p, src, bytes);
+    p += bytes;
+  };
+  put(&h, sizeof h);
+  put(o.ok ? static_cast<const void*>(r.x.data())
+           : static_cast<const void*>(o.message.data()),
+      payload);
+  for (const RecoveryAttempt& a : r.recovery.attempts) {
+    AttemptRecord rec;
+    rec.rung = static_cast<std::int64_t>(a.rung);
+    rec.success = a.success ? 1 : 0;
+    rec.berr = a.berr;
+    rec.pivot_growth = a.pivot_growth;
+    rec.trigger = static_cast<std::int64_t>(a.trigger);
+    rec.ndetail = static_cast<std::int64_t>(a.detail.size());
+    put(&rec, sizeof rec);
+    put(a.detail.data(), a.detail.size());
+  }
   return w;
 }
 
@@ -224,18 +259,41 @@ Outcome<T> unpack_response(const minimpi::Message& m, RespHeader& h) {
   r.refine_iterations = static_cast<int>(h.refine_iterations);
   r.precision = static_cast<Precision>(h.precision);
   const auto nx = static_cast<std::size_t>(h.nx);
-  const std::size_t want =
-      sizeof h + nx * (o.ok ? sizeof(T) : sizeof(char));
-  GESP_CHECK(h.nx >= 0 && m.data.size() == want, Errc::comm,
-             "shard: mangled response envelope");
+  const std::size_t elem = o.ok ? sizeof(T) : sizeof(char);
+  GESP_CHECK(h.nx >= 0 && h.nattempts >= 0 &&
+                 nx <= (m.data.size() - sizeof h) / elem,
+             Errc::comm, "shard: mangled response envelope");
+  std::size_t at = sizeof h + nx * elem;
+  const std::byte* body = m.data.data();
   if (o.ok) {
     r.x.resize(nx);
-    if (nx > 0)
-      std::memcpy(r.x.data(), m.data.data() + sizeof h, nx * sizeof(T));
+    if (nx > 0) std::memcpy(r.x.data(), body + sizeof h, nx * sizeof(T));
   } else {
-    o.message.assign(
-        reinterpret_cast<const char*>(m.data.data()) + sizeof h, nx);
+    o.message.assign(reinterpret_cast<const char*>(body) + sizeof h, nx);
   }
+  r.recovery.final_rung = static_cast<RecoveryRung>(h.final_rung);
+  r.recovery.recovered = h.trail_recovered != 0;
+  for (std::int64_t i = 0; i < h.nattempts; ++i) {
+    AttemptRecord rec;
+    GESP_CHECK(m.data.size() - at >= sizeof rec, Errc::comm,
+               "shard: mangled response envelope");
+    std::memcpy(&rec, body + at, sizeof rec);
+    at += sizeof rec;
+    const auto nd = static_cast<std::size_t>(rec.ndetail);
+    GESP_CHECK(rec.ndetail >= 0 && m.data.size() - at >= nd, Errc::comm,
+               "shard: mangled response envelope");
+    RecoveryAttempt a;
+    a.rung = static_cast<RecoveryRung>(rec.rung);
+    a.success = rec.success != 0;
+    a.berr = rec.berr;
+    a.pivot_growth = rec.pivot_growth;
+    a.trigger = static_cast<RecoveryTrigger>(rec.trigger);
+    a.detail.assign(reinterpret_cast<const char*>(body) + at, nd);
+    at += nd;
+    r.recovery.attempts.push_back(std::move(a));
+  }
+  GESP_CHECK(at == m.data.size(), Errc::comm,
+             "shard: mangled response envelope");
   return o;
 }
 

@@ -22,7 +22,7 @@
 namespace gesp::tune {
 namespace {
 
-constexpr const char* kCacheHeader = "gesp-tune-cache v1";
+constexpr const char* kCacheHeader = "gesp-tune-cache v2";
 
 /// Minimum measured seconds per timing point: repeat the kernel until the
 /// clock resolution stops dominating, then divide by the repeat count.
@@ -112,40 +112,6 @@ double measure_pair_overhead(int reps) {
     dense::gemm_minus_scatter(2, 2, 2, a.data(), 2, bb.data(), 2, c.data(),
                               2, nullptr, nullptr);
   });
-}
-
-/// One p-thread condition-variable rendezvous — the cost the fork-join
-/// schedule pays once per etree level. Thread spawn/join amortizes over
-/// the iteration count.
-double measure_barrier(int p, int iters, int reps) {
-  double best = 1e300;
-  for (int r = 0; r < std::max(1, reps); ++r) {
-    std::mutex mu;
-    std::condition_variable cv;
-    int waiting = 0;
-    long generation = 0;
-    auto rendezvous = [&] {
-      std::unique_lock<std::mutex> lk(mu);
-      const long gen = generation;
-      if (++waiting == p) {
-        waiting = 0;
-        ++generation;
-        cv.notify_all();
-      } else {
-        cv.wait(lk, [&] { return generation != gen; });
-      }
-    };
-    Timer t;
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(p));
-    for (int i = 0; i < p; ++i)
-      threads.emplace_back([&] {
-        for (int it = 0; it < iters; ++it) rendezvous();
-      });
-    for (auto& th : threads) th.join();
-    best = std::min(best, t.seconds() / iters);
-  }
-  return best;
 }
 
 /// Per-task enqueue+dispatch cost of a mutex+condvar work queue — what
@@ -315,12 +281,10 @@ Calibration calibrate(const CalibrateOptions& opt) {
              "calibrate: no usable block sizes (need b >= 2)");
   fit_rate_curve(cal.kernels, &cal.flop_rate, &cal.block_half);
   cal.pair_overhead_s = measure_pair_overhead(opt.reps);
-  // Scheduler overheads measured against the same primitives the numeric
-  // phase uses: a 4-thread condvar rendezvous per fork-join level, a
-  // queue enqueue+dispatch per task-DAG task. Both are microseconds-scale
-  // — thousands of times the pair overhead — and they are what decides
-  // serial vs parallel (and fork-join vs task-DAG) on small matrices.
-  cal.barrier_overhead_s = measure_barrier(4, 512, 2);
+  // Scheduler overhead measured against the primitive the task DAG uses:
+  // a queue enqueue+dispatch per task. It is microseconds-scale —
+  // thousands of times the pair overhead — and it is what decides one
+  // thread vs several on small matrices.
   cal.task_overhead_s = measure_task_dispatch(3, 4096, 2);
   if (opt.comm_probes)
     measure_comm(opt.pingpong_msgs, &cal.latency_s, &cal.bandwidth_Bps);
@@ -335,8 +299,6 @@ Calibration calibrate(const CalibrateOptions& opt) {
   reg.gauge("tune.calibrate.bandwidth_bytes").set(cal.bandwidth_Bps);
   reg.gauge("tune.calibrate.pair_overhead_seconds").set(cal.pair_overhead_s);
   reg.gauge("tune.calibrate.task_overhead_seconds").set(cal.task_overhead_s);
-  reg.gauge("tune.calibrate.barrier_overhead_seconds")
-      .set(cal.barrier_overhead_s);
   reg.counter("tune.calibrations").inc();
   return cal;
 }
@@ -356,9 +318,6 @@ std::string Calibration::to_text() const {
   std::snprintf(buf, sizeof buf, "pair_overhead %.17g\n", pair_overhead_s);
   out << buf;
   std::snprintf(buf, sizeof buf, "task_overhead %.17g\n", task_overhead_s);
-  out << buf;
-  std::snprintf(buf, sizeof buf, "barrier_overhead %.17g\n",
-                barrier_overhead_s);
   out << buf;
   for (const auto& k : kernels) {
     std::snprintf(buf, sizeof buf, "kernel %lld %.17g %.17g %.17g\n",
@@ -405,8 +364,6 @@ bool Calibration::from_text(const std::string& text, Calibration* out) {
       cal.pair_overhead_s = v;
     else if (std::strcmp(key, "task_overhead") == 0)
       cal.task_overhead_s = v;
-    else if (std::strcmp(key, "barrier_overhead") == 0)
-      cal.barrier_overhead_s = v;
     else
       return false;  // unknown key: refuse to guess
     any = true;

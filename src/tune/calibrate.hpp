@@ -10,11 +10,9 @@
 //     (block lookup, position mapping, scatter) PR 7's profiling showed
 //     dominates small-supernode matrices, measured as the per-call cost of
 //     a tiny GEMM;
-//   * scheduler overheads — a p-thread condition-variable rendezvous (the
-//     fork-join schedule's per-level barrier) and the per-task cost of a
-//     mutex+condvar work queue (the task-DAG's enqueue+dispatch), both
-//     microseconds-scale and decisive for small matrices where serial
-//     beats every parallel schedule;
+//   * scheduler overhead — the per-task cost of a mutex+condvar work queue
+//     (the task DAG's enqueue+dispatch), microseconds-scale and decisive
+//     for small matrices where one thread beats the parallel run;
 //   * MiniMPI transport — ping-pong for per-message latency (alpha) and a
 //     large-message round trip for bandwidth (beta), plus an allreduce
 //     sanity probe.
@@ -54,10 +52,6 @@ struct Calibration {
   /// Per-task overhead of the task-DAG scheduler (enqueue + dispatch
   /// through a mutex+condvar work queue).
   double task_overhead_s = 1.0e-6;
-  /// One p-thread condition-variable rendezvous — what the fork-join
-  /// schedule pays per etree level. Microseconds-scale on real hosts;
-  /// modeling it as ~free is what made fork-join look universally cheap.
-  double barrier_overhead_s = 1.2e-5;
   std::vector<KernelSample> kernels;  ///< raw points behind the fit
   bool measured = false;              ///< false: defaults, never probed
   std::string source = "default";     ///< "measured" | "cache" | "default"

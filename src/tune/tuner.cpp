@@ -19,7 +19,6 @@ struct StructCosts {
   double flop_s = 0.0;       ///< compute part of total_s
   double pair_s = 0.0;       ///< overhead part of total_s
   double crit_s = 0.0;       ///< critical-path seconds through the etree
-  double levels = 0.0;       ///< etree height in supernodes
   double mean_width = 0.0;   ///< n / nsup
 };
 
@@ -27,7 +26,7 @@ StructCosts structure_costs(const symbolic::SymbolicLU& S,
                             const Calibration& cal) {
   StructCosts out;
   const auto usn = static_cast<std::size_t>(S.nsup);
-  std::vector<double> child_crit(usn, 0.0), child_depth(usn, 0.0);
+  std::vector<double> child_crit(usn, 0.0);
   for (index_t K = 0; K < S.nsup; ++K) {
     const double w = static_cast<double>(S.block_cols(K));
     double lrows = 0.0, ucols = 0.0;
@@ -59,14 +58,11 @@ StructCosts structure_costs(const symbolic::SymbolicLU& S,
     out.flop_s += flop_sec;
     out.pair_s += pair_sec;
     const double crit = cost + child_crit[static_cast<std::size_t>(K)];
-    const double depth = 1.0 + child_depth[static_cast<std::size_t>(K)];
     out.crit_s = std::max(out.crit_s, crit);
-    out.levels = std::max(out.levels, depth);
     const index_t parent = S.sn_parent[static_cast<std::size_t>(K)];
     if (parent >= 0) {
       auto up = static_cast<std::size_t>(parent);
       child_crit[up] = std::max(child_crit[up], crit);
-      child_depth[up] = std::max(child_depth[up], depth);
     }
   }
   out.total_s = out.flop_s + out.pair_s;
@@ -74,12 +70,6 @@ StructCosts structure_costs(const symbolic::SymbolicLU& S,
                                     static_cast<double>(S.nsup)
                               : 0.0;
   return out;
-}
-
-numeric::Schedule resolve_schedule(numeric::Schedule s, int threads) {
-  if (s != numeric::Schedule::kAuto) return s;
-  return threads > 1 ? numeric::Schedule::kTaskDag
-                     : numeric::Schedule::kForkJoin;
 }
 
 /// Divisor pairs of P in deterministic order: (1,P), ..., (P,1).
@@ -100,8 +90,8 @@ double Tuner::correction() const {
   return correction_;
 }
 
-PredictedCost Tuner::predict(const symbolic::SymbolicLU& S, int num_threads,
-                             numeric::Schedule schedule) const {
+PredictedCost Tuner::predict(const symbolic::SymbolicLU& S,
+                             int num_threads) const {
   const StructCosts c = structure_costs(S, cal_);
   PredictedCost out;
   const int p = std::max(1, num_threads);
@@ -112,12 +102,9 @@ PredictedCost Tuner::predict(const symbolic::SymbolicLU& S, int num_threads,
     return out;
   }
   const double lower = std::max(c.total_s / p, c.crit_s);
+  // One enqueue+dispatch per supernode task.
   const double sched_over =
-      resolve_schedule(schedule, p) == numeric::Schedule::kForkJoin
-          // One p-thread condvar rendezvous per etree level.
-          ? c.levels * cal_.barrier_overhead_s
-          // One enqueue+dispatch per supernode task.
-          : static_cast<double>(S.nsup) * cal_.task_overhead_s;
+      static_cast<double>(S.nsup) * cal_.task_overhead_s;
   out.flop_seconds = c.flop_s / p;
   out.overhead_seconds = c.pair_s / p + sched_over;
   out.seconds = lower + sched_over;
@@ -140,14 +127,12 @@ TuneDecision Tuner::decide_shared(const TuneInputs& in) {
   // The request's own predicted cost is the bar every candidate must clear.
   TuneDecision d;
   d.max_block = b_req;
-  d.schedule = req.schedule;
   d.num_threads = p_req;
   d.precision = req.precision;
   d.pr = req.dist.pr;
   d.pc = req.dist.pc;
   d.pipelined = req.dist.pipelined;
-  const PredictedCost req_cost =
-      predict(*in.sym, p_req, resolve_schedule(req.schedule, p_req));
+  const PredictedCost req_cost = predict(*in.sym, p_req);
   d.predicted_default_seconds = req_cost.seconds * corr;
   d.predicted_seconds = d.predicted_default_seconds;
 
@@ -162,7 +147,6 @@ TuneDecision Tuner::decide_shared(const TuneInputs& in) {
 
   index_t best_b = b_req;
   int best_p = p_req;
-  numeric::Schedule best_s = resolve_schedule(req.schedule, p_req);
   double best_t = req_cost.seconds;
 
   for (const index_t b : blocks) {
@@ -177,53 +161,31 @@ TuneDecision Tuner::decide_shared(const TuneInputs& in) {
       S = &alt;
     }
     for (const int p : threads) {
-      std::vector<numeric::Schedule> scheds;
-      if (p <= 1)
-        scheds = {numeric::Schedule::kForkJoin};  // serial: name irrelevant
-      else if (opt_.tune_schedule)
-        scheds = {numeric::Schedule::kTaskDag, numeric::Schedule::kForkJoin};
-      else
-        scheds = {resolve_schedule(req.schedule, p)};
-      for (const numeric::Schedule s : scheds) {
-        const double t = predict(*S, p, s).seconds;
-        // Strict improvement, deterministic tie-breaks: smaller block,
-        // then more threads, then task-DAG.
-        const bool better =
-            t < best_t ||
-            (t == best_t &&
-             (b < best_b || (b == best_b && (p > best_p ||
-              (p == best_p && s == numeric::Schedule::kTaskDag &&
-               best_s != numeric::Schedule::kTaskDag)))));
-        if (better) {
-          best_b = b;
-          best_p = p;
-          best_s = s;
-          best_t = t;
-        }
+      const double t = predict(*S, p).seconds;
+      // Strict improvement, deterministic tie-breaks: smaller block, then
+      // more threads.
+      const bool better =
+          t < best_t ||
+          (t == best_t && (b < best_b || (b == best_b && p > best_p)));
+      if (better) {
+        best_b = b;
+        best_p = p;
+        best_t = t;
       }
     }
   }
 
-  const bool config_differs =
-      best_b != b_req || best_p != p_req ||
-      best_s != resolve_schedule(req.schedule, p_req);
+  const bool config_differs = best_b != b_req || best_p != p_req;
   if (config_differs && best_t * opt_.min_gain < req_cost.seconds) {
     d.changed = true;
     d.max_block = best_b;
     d.num_threads = best_p;
-    // Schedule: express "serial" as num_threads 1 + kAuto, anything else
-    // explicitly, so the decision round-trips through SolverOptions as the
-    // exact configuration the determinism tests pass by hand.
-    d.schedule = best_p <= 1 ? numeric::Schedule::kAuto : best_s;
     d.predicted_seconds = best_t * corr;
     char buf[160];
     std::snprintf(buf, sizeof buf,
-                  "block %lld->%lld threads %d->%d %s (%.3gs -> %.3gs)",
+                  "block %lld->%lld threads %d->%d (%.3gs -> %.3gs)",
                   static_cast<long long>(b_req),
                   static_cast<long long>(best_b), p_req, best_p,
-                  best_p <= 1 ? "serial"
-                  : best_s == numeric::Schedule::kTaskDag ? "taskdag"
-                                                          : "forkjoin",
                   d.predicted_default_seconds, d.predicted_seconds);
     d.note = buf;
   } else {
@@ -261,7 +223,6 @@ TuneDecision Tuner::decide_dist(const TuneInputs& in) {
 
   TuneDecision d;
   d.max_block = b_req;
-  d.schedule = req.schedule;
   d.num_threads = std::max(1, in.max_threads);
   d.precision = req.precision;
   d.pr = req_grid.pr;

@@ -7,9 +7,9 @@
 //     candidate so each block size is priced against the structure it
 //     actually produces (fill from relaxation vs kernel rate vs pair
 //     overhead);
-//   * thread count and schedule — task-DAG vs fork-join vs plain serial,
-//     priced as max(work/p, critical path) + scheduling overhead, which is
-//     what makes the tuner drop tiny circuit matrices back to one thread;
+//   * thread count — the task DAG at p threads vs one thread, priced as
+//     max(work/p, critical path) + per-task overhead, which is what makes
+//     the tuner drop tiny circuit matrices back to one thread;
 //   * grid shape and look-ahead (distributed) — every candidate is replayed
 //     through dist::simulate_factorization with the calibrated machine;
 //   * precision — optional (off by default): mixed-precision demotion is a
@@ -32,7 +32,7 @@ struct TunerOptions {
   /// Candidate block sizes (the requested one is always considered too).
   std::vector<index_t> block_candidates{8, 12, 16, 24, 32, 48};
   bool tune_block = true;
-  bool tune_schedule = true;  ///< thread count + task-DAG vs fork-join
+  bool tune_schedule = true;  ///< thread count: p threads vs one
   bool tune_grid = true;      ///< dist only: grid shape + look-ahead
   /// Allow proposing Precision::mixed for double requests on wide-supernode
   /// matrices. Off by default: precision changes answers, not just time.
@@ -64,10 +64,10 @@ class Tuner : public TunerBase {
   /// until the first observe().
   double correction() const;
 
-  /// Shared-memory cost model for one (structure, threads, schedule)
-  /// configuration; public for tests and the bench.
-  PredictedCost predict(const symbolic::SymbolicLU& S, int num_threads,
-                        numeric::Schedule schedule) const;
+  /// Shared-memory cost model for one (structure, threads) configuration;
+  /// public for tests and the bench.
+  PredictedCost predict(const symbolic::SymbolicLU& S,
+                        int num_threads) const;
 
  private:
   TuneDecision decide_shared(const TuneInputs& in);

@@ -82,19 +82,18 @@ void expect_delta_bitwise(const sparse::CscMatrix<double>& A0,
   }
 }
 
-SolverOptions schedule_opts(int threads, numeric::Schedule s) {
+SolverOptions thread_opts(int threads) {
   SolverOptions opt;
   opt.num_threads = threads;
   if (threads > 1) opt.backend = Backend::threaded;
-  opt.schedule = s;
   return opt;
 }
 
 // ---------------------------------------------------------------------------
-// The tentpole guarantee: partial == full, bitwise, on every schedule.
+// The tentpole guarantee: partial == full, bitwise, at every thread count.
 
 TEST(DeltaBitwise, PartialEqualsFullSerial) {
-  const auto opt = schedule_opts(1, numeric::Schedule::kAuto);
+  const auto opt = thread_opts(1);
   expect_delta_bitwise(sparse::circuit_like(1200, 6, 12, 3), opt,
                        "circuit/serial");
   expect_delta_bitwise(
@@ -107,16 +106,8 @@ TEST(DeltaBitwise, PartialEqualsFullSerial) {
                        "device/serial");
 }
 
-TEST(DeltaBitwise, PartialEqualsFullForkJoin) {
-  const auto opt = schedule_opts(4, numeric::Schedule::kForkJoin);
-  expect_delta_bitwise(sparse::circuit_like(1200, 6, 12, 3), opt,
-                       "circuit/forkjoin");
-  expect_delta_bitwise(sparse::device_like(24, 10, 4, 9), opt,
-                       "device/forkjoin");
-}
-
 TEST(DeltaBitwise, PartialEqualsFullTaskDag) {
-  const auto opt = schedule_opts(4, numeric::Schedule::kTaskDag);
+  const auto opt = thread_opts(4);
   expect_delta_bitwise(sparse::circuit_like(1200, 6, 12, 3), opt,
                        "circuit/taskdag");
   expect_delta_bitwise(sparse::device_like(24, 10, 4, 9), opt,
@@ -124,7 +115,7 @@ TEST(DeltaBitwise, PartialEqualsFullTaskDag) {
 }
 
 TEST(DeltaBitwise, TestbedEntries) {
-  const auto opt = schedule_opts(1, numeric::Schedule::kAuto);
+  const auto opt = thread_opts(1);
   for (const char* name : {"west0497-s", "orsirr-s", "add20-s"})
     expect_delta_bitwise(sparse::testbed_entry(name).make(), opt,
                          std::string("testbed:") + name);

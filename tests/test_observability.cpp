@@ -205,7 +205,6 @@ void run_traced_workload() {
       symbolic::analyze(A, {}));
   numeric::NumericOptions nopt;
   nopt.num_threads = 4;
-  nopt.schedule = numeric::Schedule::kTaskDag;
   numeric::LUFactors<double> F(sym, A, nopt);
 
   minimpi::World world(4);
@@ -309,7 +308,6 @@ TEST(Trace, DisabledTracingLeavesFactorsBitwiseIdentical) {
       symbolic::analyze(A, {}));
   numeric::NumericOptions nopt;
   nopt.num_threads = 4;
-  nopt.schedule = numeric::Schedule::kTaskDag;
 
   trace::stop();
   numeric::LUFactors<double> F_off(sym, A, nopt);

@@ -300,8 +300,7 @@ TEST(ServeCache, SingleEntriesCostHalfUnderOneBudget) {
 // FTZ/DAZ mode the float path runs under) must not depend on scheduling.
 
 void expect_bitwise_equal_float_factors(const sparse::CscMatrix<double>& Ad,
-                                        int threads,
-                                        numeric::Schedule schedule) {
+                                        int threads) {
   const auto A = to_single(Ad);
   // Pattern-only analysis runs on the double matrix, exactly as the mixed
   // driver does before handing the symbolic structure to float numerics.
@@ -310,7 +309,6 @@ void expect_bitwise_equal_float_factors(const sparse::CscMatrix<double>& Ad,
   numeric::NumericOptions serial;
   numeric::NumericOptions smp;
   smp.num_threads = threads;
-  smp.schedule = schedule;
   numeric::LUFactors<float> F1(sym, A, serial);
   numeric::LUFactors<float> F2(sym, A, smp);
   EXPECT_EQ(testing::max_abs_diff(F1.l_matrix(), F2.l_matrix()), 0.0);
@@ -318,18 +316,15 @@ void expect_bitwise_equal_float_factors(const sparse::CscMatrix<double>& Ad,
 }
 
 TEST(FloatSmpLU, BitwiseEqualGrid4Threads) {
-  expect_bitwise_equal_float_factors(sparse::convdiff2d(16, 14, 1.0, 0.5), 4,
-                                     numeric::Schedule::kAuto);
+  expect_bitwise_equal_float_factors(sparse::convdiff2d(16, 14, 1.0, 0.5), 4);
 }
 
 TEST(FloatSmpLU, TaskDagBitwiseEqualCircuit4Threads) {
-  expect_bitwise_equal_float_factors(sparse::circuit_like(500, 5, 12, 4), 4,
-                                     numeric::Schedule::kTaskDag);
+  expect_bitwise_equal_float_factors(sparse::circuit_like(500, 5, 12, 4), 4);
 }
 
 TEST(FloatSmpLU, TaskDagBitwiseEqualDevice8Threads) {
-  expect_bitwise_equal_float_factors(sparse::device_like(12, 16, 100, 3), 8,
-                                     numeric::Schedule::kTaskDag);
+  expect_bitwise_equal_float_factors(sparse::device_like(12, 16, 100, 3), 8);
 }
 
 }  // namespace

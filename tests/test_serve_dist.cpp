@@ -359,6 +359,7 @@ struct Served {
   bool pattern_hit = false, value_hit = false, value_delta = false;
   bool recovered = false, hostile = false;
   Precision precision = Precision::double_;
+  RecoveryTrail recovery;
 };
 
 /// Warm the base values, then replay one request stream: value hit, delta
@@ -393,6 +394,7 @@ std::vector<Served> replay_stream(const serve::ServiceOptions& opt) {
       s.recovered = r.recovered;
       s.hostile = r.hostile;
       s.precision = r.precision;
+      s.recovery = r.recovery;
     } catch (const Error& e) {
       s.code = e.code();
     }
@@ -447,6 +449,19 @@ TEST(ServeDist, RequestStreamMatchesAcrossBackends) {
       EXPECT_EQ(got[i].recovered, want[i].recovered);
       EXPECT_EQ(got[i].hostile, want[i].hostile);
       EXPECT_EQ(got[i].precision, want[i].precision);
+      // The recovery trail crosses the shard wire intact.
+      const RecoveryTrail& gt = got[i].recovery;
+      const RecoveryTrail& wt = want[i].recovery;
+      ASSERT_EQ(gt.attempts.size(), wt.attempts.size());
+      for (std::size_t k = 0; k < wt.attempts.size(); ++k) {
+        EXPECT_EQ(gt.attempts[k].rung, wt.attempts[k].rung) << "attempt " << k;
+        EXPECT_EQ(gt.attempts[k].trigger, wt.attempts[k].trigger)
+            << "attempt " << k;
+        EXPECT_EQ(gt.attempts[k].success, wt.attempts[k].success)
+            << "attempt " << k;
+      }
+      EXPECT_EQ(gt.final_rung, wt.final_rung);
+      EXPECT_EQ(gt.recovered, wt.recovered);
     }
   }
 }

@@ -1,14 +1,16 @@
-// Shared-memory (SuperLU_MT-style) factorization tests: the threaded
-// numeric phase must produce BITWISE identical factors to the serial one
-// (fork-join with per-iteration barriers and disjoint owner groups),
-// across thread counts and matrix classes — including the thread pool
-// itself.
+// Shared-memory factorization tests: the elimination sweep run as a task
+// DAG must produce BITWISE identical factors to the same sweep run in its
+// stated order on one thread, across thread counts and matrix classes —
+// including the thread pool and task graph themselves, and the growth
+// abort's report.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 
 #include "common/thread_pool.hpp"
 #include "core/solver.hpp"
@@ -59,18 +61,6 @@ TEST(ThreadPool, SingleThreadRunsInline) {
 TEST(ThreadPool, EmptyRangeIsNoop) {
   ThreadPool pool(4);
   pool.parallel_for(0, [&](index_t, index_t, int) { FAIL(); });
-}
-
-TEST(ThreadPool, GrainRunsInlineBelowThreshold) {
-  ThreadPool pool(4);
-  pool.parallel_for(
-      3,
-      [&](index_t lo, index_t hi, int w) {
-        EXPECT_EQ(w, 0);  // single inline chunk on the calling thread
-        EXPECT_EQ(lo, 0);
-        EXPECT_EQ(hi, 3);
-      },
-      /*grain=*/4);
 }
 
 TEST(TaskGraph, ChainRunsInOrder) {
@@ -129,15 +119,13 @@ TEST(TaskGraph, PropagatesTaskException) {
 }
 
 template <class T>
-void expect_bitwise_equal_factors(
-    const sparse::CscMatrix<T>& A, int threads,
-    numeric::Schedule schedule = numeric::Schedule::kAuto) {
+void expect_bitwise_equal_factors(const sparse::CscMatrix<T>& A,
+                                  int threads) {
   auto sym = std::make_shared<const symbolic::SymbolicLU>(
       symbolic::analyze(A, {}));
   numeric::NumericOptions serial;
   numeric::NumericOptions smp;
   smp.num_threads = threads;
-  smp.schedule = schedule;
   numeric::LUFactors<T> F1(sym, A, serial);
   numeric::LUFactors<T> F2(sym, A, smp);
   EXPECT_EQ(testing::max_abs_diff(F1.l_matrix(), F2.l_matrix()), 0.0);
@@ -165,39 +153,25 @@ TEST(SmpLU, BitwiseEqualComplex) {
       sparse::randomize_phases(sparse::convdiff2d(12, 12, 1.0, 0.5), 5), 3);
 }
 
-// Explicit-schedule determinism: both the fork-join baseline and the
-// etree task DAG must reproduce the serial factors bit for bit.
-TEST(SmpLU, TaskDagBitwiseEqual2Threads) {
-  expect_bitwise_equal_factors(sparse::convdiff2d(16, 14, 1.0, 0.5), 2,
-                               numeric::Schedule::kTaskDag);
-}
-
+// More thread counts per matrix class for the task DAG.
 TEST(SmpLU, TaskDagBitwiseEqual4Threads) {
-  expect_bitwise_equal_factors(sparse::device_like(12, 16, 100, 3), 4,
-                               numeric::Schedule::kTaskDag);
+  expect_bitwise_equal_factors(sparse::device_like(12, 16, 100, 3), 4);
 }
 
 TEST(SmpLU, TaskDagBitwiseEqual8Threads) {
-  expect_bitwise_equal_factors(sparse::circuit_like(500, 5, 12, 4), 8,
-                               numeric::Schedule::kTaskDag);
+  expect_bitwise_equal_factors(sparse::circuit_like(500, 5, 12, 4), 8);
 }
 
 TEST(SmpLU, TaskDagBitwiseEqualComplex) {
   expect_bitwise_equal_factors(
-      sparse::randomize_phases(sparse::convdiff2d(12, 12, 1.0, 0.5), 5), 4,
-      numeric::Schedule::kTaskDag);
-}
-
-TEST(SmpLU, ForkJoinBitwiseEqual4Threads) {
-  expect_bitwise_equal_factors(sparse::convdiff2d(16, 14, 1.0, 0.5), 4,
-                               numeric::Schedule::kForkJoin);
+      sparse::randomize_phases(sparse::convdiff2d(12, 12, 1.0, 0.5), 5), 4);
 }
 
 // Scalar supernodes (max_block = 1): every update pair is a 1x1x1
 // gemm_minus_scatter call, so the work is nearly all per-pair bookkeeping and
-// each owner group holds many tiny pairs. Fork-join splits the work of one
+// each owner group holds many tiny pairs. The task DAG splits the work of one
 // K by owner group; its factors must still match serial byte for byte.
-TEST(SmpLU, ForkJoinOwnerGroupsScalarPairsBitwise) {
+TEST(SmpLU, OwnerGroupsScalarPairsBitwise) {
   const auto A = sparse::circuit_like(600, 5, 12, 11);
   symbolic::SymbolicOptions so;
   so.max_block = 1;
@@ -213,7 +187,6 @@ TEST(SmpLU, ForkJoinOwnerGroupsScalarPairsBitwise) {
     SCOPED_TRACE(threads);
     numeric::NumericOptions smp;
     smp.num_threads = threads;
-    smp.schedule = numeric::Schedule::kForkJoin;
     numeric::LUFactors<double> F2(sym, A, smp);
     for (index_t K = 0; K < sym->nsup; ++K) {
       EXPECT_TRUE(testing::same_bytes(F1.l_store(K), F2.l_store(K)))
@@ -229,7 +202,65 @@ TEST(SmpLU, TaskDagBitwiseEqualTestbed) {
   for (const char* name : {"orsirr-s", "saylr-s", "jpwh991-s", "struct-b-s"}) {
     SCOPED_TRACE(name);
     const auto A = sparse::testbed_entry(name).make();
-    expect_bitwise_equal_factors(A, 4, numeric::Schedule::kTaskDag);
+    expect_bitwise_equal_factors(A, 4);
+  }
+}
+
+// The growth abort reports the same error on every thread count: the sweep
+// stops at the first supernode whose growth crosses the threshold, and the
+// task DAG still finishes every earlier supernode, so the trigger, the
+// growth and the "stopped early" note all match the one-thread run.
+std::string growth_abort_message(const std::function<void()>& run) {
+  try {
+    run();
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), Errc::unstable);
+    return e.what();
+  }
+  ADD_FAILURE() << "expected Errc::unstable from the growth monitor";
+  return {};
+}
+
+SolverOptions growth_abort_options(int threads) {
+  SolverOptions opt;
+  opt.col_order = ColOrderOption::natural;
+  opt.growth_abort = 1e6;  // 2^45 growth crosses this mid-factorization
+  opt.num_threads = threads;
+  return opt;
+}
+
+TEST(SmpLU, GrowthAbortReportsTheSameErrorOnEveryThreadCount) {
+  const auto A = sparse::sparse_growth_adversary(300, 45, 9);
+  const std::string serial = growth_abort_message(
+      [&] { Solver<double> s(A, growth_abort_options(1)); });
+  EXPECT_NE(serial.find("(factorization stopped early)"), std::string::npos)
+      << serial;
+  for (const int threads : {2, 4}) {
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(growth_abort_message([&] {
+                Solver<double> s(A, growth_abort_options(threads));
+              }),
+              serial);
+  }
+
+  // The partial route: start from the same pattern with the Wilkinson
+  // block's -1 entries scaled by 1e-3 (no growth), then move to the
+  // adversary's values. The partial sweep must stop with the message the
+  // full factorization of those values gives.
+  auto A0 = A;
+  for (double& v : A0.values)
+    if (v == -1.0) v = -1e-3;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    SolverOptions opt = growth_abort_options(threads);
+    opt.delta.smw_max_rank = 0;          // route changes to partial...
+    opt.delta.max_dirty_fraction = 1.0;  // ...and never bail to full
+    Solver<double> s(A0, opt);
+    EXPECT_EQ(growth_abort_message([&] { s.refactorize_delta(A); }), serial);
+    EXPECT_EQ(s.stats().delta.full, 0);
+    EXPECT_EQ(s.stats().delta.smw, 0);
+    EXPECT_GT(s.stats().delta.dirty_supernodes, 0);
+    EXPECT_LT(s.stats().delta.dirty_supernodes, s.stats().nsup);
   }
 }
 

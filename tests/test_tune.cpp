@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,7 +60,7 @@ SolverOptions tuned_options(TunePolicy policy = TunePolicy::model) {
 
 bool same_choice(const TuneDecision& a, const TuneDecision& b) {
   return a.changed == b.changed && a.max_block == b.max_block &&
-         a.schedule == b.schedule && a.num_threads == b.num_threads &&
+         a.num_threads == b.num_threads &&
          a.precision == b.precision && a.pr == b.pr && a.pc == b.pc &&
          a.pipelined == b.pipelined;
 }
@@ -186,7 +187,6 @@ TEST(TuneBitwise, TunedEqualsExplicitConfig) {
   if (d.changed) {
     if (d.max_block > 0) ex.symbolic.max_block = d.max_block;
     ex.num_threads = d.num_threads;
-    ex.schedule = d.schedule;
     ex.precision = d.precision;
   }
   SolveStats se;
@@ -290,7 +290,6 @@ tune::Calibration sample_calibration() {
   cal.bandwidth_Bps = 5.5e9;
   cal.pair_overhead_s = 1.5e-7;
   cal.task_overhead_s = 8e-7;
-  cal.barrier_overhead_s = 6.5e-6;
   cal.kernels = {{16, 1.0, 0.5, 0.25}, {48, 3.0, 2.0, 1.0}};
   cal.measured = true;
   cal.source = "measured";
@@ -309,7 +308,6 @@ TEST(Calibration, TextRoundTrip) {
   EXPECT_DOUBLE_EQ(back.bandwidth_Bps, cal.bandwidth_Bps);
   EXPECT_DOUBLE_EQ(back.pair_overhead_s, cal.pair_overhead_s);
   EXPECT_DOUBLE_EQ(back.task_overhead_s, cal.task_overhead_s);
-  EXPECT_DOUBLE_EQ(back.barrier_overhead_s, cal.barrier_overhead_s);
   ASSERT_EQ(back.kernels.size(), cal.kernels.size());
   EXPECT_EQ(back.kernels[1].b, cal.kernels[1].b);
   EXPECT_DOUBLE_EQ(back.kernels[1].gemm_gflops, cal.kernels[1].gemm_gflops);
@@ -338,6 +336,36 @@ TEST(Calibration, CacheShortCircuitsTheProbes) {
   tune::Calibration loaded;
   ASSERT_TRUE(tune::load_calibration(path, &loaded));
   EXPECT_DOUBLE_EQ(loaded.block_half, 9.25);
+  std::remove(path.c_str());
+}
+
+TEST(Calibration, StaleVersionIsReprobedAndRewritten) {
+  // A v1 cache body is refused even when every key still parses, so the
+  // cached path re-probes and rewrites the file instead of reusing
+  // constants fitted for a different cost model.
+  std::string v1 = sample_calibration().to_text();
+  v1.replace(0, v1.find('\n'), "gesp-tune-cache v1");
+  tune::Calibration out;
+  EXPECT_FALSE(tune::Calibration::from_text(v1, &out));
+
+  const std::string path =
+      ::testing::TempDir() + "gesp_tune_cache_v1_test.txt";
+  {
+    std::ofstream f(path, std::ios::trunc);
+    f << v1;
+  }
+  tune::CalibrateOptions quick;
+  quick.blocks = {8, 16};
+  quick.reps = 1;
+  quick.comm_probes = false;
+  const auto cal = tune::calibrate_cached(quick, path);
+  EXPECT_EQ(cal.source, "measured");
+  EXPECT_NE(cal.flop_rate, 3.5e9);
+
+  tune::Calibration rewritten;
+  ASSERT_TRUE(tune::load_calibration(path, &rewritten));
+  EXPECT_DOUBLE_EQ(rewritten.flop_rate, cal.flop_rate);
+  EXPECT_EQ(rewritten.kernels.size(), 2u);
   std::remove(path.c_str());
 }
 

@@ -27,7 +27,7 @@
 //   --tune=off|model|probe
 //                         consult the calibrated autotuner for every
 //                         factorization the service builds (block size /
-//                         threads / schedule per matrix); probe feeds the
+//                         threads per matrix); probe feeds the
 //                         measured factor times back into the model
 //   --adapt               enable the adaptive serving controller: walks the
 //                         effective max-batch / linger / shed knobs toward
@@ -42,7 +42,8 @@
 //                         rank owning their pattern key. --workers,
 //                         --max-batch, --linger-us, --per-column and
 //                         --no-shed are single-node knobs and a usage
-//                         error under dist
+//                         error under dist; --threads > 1 is a usage
+//                         error under serial
 //   --grid=PxQ            dist: process grid (default near-square over 4)
 //   --replication=N       dist: copies of a hot pattern (default 2)
 //   --shard-entries=N, --shard-mb=N
@@ -252,6 +253,9 @@ int main(int argc, char** argv) {
            " is a single-node worker-pool knob; shards ignore it under "
            "--backend=dist")
               .c_str());
+  if (sopt.backend == Backend::serial && sopt.solver.num_threads > 1)
+    usage("--threads > 1 needs --backend=threaded; the serial backend runs "
+          "one thread");
   if (kill_rank >= 0) {
     if (sopt.backend != Backend::dist)
       usage("--kill-rank is a dist chaos knob; add --backend=dist");

@@ -31,13 +31,14 @@
 //   --tune=off|model|probe
 //                         consult the calibrated autotuner after symbolic
 //                         analysis: model applies the perf-model's pick of
-//                         block size / threads / schedule (grid shape and
+//                         block size / threads (grid shape and
 //                         look-ahead on the dist backend), probe also
 //                         feeds the measured factor time back into the
 //                         model; the report prints the decision and the
 //                         effective post-tuning configuration. Calibration
 //                         is cached across runs via GESP_TUNE_CACHE.
-//   --threads=N           shared-memory factorization threads (default 1)
+//   --threads=N           shared-memory factorization threads (default 1;
+//                         > 1 is a usage error under --backend=serial)
 //   --backend=serial|threaded|dist
 //                         execution engine; every other flag (--recover,
 //                         --repeat, --tiny, ...) means the same thing on
@@ -174,17 +175,6 @@ sparse::CscMatrix<double> load_matrix(const std::string& path,
     return io::read_harwell_boeing(path);
   } catch (const Error&) {
     return io::read_matrix_market(path);
-  }
-}
-
-const char* schedule_name(numeric::Schedule s) {
-  switch (s) {
-    case numeric::Schedule::kForkJoin:
-      return "forkjoin";
-    case numeric::Schedule::kTaskDag:
-      return "taskdag";
-    default:
-      return "auto";
   }
 }
 
@@ -340,6 +330,9 @@ int main(int argc, char** argv) {
     usage("--precision=single|mixed is not available on the dist backend");
   if (opt.backend == Backend::dist && delta_frac > 0.0)
     usage("--delta is not available on the dist backend");
+  if (opt.backend == Backend::serial && opt.num_threads > 1)
+    usage("--threads > 1 needs --backend=threaded; the serial backend runs "
+          "one thread");
 
   if (!trace_path.empty()) trace::start();
 
@@ -479,13 +472,11 @@ int main(int argc, char** argv) {
                     d.pr, d.pc,
                     d.pipelined ? "pipelined" : "strict order");
       else
-        std::printf("effective   block %lld, threads %d, schedule %s, "
-                    "precision %s\n",
+        std::printf("effective   block %lld, threads %d, precision %s\n",
                     static_cast<long long>(
                         d.max_block > 0 ? d.max_block
                                         : s.tuning.default_block),
-                    d.num_threads, schedule_name(d.schedule),
-                    precision_name(d.precision));
+                    d.num_threads, precision_name(d.precision));
       if (s.tuning.model_error > 0)
         std::printf("model       predicted %.3gs (request %.3gs), actual "
                     "%.3gs, error %.2fx\n",
