@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
       "factorization time)\n\n");
   std::vector<bench::MatrixRun> runs;
   for (const auto& e : bench::select_testbed(argc, argv))
-    runs.push_back(bench::run_gesp(e, {}, /*with_ferr=*/true));
+    runs.push_back(
+        bench::run_gesp(e, bench::paper_options(), /*with_ferr=*/true));
   std::sort(runs.begin(), runs.end(), [](const auto& a, const auto& b) {
     return a.factor_time < b.factor_time;
   });

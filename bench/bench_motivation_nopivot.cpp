@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   using namespace gesp;
   std::printf(
       "Motivation: Gaussian elimination with NO pivoting (GENP) vs GESP\n\n");
-  SolverOptions genp;
+  SolverOptions genp = bench::paper_options();
   genp.equilibrate = false;
   genp.row_perm = RowPermOption::none;
   // Fill-reducing ordering stays on: the experiment isolates *pivoting*.

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     const auto A = e.make();
     Timer t;
     // The driver's transform is part of the serial symbolic prelude.
-    Solver<double> solver(A, {});
+    Solver<double> solver(A, bench::paper_options());
     const auto& S = solver.factors().sym();
     const double symb_time = t.seconds() - solver.stats().times.get("factor");
 

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
 
   for (const auto& e : bench::select_large(argc, argv)) {
     const auto A = e.make();
-    Solver<double> solver(A, {});
+    Solver<double> solver(A, bench::paper_options());
     const auto& S = solver.factors().sym();
     std::vector<std::string> row{e.name};
     double last_mflops = 0;

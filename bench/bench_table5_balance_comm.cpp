@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   const auto grid = dist::ProcessGrid::near_square(kP);
   for (const auto& e : bench::select_large(argc, argv)) {
     const auto A = e.make();
-    Solver<double> solver(A, {});
+    Solver<double> solver(A, bench::paper_options());
     const auto& S = solver.factors().sym();
     const auto fact = dist::simulate_factorization(S, grid, {}, {});
     const auto solve = dist::simulate_solve(S, grid, {});

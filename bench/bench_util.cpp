@@ -32,6 +32,12 @@ std::vector<std::string> matrices_arg(int argc, char** argv) {
 
 }  // namespace
 
+SolverOptions paper_options() {
+  SolverOptions opt;
+  opt.col_order = ColOrderOption::amd_ata;
+  return opt;
+}
+
 MatrixRun run_gesp(const sparse::TestbedEntry& entry,
                    const SolverOptions& opt, bool with_ferr) {
   MatrixRun r;

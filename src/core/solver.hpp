@@ -3,9 +3,10 @@
 //   (1) Row/column equilibration (DGEEQU) and a row permutation moving
 //       large entries onto the diagonal (weighted bipartite matching, with
 //       the dual-variable scalings), making diagonal pivoting safe.
-//   (2) A fill-reducing column ordering (AMD on AᵀA by default) applied
-//       symmetrically so the large diagonal survives, refined by an etree
-//       postorder.
+//   (2) A fill-reducing column ordering (AMD on A+Aᵀ by default; the
+//       paper's MMD on AᵀA is ColOrderOption::amd_ata) applied
+//       symmetrically so the large diagonal survives, refined by a
+//       postorder of the A+Aᵀ etree.
 //   (3) Static-pivot supernodal LU factorization, replacing pivots smaller
 //       than sqrt(eps)·||A|| (or failing, or aggressively promoting them
 //       for SMW recovery — every knob the paper describes is exposed,
@@ -46,8 +47,15 @@ enum class RowPermOption {
 
 enum class ColOrderOption {
   natural,
-  amd_ata,      ///< AMD on the AᵀA pattern (the paper's MMD(AᵀA) successor)
-  amd_aplusat,  ///< AMD on A+Aᵀ (cheaper, for nearly symmetric structures)
+  /// AMD on the AᵀA pattern: the paper's order (the MMD(AᵀA) successor).
+  /// It bounds the fill of any row pivoting, which the static path never
+  /// does.
+  amd_ata,
+  /// AMD on A+Aᵀ, the default. With the diagonal pivots fixed,
+  /// struct(L+U) lies inside the Cholesky structure of A+Aᵀ, so this is
+  /// the pattern whose fill the factorization pays (SuperLU_DIST orders
+  /// on it after MC64 too).
+  amd_aplusat,
   rcm,          ///< reverse Cuthill–McKee
   nested_dissection,  ///< George's nested dissection on A+Aᵀ
 };
@@ -285,7 +293,7 @@ struct SolverOptions {
   /// Apply the Dr/Dc scalings produced by the mc64 duals. The paper notes
   /// matrices (FIDAPM11, JPWH_991, ORSIRR_1) that do *better* without them.
   bool mc64_scaling = true;
-  ColOrderOption col_order = ColOrderOption::amd_ata;
+  ColOrderOption col_order = ColOrderOption::amd_aplusat;
   TinyPivotOption tiny_pivot = TinyPivotOption::replace;
   /// Diagonal-block pivot strategy for the static factorization. The
   /// default (static_) is the paper's pipeline, bitwise identical to the

@@ -5,64 +5,6 @@
 #include "common/error.hpp"
 
 namespace gesp::ordering {
-namespace {
-
-/// Union-find with path halving, as used by the etree algorithms.
-class DisjointSets {
- public:
-  explicit DisjointSets(index_t n) : parent_(static_cast<std::size_t>(n)) {
-    for (index_t i = 0; i < n; ++i) parent_[i] = i;
-  }
-  index_t find(index_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  /// Link set of x under set of y; returns the new representative.
-  index_t link(index_t x, index_t y) {
-    parent_[x] = y;
-    return y;
-  }
-
- private:
-  std::vector<index_t> parent_;
-};
-
-}  // namespace
-
-template <class T>
-std::vector<index_t> column_etree(const sparse::CscMatrix<T>& A) {
-  const index_t n = A.ncols;
-  // firstcol[r]: the representative column for row r (the first column whose
-  // pattern contains r); rows are funneled through it so the etree of AᵀA
-  // emerges without forming AᵀA (Gilbert–Ng–Peyton).
-  std::vector<index_t> firstcol(static_cast<std::size_t>(A.nrows), -1);
-  std::vector<index_t> parent(static_cast<std::size_t>(n), -1);
-  std::vector<index_t> root(static_cast<std::size_t>(n));
-  DisjointSets sets(n);
-  for (index_t col = 0; col < n; ++col) {
-    index_t cset = sets.find(col);
-    root[cset] = col;
-    for (index_t p = A.colptr[col]; p < A.colptr[col + 1]; ++p) {
-      const index_t r = A.rowind[p];
-      index_t rep = firstcol[r];
-      if (rep == -1) {
-        firstcol[r] = col;
-        continue;
-      }
-      const index_t rset = sets.find(rep);
-      const index_t rroot = root[rset];
-      if (rroot != col) {
-        parent[rroot] = col;
-        cset = sets.link(rset, cset);
-        root[cset] = col;
-      }
-    }
-  }
-  return parent;
-}
 
 std::vector<index_t> sym_etree(const SymPattern& P) {
   const index_t n = P.n;
@@ -147,8 +89,5 @@ std::vector<index_t> tree_heights(std::span<const index_t> parent) {
   }
   return height;
 }
-
-template std::vector<index_t> column_etree(const sparse::CscMatrix<double>&);
-template std::vector<index_t> column_etree(const sparse::CscMatrix<Complex>&);
 
 }  // namespace gesp::ordering

@@ -1,8 +1,9 @@
 // Elimination trees and postordering (Liu).
 //
-// The column elimination tree of A — the etree of AᵀA, computed without
-// forming AᵀA — drives supernode relaxation and the distributed scheduling;
-// the symmetric etree is used when working on A+Aᵀ patterns.
+// With static pivoting the diagonal pivot order is fixed, so struct(L+U)
+// lies inside the Cholesky structure of A+Aᵀ and the A+Aᵀ etree bounds
+// what the factorization stores: symbolic::elimination_tree is sym_etree
+// of that pattern, and drives the postorder and supernode amalgamation.
 #pragma once
 
 #include <span>
@@ -10,13 +11,8 @@
 
 #include "common/types.hpp"
 #include "ordering/patterns.hpp"
-#include "sparse/csc.hpp"
 
 namespace gesp::ordering {
-
-/// Column elimination tree of A (etree of AᵀA). parent[j] == -1 for roots.
-template <class T>
-std::vector<index_t> column_etree(const sparse::CscMatrix<T>& A);
 
 /// Elimination tree of a symmetric pattern. parent[j] == -1 for roots.
 std::vector<index_t> sym_etree(const SymPattern& P);
@@ -31,10 +27,5 @@ std::vector<index_t> subtree_sizes(std::span<const index_t> parent);
 
 /// Height of each node above its deepest leaf (leaves have height 0).
 std::vector<index_t> tree_heights(std::span<const index_t> parent);
-
-extern template std::vector<index_t> column_etree(
-    const sparse::CscMatrix<double>&);
-extern template std::vector<index_t> column_etree(
-    const sparse::CscMatrix<Complex>&);
 
 }  // namespace gesp::ordering

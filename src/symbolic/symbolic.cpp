@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "ordering/etree.hpp"
+#include "ordering/patterns.hpp"
 
 namespace gesp::symbolic {
 namespace {
@@ -132,7 +133,7 @@ bool within_zero_budget(count_t w, double zero_frac) {
 
 /// Etree-chain amalgamation over the supernode boundaries `base` (size
 /// N+1): walking left to right, supernode [a,b) absorbs the next one [b,c)
-/// when b is the column-etree parent of b-1 and the merged supernode fits
+/// when b is the A+Aᵀ etree parent of b-1 and the merged supernode fits
 /// the zero budget. The estimate compares the stored L trapezoid
 /// w(w+1)/2 + w·r (w = c-a; r = rows >= c in the union of the merged
 /// columns' L structures, gathered exactly) with Σ|L(:,j)| over them.
@@ -255,7 +256,7 @@ SymbolicLU analyze(const sparse::CscMatrix<T>& A, const SymbolicOptions& opt) {
   gp_symbolic(A, Lcols, S.nnz_L, S.nnz_U, t2_join);
 
   // --- 2. supernode partition.
-  const std::vector<index_t> parent = ordering::column_etree(A);
+  const std::vector<index_t> parent = elimination_tree(A);
   S.sn_start = partition_supernodes(t2_join, Lcols, parent, opt);
   S.nsup = static_cast<index_t>(S.sn_start.size()) - 1;
   S.col_to_sn.resize(static_cast<std::size_t>(S.n));
@@ -376,8 +377,13 @@ SymbolicLU analyze(const sparse::CscMatrix<T>& A, const SymbolicOptions& opt) {
 }
 
 template <class T>
+std::vector<index_t> elimination_tree(const sparse::CscMatrix<T>& A) {
+  return ordering::sym_etree(ordering::aplusat_pattern(A));
+}
+
+template <class T>
 std::vector<index_t> etree_postorder(const sparse::CscMatrix<T>& A) {
-  return ordering::postorder(ordering::column_etree(A));
+  return ordering::postorder(elimination_tree(A));
 }
 
 void close_update_reachable(const SymbolicLU& S, std::vector<char>& dirty) {
@@ -402,6 +408,10 @@ template SymbolicLU analyze(const sparse::CscMatrix<double>&,
                             const SymbolicOptions&);
 template SymbolicLU analyze(const sparse::CscMatrix<Complex>&,
                             const SymbolicOptions&);
+template std::vector<index_t> elimination_tree(
+    const sparse::CscMatrix<double>&);
+template std::vector<index_t> elimination_tree(
+    const sparse::CscMatrix<Complex>&);
 template std::vector<index_t> etree_postorder(const sparse::CscMatrix<double>&);
 template std::vector<index_t> etree_postorder(
     const sparse::CscMatrix<Complex>&);

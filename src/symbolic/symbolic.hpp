@@ -8,8 +8,8 @@
 //  1. Gilbert–Peierls reachability symbolic LU for the fixed (diagonal)
 //     pivot order: exact per-column L patterns and exact nnz(L), nnz(U).
 //  2. Supernode detection (consecutive columns with identical L structure),
-//     relaxed amalgamation of small column-etree subtrees, amalgamation
-//     along column-etree chains under a zero budget (the paper's "merge
+//     relaxed amalgamation of small A+Aᵀ etree subtrees, amalgamation
+//     along A+Aᵀ etree chains under a zero budget (the paper's "merge
 //     small supernodes into large ones", with CHOLMOD's width-graded
 //     budget: merged width <= 4 always, <= 16 below 80% estimated zeros,
 //     <= 48 below 10%, wider below 5%), and splitting of oversized
@@ -38,7 +38,7 @@ namespace gesp::symbolic {
 
 struct SymbolicOptions {
   /// Amalgamation. relax > 0 merges each supernode into the next one
-  /// along a column-etree chain (b-1's parent is b) while the merged L
+  /// along an A+Aᵀ etree chain (b-1's parent is b) while the merged L
   /// trapezoid's estimated zero fraction fits the budget: width <= 4
   /// always, <= 16 below 80%, <= 48 below 10%, wider below 5%. relax > 1
   /// also makes every maximal etree leaf subtree of at most `relax`
@@ -101,10 +101,19 @@ template <class T>
 SymbolicLU analyze(const sparse::CscMatrix<T>& A,
                    const SymbolicOptions& opt = {});
 
+/// The one elimination tree of the static path: the etree of A+Aᵀ
+/// (parent[j] == -1 for roots). With the diagonal pivot order fixed,
+/// struct(L+U) lies inside the Cholesky structure of A+Aᵀ, so this tree
+/// bounds what the factorization stores. The postorder and both
+/// amalgamations of `analyze` read it.
+template <class T>
+std::vector<index_t> elimination_tree(const sparse::CscMatrix<T>& A);
+
 /// Convenience: compute the etree postorder refinement for a matrix that
 /// already carries its fill-reducing permutation. Returns the new-from-old
-/// permutation `post` to be applied symmetrically (it does not change fill
-/// but makes supernodes contiguous and subtrees compact).
+/// permutation `post` of elimination_tree(A) to be applied symmetrically
+/// (it does not change fill but makes supernodes contiguous and subtrees
+/// compact).
 template <class T>
 std::vector<index_t> etree_postorder(const sparse::CscMatrix<T>& A);
 
@@ -121,6 +130,10 @@ extern template SymbolicLU analyze(const sparse::CscMatrix<double>&,
                                    const SymbolicOptions&);
 extern template SymbolicLU analyze(const sparse::CscMatrix<Complex>&,
                                    const SymbolicOptions&);
+extern template std::vector<index_t> elimination_tree(
+    const sparse::CscMatrix<double>&);
+extern template std::vector<index_t> elimination_tree(
+    const sparse::CscMatrix<Complex>&);
 extern template std::vector<index_t> etree_postorder(
     const sparse::CscMatrix<double>&);
 extern template std::vector<index_t> etree_postorder(

@@ -171,9 +171,9 @@ TEST(Symbolic, ChainAmalgamationMergesOnlyEtreeChainEdges) {
   // Without the max_block split, the relaxed partition only removes
   // boundaries of the fundamental one. Each removed boundary b is either
   // inside a relaxed leaf subtree (at most `relax` columns) or a chain
-  // edge of the column etree: parent[b-1] == b.
+  // edge of the elimination tree: parent[b-1] == b.
   for (const auto& A : ordered_partition_inputs()) {
-    const std::vector<index_t> parent = ordering::column_etree(A);
+    const std::vector<index_t> parent = elimination_tree(A);
     const std::vector<index_t> size = ordering::subtree_sizes(parent);
     for (const index_t relax : {1, 8}) {
       SymbolicOptions fund, opt;
@@ -317,6 +317,30 @@ TEST(Symbolic, FlopsGrowWithFill) {
   EXPECT_GT(S1.flops, 0);
 }
 
+TEST(Symbolic, FillLiesOnEliminationTreeAncestors) {
+  // With the diagonal pivots fixed, struct(L+U) lies inside the Cholesky
+  // structure of A+Aᵀ: every fill entry (i, j) or (j, i) with i > j has i
+  // on the path from j to its root in elimination_tree(A).
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto A = random_full_diag(80, 2, 30 + seed);
+    const index_t n = A.ncols;
+    const std::vector<index_t> parent = elimination_tree(A);
+    const std::vector<char> B = dense_fill_pattern(A);
+    for (index_t j = 0; j < n; ++j) {
+      std::vector<char> ancestor(static_cast<std::size_t>(n), 0);
+      for (index_t v = parent[j]; v != -1; v = parent[v]) ancestor[v] = 1;
+      for (index_t i = j + 1; i < n; ++i) {
+        const bool l = B[i + j * static_cast<std::size_t>(n)] != 0;
+        const bool u = B[j + i * static_cast<std::size_t>(n)] != 0;
+        if (l || u) {
+          EXPECT_TRUE(ancestor[i])
+              << "seed " << seed << ": fill (" << i << ", " << j << ")";
+        }
+      }
+    }
+  }
+}
+
 TEST(Symbolic, EtreePostorderKeepsFillInvariant) {
   const auto A = sparse::convdiff2d(12, 12, 1.0, 0.5);
   const auto post = etree_postorder(A);
@@ -455,6 +479,49 @@ void expect_matches_replay(const CscMatrix<double>& A,
       }
     }
   }
+}
+
+// Stored-entry gate: amalgamation at the default relax stores at most
+// kMaxStoredGrowth times the fundamental (relax = 0) partition of the same
+// transform. Amalgamating along a tree other than the one that bounds the
+// fill broke this by two orders of magnitude.
+constexpr double kMaxStoredGrowth = 4.0;
+
+void expect_stored_within_gate(ColOrderOption order, bool skip_large) {
+  SolverOptions opt;
+  opt.col_order = order;
+  SymbolicOptions fund = opt.symbolic;
+  fund.relax = 0;
+  for (const auto& e : sparse::testbed()) {
+    if (skip_large && e.large) continue;
+    const auto At = compute_transform(e.make(), opt).At;
+    const SymbolicLU S0 = analyze(At, fund);
+    const SymbolicLU S = analyze(At, opt.symbolic);
+    const double ratio = static_cast<double>(S.stored_L + S.stored_U) /
+                         static_cast<double>(S0.stored_L + S0.stored_U);
+    EXPECT_LE(ratio, kMaxStoredGrowth)
+        << e.name << ": " << S.stored_L + S.stored_U << " stored at relax "
+        << opt.symbolic.relax << ", " << S0.stored_L + S0.stored_U
+        << " at relax 0";
+  }
+}
+
+// natural is left to bench_ablation_relax, which sweeps every order: its
+// full-testbed symbolic run is too slow for tier-1.
+TEST(StoredGate, AmdAtaOverTestbed) {
+  expect_stored_within_gate(ColOrderOption::amd_ata, false);
+}
+
+TEST(StoredGate, AmdAplusatOverTestbed) {
+  expect_stored_within_gate(ColOrderOption::amd_aplusat, false);
+}
+
+TEST(StoredGate, NestedDissectionOverTestbed) {
+  expect_stored_within_gate(ColOrderOption::nested_dissection, false);
+}
+
+TEST(StoredGate, RcmOverNonLargeTestbed) {
+  expect_stored_within_gate(ColOrderOption::rcm, true);
 }
 
 TEST(Symbolic, BlockStructureMatchesReplayOracleGenerated) {

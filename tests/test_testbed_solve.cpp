@@ -1,9 +1,12 @@
-// Integration: GESP solves the entire (non-large) testbed accurately —
-// the paper's central stability claim as an executable test. The large
-// eight are exercised by the bench harness; the designated failure case
-// (av41092-s) must *report* its failure through the stability diagnostics
-// rather than silently returning garbage.
+// Integration: GESP solves the entire testbed accurately, the large eight
+// included — the paper's central stability claim as an executable test.
+// The designated failure case (av41092-s) must *report* its failure
+// through the stability diagnostics rather than silently returning
+// garbage.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "core/solver.hpp"
 #include "sparse/ops.hpp"
@@ -12,12 +15,19 @@
 namespace gesp {
 namespace {
 
-std::vector<int> small_entries() {
+std::vector<int> entries(bool large) {
   std::vector<int> idx;
   const auto& t = sparse::testbed();
   for (int i = 0; i < static_cast<int>(t.size()); ++i)
-    if (!t[i].large && !t[i].expect_fail) idx.push_back(i);
+    if (t[i].large == large && !t[i].expect_fail) idx.push_back(i);
   return idx;
+}
+
+std::string entry_name(const ::testing::TestParamInfo<int>& info) {
+  std::string n = sparse::testbed()[static_cast<std::size_t>(info.param)].name;
+  for (char& c : n)
+    if (c == '-') c = '_';
+  return n;
 }
 
 class TestbedSolve : public ::testing::TestWithParam<int> {};
@@ -36,14 +46,9 @@ TEST_P(TestbedSolve, GespSolvesAccurately) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSmall, TestbedSolve,
-                         ::testing::ValuesIn(small_entries()),
-                         [](const auto& info) {
-                           std::string n = sparse::testbed()
-                               [static_cast<std::size_t>(info.param)].name;
-                           for (char& c : n)
-                             if (c == '-') c = '_';
-                           return n;
-                         });
+                         ::testing::ValuesIn(entries(false)), entry_name);
+INSTANTIATE_TEST_SUITE_P(Large, TestbedSolve,
+                         ::testing::ValuesIn(entries(true)), entry_name);
 
 TEST(TestbedSolve, FailureCaseIsDiagnosed) {
   const auto& e = sparse::testbed_entry("av41092-s");

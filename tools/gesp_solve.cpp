@@ -11,7 +11,9 @@
 //   --rhs=ones            b = A*ones (default; reports the true error)
 //   --rhs=random          deterministic random right-hand side
 //   --rowperm=mc64|mc21|bottleneck|none
-//   --colorder=amd|amd-apa|rcm|nd|natural
+//   --colorder=amd-apa|amd|rcm|nd|natural
+//                         fill-reducing column order: amd-apa is AMD on
+//                         A+Aᵀ (default), amd is AMD on AᵀA (the paper's)
 //   --no-equil            skip DGEEQU equilibration
 //   --no-mc64-scaling     keep the matching but drop the Dr/Dc scalings
 //   --tiny=replace|fail|smw
@@ -111,8 +113,8 @@ using namespace gesp;
   std::fprintf(stderr,
                "usage: gesp_solve MATRIX [--rhs=ones|random] "
                "[--rowperm=mc64|mc21|bottleneck|none]\n"
-               "       [--colorder=amd|amd-apa|rcm|nd|natural] [--no-equil] "
-               "[--no-mc64-scaling]\n"
+               "       [--colorder=amd-apa(default)|amd|rcm|nd|natural] "
+               "[--no-equil] [--no-mc64-scaling]\n"
                "       [--tiny=replace|fail|smw] "
                "[--precision=double|single|mixed] [--max-block=N] "
                "[--relax=N] [--ferr] [--rcond] [--recover]\n"
