@@ -11,6 +11,7 @@
 #include "common/trace.hpp"
 #include "matching/matching.hpp"
 #include "ordering/amd.hpp"
+#include "ordering/etree.hpp"
 #include "ordering/nested_dissection.hpp"
 #include "ordering/patterns.hpp"
 #include "ordering/rcm.hpp"
@@ -249,7 +250,7 @@ void Solver<T>::consult_tuner() {
     GESP_TRACE_SPAN("solver", "symbolic");
     Timer ts;
     sym_ = std::make_shared<const symbolic::SymbolicLU>(
-        symbolic::analyze(At_, opt_.symbolic));
+        symbolic::analyze(At_, opt_.symbolic, etree_));
     stats_.times.add("symbolic", ts.seconds());
   }
   TuneInputs in;
@@ -259,7 +260,7 @@ void Solver<T>::consult_tuner() {
   in.opt = &opt_;
   in.max_threads = opt_.num_threads;
   in.analyze = [this](const symbolic::SymbolicOptions& so) {
-    return symbolic::analyze(At_, so);
+    return symbolic::analyze(At_, so, etree_);
   };
   TuningReport& rep = stats_.tuning;
   rep.policy = opt_.tune.policy;
@@ -513,6 +514,7 @@ TransformResult<T> compute_transform(const sparse::CscMatrix<T>& A,
   // the large diagonal stays on the diagonal.
   t.reset();
   trace::Span colorder_span("solver", "colorder");
+  const ordering::SymPattern G = ordering::aplusat_pattern(Ap);
   std::vector<index_t> pc;
   switch (opt.col_order) {
     case ColOrderOption::natural:
@@ -522,18 +524,24 @@ TransformResult<T> compute_transform(const sparse::CscMatrix<T>& A,
       pc = ordering::amd_order(ordering::ata_pattern(Ap));
       break;
     case ColOrderOption::amd_aplusat:
-      pc = ordering::amd_order(ordering::aplusat_pattern(Ap));
+      pc = ordering::amd_order(G);
       break;
     case ColOrderOption::rcm:
-      pc = ordering::rcm_order(ordering::aplusat_pattern(Ap));
+      pc = ordering::rcm_order(G);
       break;
     case ColOrderOption::nested_dissection:
-      pc = ordering::nested_dissection_order(ordering::aplusat_pattern(Ap));
+      pc = ordering::nested_dissection_order(G);
       break;
   }
-  sparse::CscMatrix<T> Ao = sparse::permute(Ap, pc, pc);
-  // Etree postorder refinement (fill-neutral, makes supernodes contiguous).
-  const std::vector<index_t> pe = symbolic::etree_postorder(Ao);
+  // Etree postorder refinement (fill-neutral, makes supernodes contiguous)
+  // of the A+Aᵀ etree of the column-ordered matrix, taken straight from G.
+  const std::vector<index_t> parent = ordering::sym_etree_permuted(G, pc);
+  const std::vector<index_t> pe = ordering::postorder(parent);
+  // A postorder is a topological order of the tree, so At's etree is the
+  // same tree relabelled.
+  out.etree.assign(static_cast<std::size_t>(n), -1);
+  for (index_t v = 0; v < n; ++v)
+    if (parent[v] != -1) out.etree[pe[v]] = pe[parent[v]];
   if (times) times->add("colorder", t.seconds());
   colorder_span.end();
 
@@ -575,7 +583,8 @@ template <class T>
 std::size_t estimate_factor_bytes(const sparse::CscMatrix<T>& A,
                                   const SolverOptions& opt) {
   const TransformResult<T> tr = compute_transform(A, opt);
-  const symbolic::SymbolicLU sym = symbolic::analyze(tr.At, opt.symbolic);
+  const symbolic::SymbolicLU sym =
+      symbolic::analyze(tr.At, opt.symbolic, tr.etree);
   const std::size_t factor_scalar =
       opt.precision == Precision::double_ ? sizeof(T) : sizeof(float);
   return factor_asset_bytes(sym.stored_L, sym.stored_U, sym.nnz_L, sym.nnz_U,
@@ -590,6 +599,7 @@ void Solver<T>::transform(const sparse::CscMatrix<T>& A) {
   row_perm_ = std::move(r.row_perm);
   col_perm_ = std::move(r.col_perm);
   At_ = std::move(r.At);
+  etree_ = std::move(r.etree);
   // Pin ||Â|| here, NOT per factorization: the tiny-pivot threshold derived
   // from it is a static decision of the analysis, exactly like the scalings
   // and permutations. Recomputing it from each refactorize's values would
@@ -637,7 +647,7 @@ void Solver<T>::factor() {
   if (!sym_) {
     GESP_TRACE_SPAN("solver", "symbolic");
     sym_ = std::make_shared<const symbolic::SymbolicLU>(
-        symbolic::analyze(At_, opt_.symbolic));
+        symbolic::analyze(At_, opt_.symbolic, etree_));
     stats_.times.add("symbolic", t.seconds());
   }
   // Refresh on every factorization, not just the first analysis: a GEPP

@@ -410,11 +410,16 @@ struct TransformResult {
   std::vector<double> row_scale, col_scale;
   std::vector<index_t> row_perm, col_perm;  ///< new-from-old, combined
   sparse::CscMatrix<T> At;
+  /// symbolic::elimination_tree(At), the A+Aᵀ etree the postorder was
+  /// taken from, relabelled; hand it to symbolic::analyze.
+  std::vector<index_t> etree;
 };
 
 /// Run equilibration, the row permutation and the column ordering exactly
 /// as Solver's analysis does; `times` (optional) receives the
-/// "equilibrate"/"rowperm"/"colorder" phase entries.
+/// "equilibrate"/"rowperm"/"colorder" phase entries. The A+Aᵀ graph of the
+/// row-permuted matrix is built once: it is the ordering graph (except for
+/// amd_ata) and gives the etree that is postordered and returned.
 template <class T>
 TransformResult<T> compute_transform(const sparse::CscMatrix<T>& A,
                                      const SolverOptions& opt,
@@ -572,6 +577,7 @@ class Solver {
   std::vector<double> row_scale_, col_scale_;
   std::vector<index_t> row_perm_, col_perm_;  ///< new-from-old, combined
   sparse::CscMatrix<T> At_;                   ///< transformed matrix
+  std::vector<index_t> etree_;  ///< A+Aᵀ etree of At_ (from the transform)
   double at_norm_ = 0.0;  ///< ||Â||_max pinned at transform() time
   std::shared_ptr<const symbolic::SymbolicLU> sym_;
   /// shared_ptr so SMW corrections (tiny-pivot recovery, delta updates) tie

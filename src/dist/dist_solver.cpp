@@ -90,13 +90,14 @@ DistSolver<T>::DistSolver(minimpi::Comm& comm, const sparse::CscMatrix<T>& A,
   row_perm_ = std::move(tr.row_perm);
   col_perm_ = std::move(tr.col_perm);
   At_ = std::move(tr.At);
+  etree_ = std::move(tr.etree);
   amax_ = static_cast<double>(sparse::norm_max(At_));
 
   Timer t;
   {
     GESP_TRACE_SPAN("solver", "symbolic");
     sym_ = std::make_shared<const symbolic::SymbolicLU>(
-        symbolic::analyze(At_, opt_.symbolic));
+        symbolic::analyze(At_, opt_.symbolic, etree_));
   }
   stats_.times.add("symbolic", t.seconds());
   stats_.nnz_l = sym_->nnz_L;
@@ -155,7 +156,7 @@ void DistSolver<T>::consult_tuner(minimpi::Comm& comm) {
   in.max_threads = std::max(1, opt_.num_threads);
   in.dist_nprocs = comm.size();
   in.analyze = [this](const symbolic::SymbolicOptions& so) {
-    return symbolic::analyze(At_, so);
+    return symbolic::analyze(At_, so, etree_);
   };
   TuningReport& rep = stats_.tuning;
   rep.policy = opt_.tune.policy;
@@ -183,7 +184,7 @@ void DistSolver<T>::consult_tuner(minimpi::Comm& comm) {
       {
         GESP_TRACE_SPAN("solver", "symbolic");
         sym_ = std::make_shared<const symbolic::SymbolicLU>(
-            symbolic::analyze(At_, opt_.symbolic));
+            symbolic::analyze(At_, opt_.symbolic, etree_));
       }
       stats_.times.add("symbolic", ts.seconds());
       stats_.nnz_l = sym_->nnz_L;

@@ -99,8 +99,9 @@ class DistSolver {
   int myrow_ = 0, mycol_ = 0;
   std::vector<double> row_scale_, col_scale_;
   std::vector<index_t> row_perm_, col_perm_;
-  sparse::CscMatrix<T> At_;  ///< transformed matrix (replicated)
-  double amax_ = 0.0;        ///< ||Â||_max for growth / tiny threshold
+  sparse::CscMatrix<T> At_;     ///< transformed matrix (replicated)
+  std::vector<index_t> etree_;  ///< A+Aᵀ etree of At_ (from the transform)
+  double amax_ = 0.0;           ///< ||Â||_max for growth / tiny threshold
   std::shared_ptr<const symbolic::SymbolicLU> sym_;
   std::unique_ptr<DistributedLU<T>> lu_;
   /// SpMV exchange plan: needers_[J] = ranks whose rows touch block

@@ -63,6 +63,9 @@ class DegreeLists {
   index_t min_deg_ = 0;
 };
 
+constexpr std::uint64_t kVarHash = 0x9E3779B97F4A7C15ull;
+constexpr std::uint64_t kElemHash = 0xC2B2AE3D27D4EB4Full;
+
 }  // namespace
 
 std::vector<index_t> amd_order(const SymPattern& P, const AmdOptions& opt) {
@@ -103,6 +106,7 @@ std::vector<index_t> amd_order(const SymPattern& P, const AmdOptions& opt) {
   }
 
   std::vector<index_t> lp;  // the pivot's element list Lp
+  std::vector<std::pair<std::uint64_t, index_t>> hashes;  // (hash, j ∈ Lp)
   index_t epoch = 0;
 
   while (true) {
@@ -140,31 +144,11 @@ std::vector<index_t> amd_order(const SymPattern& P, const AmdOptions& opt) {
     elem_adj[p].clear();
     elim_order.push_back(p);
 
-    // --- Prune adjacency of every j in Lp: variables covered by the new
-    // element and dead elements drop out; element p is appended.
-    for (index_t j : lp) {
-      auto& aj = var_adj[j];
-      aj.erase(std::remove_if(aj.begin(), aj.end(),
-                              [&](index_t v) {
-                                return stamp[v] == epoch || v == p ||
-                                       status[v] == Status::kMerged ||
-                                       status[v] == Status::kElem ||
-                                       status[v] == Status::kAbsorbed;
-                              }),
-               aj.end());
-      auto& ej = elem_adj[j];
-      ej.erase(std::remove_if(ej.begin(), ej.end(),
-                              [&](index_t e) {
-                                return status[e] != Status::kElem || e == p;
-                              }),
-               ej.end());
-      ej.push_back(p);
-    }
-
-    // --- Pass 1: w[e] = |Le \ Lp| (weighted) for elements adjacent to Lp.
+    // --- Pass 1: w[e] = |Le \ Lp| (weighted) for the live elements
+    // adjacent to Lp (p joins the element lists only below).
     for (index_t j : lp) {
       for (index_t e : elem_adj[j]) {
-        if (e == p) continue;
+        if (status[e] != Status::kElem) continue;
         if (estamp[e] != epoch) {
           estamp[e] = epoch;
           w[e] = elem_size[e];
@@ -173,39 +157,44 @@ std::vector<index_t> amd_order(const SymPattern& P, const AmdOptions& opt) {
       }
     }
 
-    // --- Aggressive absorption: elements entirely inside Lp die now.
-    if (opt.aggressive_absorption) {
-      for (index_t j : lp) {
-        auto& ej = elem_adj[j];
-        ej.erase(std::remove_if(ej.begin(), ej.end(),
-                                [&](index_t e) {
-                                  if (e == p) return false;
-                                  if (estamp[e] == epoch && w[e] <= 0) {
-                                    status[e] = Status::kAbsorbed;
-                                    elem_vars[e].clear();
-                                    return true;
-                                  }
-                                  return status[e] != Status::kElem;
-                                }),
-                 ej.end());
-      }
-    }
-
-    // --- Pass 2: approximate external degrees and supervariable hashes.
-    // Group Lp by hash to find indistinguishable variables cheaply.
-    std::vector<std::pair<std::uint64_t, index_t>> hashes;
-    hashes.reserve(lp.size());
+    // --- Pass 2, one in-place, order-preserving sweep per j in Lp:
+    // variables covered by the new element and dead entries drop out,
+    // elements entirely inside Lp die now (aggressive absorption), the
+    // survivors give the approximate external degree and the supervariable
+    // hash, and element p is appended. Hashing groups Lp to find
+    // indistinguishable variables cheaply.
+    hashes.clear();
     for (index_t j : lp) {
       index_t d = deg_lp - weight[j];
       std::uint64_t h = 0;
-      for (index_t v : var_adj[j]) {
+      auto& aj = var_adj[j];
+      std::size_t kept = 0;
+      for (const index_t v : aj) {
+        // Lp and p are stamped; merged variables and elements are dead.
+        if (stamp[v] == epoch || status[v] == Status::kMerged ||
+            status[v] == Status::kElem || status[v] == Status::kAbsorbed)
+          continue;
+        aj[kept++] = v;
         d += weight[v];
-        h += static_cast<std::uint64_t>(v) * 0x9E3779B97F4A7C15ull;
+        h += static_cast<std::uint64_t>(v) * kVarHash;
       }
-      for (index_t e : elem_adj[j]) {
-        if (e != p && estamp[e] == epoch) d += w[e];
-        h += static_cast<std::uint64_t>(e) * 0xC2B2AE3D27D4EB4Full;
+      aj.resize(kept);
+      auto& ej = elem_adj[j];
+      kept = 0;
+      for (const index_t e : ej) {
+        if (status[e] != Status::kElem) continue;
+        if (opt.aggressive_absorption && w[e] <= 0) {
+          status[e] = Status::kAbsorbed;
+          elem_vars[e].clear();
+          continue;
+        }
+        ej[kept++] = e;
+        d += w[e];
+        h += static_cast<std::uint64_t>(e) * kElemHash;
       }
+      ej.resize(kept);
+      ej.push_back(p);
+      h += static_cast<std::uint64_t>(p) * kElemHash;
       degree[j] = std::min(
           {static_cast<index_t>(n - 1), degree[j] + deg_lp - weight[j], d});
       degree[j] = std::max<index_t>(degree[j], 0);

@@ -1,29 +1,53 @@
 #include "ordering/etree.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 
 namespace gesp::ordering {
+
+namespace {
+
+/// Liu's step for the entry (i, j), i < j, of the pattern being eliminated
+/// column by column: walk from i to its current root, compressing the
+/// path to j, and make j the root's parent.
+void link(std::vector<index_t>& parent, std::vector<index_t>& ancestor,
+          index_t i, index_t j) {
+  while (ancestor[i] != -1 && ancestor[i] != j) {
+    const index_t next = ancestor[i];
+    ancestor[i] = j;
+    i = next;
+  }
+  if (ancestor[i] == -1) {
+    ancestor[i] = j;
+    parent[i] = j;
+  }
+}
+
+}  // namespace
 
 std::vector<index_t> sym_etree(const SymPattern& P) {
   const index_t n = P.n;
   std::vector<index_t> parent(static_cast<std::size_t>(n), -1);
   std::vector<index_t> ancestor(static_cast<std::size_t>(n), -1);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t p = P.ptr[j]; p < P.ptr[j + 1]; ++p)
+      if (P.ind[p] < j) link(parent, ancestor, P.ind[p], j);
+  return parent;
+}
+
+std::vector<index_t> sym_etree_permuted(const SymPattern& P,
+                                        std::span<const index_t> perm) {
+  const index_t n = P.n;
+  GESP_CHECK(perm.size() == static_cast<std::size_t>(n),
+             Errc::invalid_argument, "permutation size mismatch");
+  std::vector<index_t> inv(static_cast<std::size_t>(n));
+  for (index_t v = 0; v < n; ++v) inv[perm[v]] = v;
+  std::vector<index_t> parent(static_cast<std::size_t>(n), -1);
+  std::vector<index_t> ancestor(static_cast<std::size_t>(n), -1);
   for (index_t j = 0; j < n; ++j) {
-    for (index_t p = P.ptr[j]; p < P.ptr[j + 1]; ++p) {
-      index_t i = P.ind[p];
-      if (i >= j) continue;
-      // Walk up from i to the current root, compressing to j.
-      while (ancestor[i] != -1 && ancestor[i] != j) {
-        const index_t next = ancestor[i];
-        ancestor[i] = j;
-        i = next;
-      }
-      if (ancestor[i] == -1) {
-        ancestor[i] = j;
-        parent[i] = j;
-      }
+    const index_t v = inv[j];
+    for (index_t p = P.ptr[v]; p < P.ptr[v + 1]; ++p) {
+      const index_t i = perm[P.ind[p]];
+      if (i < j) link(parent, ancestor, i, j);
     }
   }
   return parent;
@@ -78,16 +102,6 @@ std::vector<index_t> subtree_sizes(std::span<const index_t> parent) {
     }
   }
   return size;
-}
-
-std::vector<index_t> tree_heights(std::span<const index_t> parent) {
-  const index_t n = static_cast<index_t>(parent.size());
-  std::vector<index_t> height(static_cast<std::size_t>(n), 0);
-  for (index_t v = 0; v < n; ++v) {
-    const index_t p = parent[v];
-    if (p != -1) height[p] = std::max(height[p], height[v] + 1);
-  }
-  return height;
 }
 
 }  // namespace gesp::ordering

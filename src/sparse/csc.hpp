@@ -244,7 +244,11 @@ std::vector<index_t> inverse_permutation(std::span<const index_t> p);
 bool is_permutation(std::span<const index_t> p);
 
 /// B(p_row[i], p_col[j]) = A(i, j). Either permutation may be empty,
-/// meaning identity. Permutations are new-from-old maps.
+/// meaning identity. Permutations are new-from-old maps. B's columns come
+/// out sorted without a comparison sort: the entries are first bucketed by
+/// destination row, then the rows are walked in ascending order and dealt
+/// into their destination columns (a counting transpose, twice).
+/// Duplicate entries keep their input order.
 template <class T>
 CscMatrix<T> permute(const CscMatrix<T>& A, std::span<const index_t> p_row,
                      std::span<const index_t> p_col) {
@@ -254,29 +258,41 @@ CscMatrix<T> permute(const CscMatrix<T>& A, std::span<const index_t> p_row,
   GESP_CHECK(p_col.empty() ||
                  p_col.size() == static_cast<std::size_t>(A.ncols),
              Errc::invalid_argument, "column permutation size mismatch");
+  auto new_row = [&](index_t i) { return p_row.empty() ? i : p_row[i]; };
+  auto new_col = [&](index_t j) { return p_col.empty() ? j : p_col[j]; };
+  const std::size_t nnz = A.rowind.size();
+  // Pass 1: every entry's destination column and source position, bucketed
+  // by destination row.
+  std::vector<index_t> rowptr(static_cast<std::size_t>(A.nrows) + 1, 0);
+  for (const index_t i : A.rowind) ++rowptr[new_row(i) + 1];
+  for (index_t i = 0; i < A.nrows; ++i) rowptr[i + 1] += rowptr[i];
+  std::vector<index_t> dest_col(nnz), src(nnz);
+  for (index_t j = 0; j < A.ncols; ++j) {
+    const index_t jd = new_col(j);
+    for (index_t p = A.colptr[j]; p < A.colptr[j + 1]; ++p) {
+      const index_t q = rowptr[new_row(A.rowind[p])]++;
+      dest_col[q] = jd;
+      src[q] = p;
+    }
+  }
+  // rowptr[i] now ends row i, i.e. starts row i+1.
+  // Pass 2: deal the rows, ascending, into their destination columns.
   CscMatrix<T> B;
   B.nrows = A.nrows;
   B.ncols = A.ncols;
   B.colptr.assign(static_cast<std::size_t>(A.ncols) + 1, 0);
-  B.rowind.resize(A.rowind.size());
+  B.rowind.resize(nnz);
   B.values.resize(A.values.size());
-  // Count entries per destination column.
-  for (index_t j = 0; j < A.ncols; ++j) {
-    const index_t jd = p_col.empty() ? j : p_col[j];
-    B.colptr[jd + 1] += A.colptr[j + 1] - A.colptr[j];
-  }
+  for (index_t j = 0; j < A.ncols; ++j)
+    B.colptr[new_col(j) + 1] = A.colptr[j + 1] - A.colptr[j];
   for (index_t j = 0; j < A.ncols; ++j) B.colptr[j + 1] += B.colptr[j];
   std::vector<index_t> next(B.colptr.begin(), B.colptr.end() - 1);
-  for (index_t j = 0; j < A.ncols; ++j) {
-    const index_t jd = p_col.empty() ? j : p_col[j];
-    for (index_t p = A.colptr[j]; p < A.colptr[j + 1]; ++p) {
-      const index_t id = p_row.empty() ? A.rowind[p] : p_row[A.rowind[p]];
-      const index_t q = next[jd]++;
-      B.rowind[q] = id;
-      B.values[q] = A.values[p];
+  for (index_t i = 0, q = 0; i < A.nrows; ++i)
+    for (; q < rowptr[i]; ++q) {
+      const index_t d = next[dest_col[q]]++;
+      B.rowind[d] = i;
+      B.values[d] = A.values[src[q]];
     }
-  }
-  B.sort_columns();
   return B;
 }
 

@@ -1,6 +1,7 @@
 #include "symbolic/symbolic.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/error.hpp"
 #include "ordering/etree.hpp"
@@ -11,15 +12,18 @@ namespace {
 
 /// Per-column Gilbert–Peierls symbolic elimination with the diagonal pivot
 /// order. Fills `Lcols[j]` with the row indices >= j of L(:,j) (diagonal
-/// forced in), accumulates the exact factor counts, and records which
-/// consecutive columns have nesting structures (T2 supernode joins).
+/// forced in, in no particular order), accumulates the exact factor
+/// counts, and records which consecutive columns have nesting structures
+/// (T2 supernode joins).
 ///
 /// Speed comes from Eisenstat–Liu symmetric pruning: once a symmetric
 /// nonzero pair L(j,k) / U(k,j) exists, rows of L(:,k) beyond j are
 /// reachable through column j, so the depth-first searches of later columns
-/// traverse only the pruned prefix of column k. Pruning permutes the stored
-/// row lists, which is why the T2 test runs inline against a saved sorted
-/// copy of the previous column.
+/// traverse only the pruned prefix of column k. Every unpruned column k the
+/// search reaches is scanned whole, so meeting row j there detects L(j,k)
+/// without a lookup. Pruning only reorders a column's list, never drops a
+/// row, so the T2 test compares column j's set with column j-1's through
+/// the visit marks, and nothing is sorted.
 template <class T>
 void gp_symbolic(const sparse::CscMatrix<T>& A,
                  std::vector<std::vector<index_t>>& Lcols, count_t& nnz_L,
@@ -31,13 +35,13 @@ void gp_symbolic(const sparse::CscMatrix<T>& A,
   nnz_U = n;  // U diagonal (the pivots)
   std::vector<index_t> visited(static_cast<std::size_t>(n), -1);
   std::vector<index_t> dfs_len(static_cast<std::size_t>(n), 0);
-  std::vector<char> pruned(static_cast<std::size_t>(n), 0);
   std::vector<index_t> stack, pos;  // DFS state
-  std::vector<index_t> lrows, ureach, prev_rows;
+  std::vector<index_t> lrows, ureach, prune;
 
   for (index_t j = 0; j < n; ++j) {
     lrows.clear();
     ureach.clear();
+    prune.clear();
     visited[j] = j;
     lrows.push_back(j);  // diagonal always stored (static pivot slot)
 
@@ -45,13 +49,12 @@ void gp_symbolic(const sparse::CscMatrix<T>& A,
       // A row below the diagonal extends L(:,j); one above starts a DFS
       // through the columns already factored (the U part of column j).
       if (visited[i] == j) return;
+      visited[i] = j;
       if (i > j) {
-        visited[i] = j;
         lrows.push_back(i);
         return;
       }
       // DFS from column i over the (pruned) graph of L.
-      visited[i] = j;
       stack.assign(1, i);
       pos.assign(1, 0);
       ureach.push_back(i);
@@ -64,7 +67,12 @@ void gp_symbolic(const sparse::CscMatrix<T>& A,
         while (q < dfs_len[k]) {
           const index_t r = Lcols[k][q];
           ++q;
-          if (visited[r] == j) continue;
+          if (visited[r] == j) {
+            // A pruned prefix holds only rows <= its prune point < j, so
+            // row j turns up in unpruned columns only.
+            if (r == j) prune.push_back(k);
+            continue;
+          }
           visited[r] = j;
           if (r > j) {
             lrows.push_back(r);
@@ -87,27 +95,23 @@ void gp_symbolic(const sparse::CscMatrix<T>& A,
     for (index_t p = A.colptr[j]; p < A.colptr[j + 1]; ++p)
       touch_row(A.rowind[p]);
 
-    std::sort(lrows.begin(), lrows.end());
     nnz_L += static_cast<count_t>(lrows.size());
     nnz_U += static_cast<count_t>(ureach.size());
     // Inline T2 test: struct(L(:,j)) == struct(L(:,j-1)) \ {j-1} ?
-    if (j > 0 && prev_rows.size() == lrows.size() + 1)
-      t2_join[j] = std::equal(lrows.begin(), lrows.end(),
-                              prev_rows.begin() + 1);
-    prev_rows = lrows;
-    Lcols[j] = lrows;
+    if (j > 0 && Lcols[j - 1].size() == lrows.size() + 1)
+      t2_join[j] = std::all_of(
+          Lcols[j - 1].begin(), Lcols[j - 1].end(),
+          [&](index_t r) { return r == j - 1 || visited[r] == j; });
+    Lcols[j].assign(lrows.begin(), lrows.end());
     dfs_len[j] = static_cast<index_t>(lrows.size());
 
-    // Symmetric pruning: k has U(k,j) != 0 (k in ureach); if L(j,k) is also
-    // nonzero, rows of L(:,k) beyond j are reachable via column j.
-    for (index_t k : ureach) {
-      if (pruned[k]) continue;
+    // Symmetric pruning: k has U(k,j) != 0 (k in ureach) and L(j,k) != 0,
+    // so rows of L(:,k) beyond j are reachable via column j.
+    for (const index_t k : prune) {
       auto& col = Lcols[k];
-      if (!std::binary_search(col.begin(), col.end(), j)) continue;
-      const auto mid = std::partition(
-          col.begin(), col.end(), [j](index_t r) { return r <= j; });
+      const auto mid = std::partition(col.begin(), col.end(),
+                                      [j](index_t r) { return r <= j; });
       dfs_len[k] = static_cast<index_t>(mid - col.begin());
-      pruned[k] = 1;
     }
   }
 }
@@ -235,10 +239,29 @@ std::vector<index_t> partition_supernodes(
   return sn_start;
 }
 
+/// The first supernode P with both a block L(P,O) and a block U(O,P), from
+/// O's block lists (each sorted by supernode); the largest index_t when
+/// there is none.
+index_t first_symmetric_block(const std::vector<LBlock>& L,
+                              const std::vector<UBlock>& U) {
+  auto l = L.begin();
+  auto u = U.begin();
+  while (l != L.end() && u != U.end()) {
+    if (l->I < u->J)
+      ++l;
+    else if (u->J < l->I)
+      ++u;
+    else
+      return l->I;
+  }
+  return std::numeric_limits<index_t>::max();
+}
+
 }  // namespace
 
 template <class T>
-SymbolicLU analyze(const sparse::CscMatrix<T>& A, const SymbolicOptions& opt) {
+SymbolicLU analyze(const sparse::CscMatrix<T>& A, const SymbolicOptions& opt,
+                   std::span<const index_t> etree) {
   GESP_CHECK(A.nrows == A.ncols, Errc::invalid_argument,
              "symbolic analysis needs a square matrix");
   GESP_CHECK(opt.max_block >= 1 && opt.relax >= 0, Errc::invalid_argument,
@@ -250,14 +273,21 @@ SymbolicLU analyze(const sparse::CscMatrix<T>& A, const SymbolicOptions& opt) {
     return S;
   }
 
+  std::vector<index_t> own_etree;
+  if (etree.empty()) {
+    own_etree = elimination_tree(A);
+    etree = own_etree;
+  }
+  GESP_CHECK(etree.size() == static_cast<std::size_t>(S.n),
+             Errc::invalid_argument, "elimination tree size mismatch");
+
   // --- 1. exact per-column symbolic.
   std::vector<std::vector<index_t>> Lcols;
   std::vector<char> t2_join;
   gp_symbolic(A, Lcols, S.nnz_L, S.nnz_U, t2_join);
 
   // --- 2. supernode partition.
-  const std::vector<index_t> parent = elimination_tree(A);
-  S.sn_start = partition_supernodes(t2_join, Lcols, parent, opt);
+  S.sn_start = partition_supernodes(t2_join, Lcols, etree, opt);
   S.nsup = static_cast<index_t>(S.sn_start.size()) - 1;
   S.col_to_sn.resize(static_cast<std::size_t>(S.n));
   for (index_t K = 0; K < S.nsup; ++K)
@@ -274,7 +304,8 @@ SymbolicLU analyze(const sparse::CscMatrix<T>& A, const SymbolicOptions& opt) {
   //   L(I,O) = A's rows ∪ rows(L(I,K)) for every K < O with a block U(K,O);
   //   U(O,J) = A's cols ∪ cols(U(K,J)) for every K < O with a block L(O,K).
   // Every source K < O was finalized at its own step, so O reads final
-  // lists. lsrc[O] / usrc[O] collect those K as each K is finalized.
+  // lists. lsrc[O] / usrc[O] collect those K as each K is finalized,
+  // less the ones symmetric pruning (step 4) shows to be redundant.
   std::vector<std::vector<index_t>> Aseed_L(static_cast<std::size_t>(S.nsup));
   std::vector<std::vector<index_t>> Aseed_U(static_cast<std::size_t>(S.nsup));
   for (index_t j = 0; j < S.n; ++j) {
@@ -354,16 +385,22 @@ SymbolicLU analyze(const sparse::CscMatrix<T>& A, const SymbolicOptions& opt) {
     usrc[O] = {};
 
     // --- 4. stored sizes, flops and the supernodal etree of O, and O as a
-    // source for its later destinations.
+    // source for its later destinations. Supernodal symmetric pruning: let
+    // P be the first supernode with both L(P,O) and U(O,P). P gathers from
+    // O, so L(:,P) holds O's rows below P and U(P,:) O's columns right of
+    // P, and every destination past P that O feeds is fed by P (or, by the
+    // same argument, by P's own prune point) with a superset. O therefore
+    // registers only with destinations <= P; the sets do not change.
+    const index_t P = first_symmetric_block(S.L[O], S.U[O]);
     const count_t b = S.block_cols(O);
     count_t sum_m = 0, sum_c = 0;
     for (const auto& blk : S.L[O]) {
       sum_m += static_cast<count_t>(blk.rows.size());
-      lsrc[blk.I].push_back(O);
+      if (blk.I <= P) lsrc[blk.I].push_back(O);
     }
     for (const auto& blk : S.U[O]) {
       sum_c += static_cast<count_t>(blk.cols.size());
-      usrc[blk.J].push_back(O);
+      if (blk.J <= P) usrc[blk.J].push_back(O);
     }
     S.stored_L += b * b + sum_m * b;  // diagonal block stored full
     S.stored_U += b * sum_c;
@@ -379,11 +416,6 @@ SymbolicLU analyze(const sparse::CscMatrix<T>& A, const SymbolicOptions& opt) {
 template <class T>
 std::vector<index_t> elimination_tree(const sparse::CscMatrix<T>& A) {
   return ordering::sym_etree(ordering::aplusat_pattern(A));
-}
-
-template <class T>
-std::vector<index_t> etree_postorder(const sparse::CscMatrix<T>& A) {
-  return ordering::postorder(elimination_tree(A));
 }
 
 void close_update_reachable(const SymbolicLU& S, std::vector<char>& dirty) {
@@ -405,15 +437,12 @@ void close_update_reachable(const SymbolicLU& S, std::vector<char>& dirty) {
 }
 
 template SymbolicLU analyze(const sparse::CscMatrix<double>&,
-                            const SymbolicOptions&);
+                            const SymbolicOptions&, std::span<const index_t>);
 template SymbolicLU analyze(const sparse::CscMatrix<Complex>&,
-                            const SymbolicOptions&);
+                            const SymbolicOptions&, std::span<const index_t>);
 template std::vector<index_t> elimination_tree(
     const sparse::CscMatrix<double>&);
 template std::vector<index_t> elimination_tree(
-    const sparse::CscMatrix<Complex>&);
-template std::vector<index_t> etree_postorder(const sparse::CscMatrix<double>&);
-template std::vector<index_t> etree_postorder(
     const sparse::CscMatrix<Complex>&);
 
 }  // namespace gesp::symbolic

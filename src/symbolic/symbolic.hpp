@@ -20,15 +20,18 @@
 //     the patterns the block right-looking elimination of Figure 8 produces.
 //     They are gathered in destination order: block column/row O is A's
 //     pattern united with the final blocks of every earlier supernode that
-//     updates O, so each block is built once, in one pass. The numeric
-//     phase performs exactly these updates, so the structure is closed by
-//     construction.
+//     updates O, so each block is built once, in one pass. A source stops
+//     feeding destinations past the first supernode it has both an L and
+//     a U block with, which carries its rows and columns on (symmetric
+//     pruning one level up). The numeric phase performs exactly these
+//     updates, so the structure is closed by construction.
 //
 // The input matrix must already carry the final row/column permutations
 // (large-diagonal + fill-reducing + etree postorder) and have a zero-free
 // diagonal.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -95,27 +98,23 @@ struct SymbolicLU {
 };
 
 /// Run the symbolic phase on the fully permuted matrix.
-/// Throws Errc::structurally_singular if a diagonal entry is structurally
-/// missing (callers should have pre-pivoted via the matching phase).
+/// `etree` is elimination_tree(A) when the caller already has it (the
+/// transform outputs it as TransformResult::etree); empty, analyze
+/// computes it. Throws Errc::structurally_singular if a diagonal entry is
+/// structurally missing (callers should have pre-pivoted via the matching
+/// phase).
 template <class T>
 SymbolicLU analyze(const sparse::CscMatrix<T>& A,
-                   const SymbolicOptions& opt = {});
+                   const SymbolicOptions& opt = {},
+                   std::span<const index_t> etree = {});
 
 /// The one elimination tree of the static path: the etree of A+Aᵀ
 /// (parent[j] == -1 for roots). With the diagonal pivot order fixed,
 /// struct(L+U) lies inside the Cholesky structure of A+Aᵀ, so this tree
-/// bounds what the factorization stores. The postorder and both
-/// amalgamations of `analyze` read it.
+/// bounds what the factorization stores. The transform's postorder and
+/// both amalgamations of `analyze` read it.
 template <class T>
 std::vector<index_t> elimination_tree(const sparse::CscMatrix<T>& A);
-
-/// Convenience: compute the etree postorder refinement for a matrix that
-/// already carries its fill-reducing permutation. Returns the new-from-old
-/// permutation `post` of elimination_tree(A) to be applied symmetrically
-/// (it does not change fill but makes supernodes contiguous and subtrees
-/// compact).
-template <class T>
-std::vector<index_t> etree_postorder(const sparse::CscMatrix<T>& A);
 
 /// Close a per-supernode dirty set under the numeric update dependencies,
 /// in place. A supernode O must be re-eliminated when any source K < O
@@ -127,16 +126,14 @@ std::vector<index_t> etree_postorder(const sparse::CscMatrix<T>& A);
 void close_update_reachable(const SymbolicLU& S, std::vector<char>& dirty);
 
 extern template SymbolicLU analyze(const sparse::CscMatrix<double>&,
-                                   const SymbolicOptions&);
+                                   const SymbolicOptions&,
+                                   std::span<const index_t>);
 extern template SymbolicLU analyze(const sparse::CscMatrix<Complex>&,
-                                   const SymbolicOptions&);
+                                   const SymbolicOptions&,
+                                   std::span<const index_t>);
 extern template std::vector<index_t> elimination_tree(
     const sparse::CscMatrix<double>&);
 extern template std::vector<index_t> elimination_tree(
-    const sparse::CscMatrix<Complex>&);
-extern template std::vector<index_t> etree_postorder(
-    const sparse::CscMatrix<double>&);
-extern template std::vector<index_t> etree_postorder(
     const sparse::CscMatrix<Complex>&);
 
 }  // namespace gesp::symbolic

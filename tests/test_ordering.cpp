@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "ordering/amd.hpp"
@@ -12,6 +15,7 @@
 #include "ordering/rcm.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/generators.hpp"
+#include "sparse/testbed.hpp"
 #include "symbolic/symbolic.hpp"
 
 namespace gesp::ordering {
@@ -108,6 +112,45 @@ TEST(Etree, SymEtreeParentsAreLater) {
     if (p1[v] != -1) {
       EXPECT_GT(p1[v], v);
     }
+  }
+}
+
+/// Random new-from-old permutation of 0..n-1 (Fisher–Yates).
+std::vector<index_t> random_permutation(index_t n, Rng& rng) {
+  std::vector<index_t> perm = natural_order(n);
+  for (index_t i = n - 1; i > 0; --i)
+    std::swap(perm[i], perm[rng.next_index(i + 1)]);
+  return perm;
+}
+
+/// sym_etree_permuted(G, perm) against the etree of the A+Aᵀ pattern of
+/// the symmetrically permuted matrix.
+void expect_permuted_etree_matches(const CscMatrix<double>& A,
+                                   const std::vector<index_t>& perm,
+                                   const std::string& what) {
+  const auto expect =
+      sym_etree(aplusat_pattern(sparse::permute(A, perm, perm)));
+  EXPECT_EQ(sym_etree_permuted(aplusat_pattern(A), perm), expect) << what;
+}
+
+TEST(Etree, PermutedMatchesPermutedPattern) {
+  Rng rng(7);
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    sparse::RandomSpec spec;
+    spec.n = 150 + 50 * static_cast<index_t>(seed);
+    spec.nnz_per_row = 1 + static_cast<index_t>(seed);
+    spec.structural_symmetry = 0.2 * static_cast<double>(seed % 4);
+    spec.seed = seed;
+    const auto A = sparse::random_unsymmetric(spec);
+    const std::string what = "random seed " + std::to_string(seed);
+    expect_permuted_etree_matches(A, natural_order(A.ncols), what);
+    expect_permuted_etree_matches(A, random_permutation(A.ncols, rng), what);
+    expect_permuted_etree_matches(A, amd_order(aplusat_pattern(A)), what);
+  }
+  for (const auto& e : sparse::testbed()) {
+    const auto A = e.make();
+    expect_permuted_etree_matches(A, random_permutation(A.ncols, rng), e.name);
+    expect_permuted_etree_matches(A, amd_order(aplusat_pattern(A)), e.name);
   }
 }
 

@@ -4,7 +4,11 @@
 // evaluation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "sparse/coo.hpp"
@@ -92,6 +96,45 @@ TEST(Csc, PermuteMovesEntriesToNewPositions) {
   EXPECT_DOUBLE_EQ(B.at(2, 0), 2.0);   // was (0,0)
   EXPECT_DOUBLE_EQ(B.at(1, 2), 3.0);   // was (1,1)
   EXPECT_DOUBLE_EQ(B.at(0, 0), 4.0);   // was (2,0)
+}
+
+TEST(Csc, PermuteMatchesCooReassembly) {
+  // permute's counting transpose against the same entries re-assembled
+  // through COO (which sorts every column), on square and rectangular
+  // matrices, with row-only, column-only and two-sided permutations.
+  Rng rng(11);
+  auto shuffled = [&](index_t n) {
+    std::vector<index_t> p(static_cast<std::size_t>(n));
+    for (index_t i = 0; i < n; ++i) p[i] = i;
+    for (index_t i = n - 1; i > 0; --i)
+      std::swap(p[i], p[rng.next_index(i + 1)]);
+    return p;
+  };
+  for (const auto& [m, n] : {std::pair<index_t, index_t>{300, 300},
+                             std::pair<index_t, index_t>{120, 80},
+                             std::pair<index_t, index_t>{50, 90}}) {
+    CooMatrix<double> coo(m, n);
+    for (index_t k = 0; k < 6 * std::max(m, n); ++k)
+      coo.add(rng.next_index(m), rng.next_index(n), rng.uniform(-1.0, 1.0));
+    const CscMatrix<double> A = coo.to_csc();
+    const std::vector<index_t> pr = shuffled(m), pc = shuffled(n);
+    for (int sides = 1; sides <= 3; ++sides) {
+      const std::span<const index_t> r =
+          sides & 1 ? std::span<const index_t>(pr) : std::span<const index_t>();
+      const std::span<const index_t> c =
+          sides & 2 ? std::span<const index_t>(pc) : std::span<const index_t>();
+      CooMatrix<double> expect(m, n);
+      for (index_t j = 0; j < n; ++j)
+        for (index_t p = A.colptr[j]; p < A.colptr[j + 1]; ++p)
+          expect.add(r.empty() ? A.rowind[p] : r[A.rowind[p]],
+                     c.empty() ? j : c[j], A.values[p]);
+      const CscMatrix<double> E = expect.to_csc();
+      const CscMatrix<double> B = permute(A, r, c);
+      EXPECT_EQ(B.colptr, E.colptr) << m << "x" << n << " sides " << sides;
+      EXPECT_EQ(B.rowind, E.rowind) << m << "x" << n << " sides " << sides;
+      EXPECT_EQ(B.values, E.values) << m << "x" << n << " sides " << sides;
+    }
+  }
 }
 
 TEST(Csc, InversePermutation) {

@@ -343,7 +343,7 @@ TEST(Symbolic, FillLiesOnEliminationTreeAncestors) {
 
 TEST(Symbolic, EtreePostorderKeepsFillInvariant) {
   const auto A = sparse::convdiff2d(12, 12, 1.0, 0.5);
-  const auto post = etree_postorder(A);
+  const auto post = ordering::postorder(elimination_tree(A));
   const auto B = sparse::permute(A, post, post);
   const auto SA = analyze(A, {});
   const auto SB = analyze(B, {});
@@ -476,6 +476,75 @@ void expect_matches_replay(const CscMatrix<double>& A,
           EXPECT_EQ(S.U[K][p].J, R.U[K][p].J) << "K=" << K;
           EXPECT_EQ(S.U[K][p].cols, R.U[K][p].cols) << "K=" << K;
         }
+      }
+    }
+  }
+}
+
+TEST(Transform, TreeIsEliminationTreeOfAt) {
+  // The transform takes the etree of the column-ordered matrix from its
+  // ordering graph and relabels it by the postorder; it must be the A+Aᵀ
+  // etree of the matrix it returns.
+  for (const ColOrderOption order :
+       {ColOrderOption::amd_aplusat, ColOrderOption::amd_ata,
+        ColOrderOption::nested_dissection, ColOrderOption::rcm,
+        ColOrderOption::natural}) {
+    SolverOptions opt;
+    opt.col_order = order;
+    const bool skip_large = order == ColOrderOption::rcm ||
+                            order == ColOrderOption::natural;
+    for (const auto& e : sparse::testbed()) {
+      if (skip_large && e.large) continue;
+      const auto tr = compute_transform(e.make(), opt);
+      EXPECT_EQ(tr.etree, elimination_tree(tr.At))
+          << e.name << ", col_order " << static_cast<int>(order);
+    }
+  }
+}
+
+void expect_same_symbolic(const SymbolicLU& a, const SymbolicLU& b,
+                          const std::string& what) {
+  EXPECT_EQ(a.n, b.n) << what;
+  EXPECT_EQ(a.nsup, b.nsup) << what;
+  EXPECT_EQ(a.sn_start, b.sn_start) << what;
+  EXPECT_EQ(a.col_to_sn, b.col_to_sn) << what;
+  EXPECT_EQ(a.nnz_L, b.nnz_L) << what;
+  EXPECT_EQ(a.nnz_U, b.nnz_U) << what;
+  EXPECT_EQ(a.stored_L, b.stored_L) << what;
+  EXPECT_EQ(a.stored_U, b.stored_U) << what;
+  EXPECT_EQ(a.sn_parent, b.sn_parent) << what;
+  EXPECT_EQ(a.flops, b.flops) << what;
+  ASSERT_EQ(a.L.size(), b.L.size()) << what;
+  ASSERT_EQ(a.U.size(), b.U.size()) << what;
+  for (std::size_t K = 0; K < a.L.size(); ++K) {
+    ASSERT_EQ(a.L[K].size(), b.L[K].size()) << what << " K=" << K;
+    for (std::size_t p = 0; p < a.L[K].size(); ++p) {
+      EXPECT_EQ(a.L[K][p].I, b.L[K][p].I) << what << " K=" << K;
+      EXPECT_EQ(a.L[K][p].rows, b.L[K][p].rows) << what << " K=" << K;
+    }
+    ASSERT_EQ(a.U[K].size(), b.U[K].size()) << what << " K=" << K;
+    for (std::size_t p = 0; p < a.U[K].size(); ++p) {
+      EXPECT_EQ(a.U[K][p].J, b.U[K][p].J) << what << " K=" << K;
+      EXPECT_EQ(a.U[K][p].cols, b.U[K][p].cols) << what << " K=" << K;
+    }
+  }
+}
+
+TEST(Symbolic, AnalyzeWithTransformTreeMatchesOwnTree) {
+  // Handing analyze the transform's tree changes nothing: every field
+  // equals the analysis that computes its own tree.
+  for (const ColOrderOption order :
+       {ColOrderOption::amd_aplusat, ColOrderOption::amd_ata}) {
+    SolverOptions opt;
+    opt.col_order = order;
+    for (const auto& e : sparse::testbed()) {
+      if (e.large) continue;
+      const auto tr = compute_transform(e.make(), opt);
+      for (const index_t relax : {index_t{0}, SymbolicOptions{}.relax}) {
+        SymbolicOptions so;
+        so.relax = relax;
+        expect_same_symbolic(analyze(tr.At, so, tr.etree), analyze(tr.At, so),
+                             e.name + ", relax " + std::to_string(relax));
       }
     }
   }

@@ -67,6 +67,7 @@
 //                         the same as --trace, metrics embed in the trace
 //                         object under a top-level "metrics" key
 //   --list                print the testbed inventory and exit
+//   --help, -h            print the usage to stdout and exit 0
 //
 // Exit codes map the library's failure categories so scripts can react
 // without parsing stderr:
@@ -108,9 +109,8 @@ namespace {
 
 using namespace gesp;
 
-[[noreturn]] void usage(const char* msg = nullptr) {
-  if (msg) std::fprintf(stderr, "error: %s\n\n", msg);
-  std::fprintf(stderr,
+void print_usage(std::FILE* out) {
+  std::fprintf(out,
                "usage: gesp_solve MATRIX [--rhs=ones|random] "
                "[--rowperm=mc64|mc21|bottleneck|none]\n"
                "       [--colorder=amd-apa(default)|amd|rcm|nd|natural] "
@@ -122,14 +122,19 @@ using namespace gesp;
                "[--tune=off|model|probe] "
                "[--repeat=N] [--delta[=FRAC]] [--dist=P] [--grid=RxC]\n"
                "       [--no-pipeline] [--no-edag] "
-               "[--trace=FILE] [--metrics-json=FILE] [--list]\n"
+               "[--trace=FILE] [--metrics-json=FILE] [--list] [--help]\n"
                "exit codes: 0 solved, 2 usage, 3 invalid argument, 4 io,\n"
                "            5/6 structurally/numerically singular, "
                "7 unstable/not recovered, 8 comm, 9 internal,\n"
                "            10 overloaded (serve layer shed the request),\n"
                "            11 recovered only by the GEPP fallback rung,\n"
                "            12 mixed precision promoted to double\n");
-  std::exit(msg ? 2 : 0);
+}
+
+[[noreturn]] void usage(const char* msg) {
+  std::fprintf(stderr, "error: %s\n\n", msg);
+  print_usage(stderr);
+  std::exit(2);
 }
 
 /// Distinct exit code per failure category (documented in usage()).
@@ -198,7 +203,10 @@ int main(int argc, char** argv) {
   SolverOptions opt;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (std::strcmp(a, "--list") == 0) {
+    if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
+      print_usage(stdout);
+      return 0;
+    } else if (std::strcmp(a, "--list") == 0) {
       for (const auto& e : sparse::testbed())
         std::printf("%-14s %s\n", e.name.c_str(), e.discipline.c_str());
       for (const auto& e : sparse::adversarial_testbed())
