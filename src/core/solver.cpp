@@ -560,7 +560,7 @@ TransformResult<T> compute_transform(const sparse::CscMatrix<T>& A,
   // call history rather than only on (analysis, values).
   sparse::CscMatrix<T> Asc =
       sparse::apply_scaling(A, out.row_scale, out.col_scale);
-  out.At = sparse::permute(Asc, out.row_perm, out.col_perm);
+  out.At = sparse::permute(Asc, out.row_perm, out.col_perm, &out.at_pos);
   return out;
 }
 
@@ -600,6 +600,7 @@ void Solver<T>::transform(const sparse::CscMatrix<T>& A) {
   col_perm_ = std::move(r.col_perm);
   At_ = std::move(r.At);
   etree_ = std::move(r.etree);
+  at_pos_ = std::move(r.at_pos);
   // Pin ||Â|| here, NOT per factorization: the tiny-pivot threshold derived
   // from it is a static decision of the analysis, exactly like the scalings
   // and permutations. Recomputing it from each refactorize's values would
@@ -607,6 +608,28 @@ void Solver<T>::transform(const sparse::CscMatrix<T>& A) {
   // different threshold than the dirty ones — and partial would no longer
   // be bitwise identical to full for pivots falling between the two.
   at_norm_ = sparse::norm_max(At_);
+}
+
+template <class T>
+sparse::CscMatrix<T> Solver<T>::transformed(
+    const sparse::CscMatrix<T>& A_new) const {
+  // apply_scaling's arithmetic, entry by entry, then permute's placement.
+  sparse::CscMatrix<T> B;
+  B.nrows = n_;
+  B.ncols = n_;
+  B.colptr = At_.colptr;
+  B.rowind = At_.rowind;
+  B.values.resize(A_new.values.size());
+  for (index_t j = 0; j < n_; ++j) {
+    const double cj = col_scale_.empty() ? 1.0 : col_scale_[j];
+    for (index_t p = A_new.colptr[j]; p < A_new.colptr[j + 1]; ++p) {
+      const double ri = row_scale_.empty() ? 1.0 : row_scale_[A_new.rowind[p]];
+      T v = A_new.values[p];
+      v *= ri * cj;
+      B.values[at_pos_[p]] = v;
+    }
+  }
+  return B;
 }
 
 template <class T>
@@ -1105,9 +1128,7 @@ void Solver<T>::refactorize(const sparse::CscMatrix<T>& A_new) {
   stats_.times.new_epoch();
   GESP_TRACE_SPAN("solver", "refactorize");
   // Reuse every static decision: scalings, permutations, symbolic structure.
-  sparse::CscMatrix<T> As =
-      sparse::apply_scaling(A_new, row_scale_, col_scale_);
-  At_ = sparse::permute(As, row_perm_, col_perm_);
+  At_ = transformed(A_new);
   if (!opt_.recovery.enabled) {
     factor();
     return;
@@ -1150,9 +1171,7 @@ void Solver<T>::refactorize_delta(const sparse::CscMatrix<T>& A_new) {
   // Same arithmetic as refactorize(): combined scaling, then permutation.
   // Both are value-independent layout transforms, so At_new's colptr and
   // rowind are identical to At_'s and the value arrays align positionally.
-  sparse::CscMatrix<T> As =
-      sparse::apply_scaling(A_new, row_scale_, col_scale_);
-  sparse::CscMatrix<T> At_new = sparse::permute(As, row_perm_, col_perm_);
+  sparse::CscMatrix<T> At_new = transformed(A_new);
   // Diff against the values the current factors CONSUMED — with an active
   // low-rank correction that is the stashed base, not At_ (which already
   // holds the previous target). memcmp, not ==: matches the serve layer's

@@ -413,6 +413,9 @@ struct TransformResult {
   /// symbolic::elimination_tree(At), the A+Aᵀ etree the postorder was
   /// taken from, relabelled; hand it to symbolic::analyze.
   std::vector<index_t> etree;
+  /// At position of every stored entry of A (permute's `dest` map):
+  /// refactorizations on the same pattern scale each entry straight there.
+  std::vector<index_t> at_pos;
 };
 
 /// Run equilibration, the row permutation and the column ordering exactly
@@ -531,6 +534,10 @@ class Solver {
 
  private:
   void transform(const sparse::CscMatrix<T>& A);
+  /// Â for new values on the analysed pattern, bitwise what the transform
+  /// computes (apply_scaling with the stored scalings, then permute): each
+  /// entry is scaled straight into its at_pos_ position.
+  sparse::CscMatrix<T> transformed(const sparse::CscMatrix<T>& A_new) const;
   /// TunePolicy::model/probe: run symbolic analysis under the requested
   /// options, hand the tuner the stats, apply its decision (re-analyzing if
   /// it picked another block size). No-op under TunePolicy::off.
@@ -578,6 +585,7 @@ class Solver {
   std::vector<index_t> row_perm_, col_perm_;  ///< new-from-old, combined
   sparse::CscMatrix<T> At_;                   ///< transformed matrix
   std::vector<index_t> etree_;  ///< A+Aᵀ etree of At_ (from the transform)
+  std::vector<index_t> at_pos_;  ///< At_ position of each entry of A
   double at_norm_ = 0.0;  ///< ||Â||_max pinned at transform() time
   std::shared_ptr<const symbolic::SymbolicLU> sym_;
   /// shared_ptr so SMW corrections (tiny-pivot recovery, delta updates) tie

@@ -248,10 +248,14 @@ bool is_permutation(std::span<const index_t> p);
 /// out sorted without a comparison sort: the entries are first bucketed by
 /// destination row, then the rows are walked in ascending order and dealt
 /// into their destination columns (a counting transpose, twice).
-/// Duplicate entries keep their input order.
+/// Duplicate entries keep their input order. A non-null `dest` receives
+/// the position in B of every stored entry of A (B.values[(*dest)[p]] ==
+/// A.values[p]): refilling B from a same-pattern matrix is then one
+/// scatter, with no permutation work.
 template <class T>
 CscMatrix<T> permute(const CscMatrix<T>& A, std::span<const index_t> p_row,
-                     std::span<const index_t> p_col) {
+                     std::span<const index_t> p_col,
+                     std::vector<index_t>* dest = nullptr) {
   GESP_CHECK(p_row.empty() ||
                  p_row.size() == static_cast<std::size_t>(A.nrows),
              Errc::invalid_argument, "row permutation size mismatch");
@@ -287,11 +291,13 @@ CscMatrix<T> permute(const CscMatrix<T>& A, std::span<const index_t> p_row,
     B.colptr[new_col(j) + 1] = A.colptr[j + 1] - A.colptr[j];
   for (index_t j = 0; j < A.ncols; ++j) B.colptr[j + 1] += B.colptr[j];
   std::vector<index_t> next(B.colptr.begin(), B.colptr.end() - 1);
+  if (dest) dest->resize(nnz);
   for (index_t i = 0, q = 0; i < A.nrows; ++i)
     for (; q < rowptr[i]; ++q) {
       const index_t d = next[dest_col[q]]++;
       B.rowind[d] = i;
       B.values[d] = A.values[src[q]];
+      if (dest) (*dest)[src[q]] = d;
     }
   return B;
 }

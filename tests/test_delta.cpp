@@ -14,6 +14,7 @@
 #include "common/error.hpp"
 #include "core/solver.hpp"
 #include "numeric/lu_factors.hpp"
+#include "sparse/equilibrate.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/testbed.hpp"
@@ -119,6 +120,37 @@ TEST(DeltaBitwise, TestbedEntries) {
   for (const char* name : {"west0497-s", "orsirr-s", "add20-s"})
     expect_delta_bitwise(sparse::testbed_entry(name).make(), opt,
                          std::string("testbed:") + name);
+}
+
+TEST(DeltaBitwise, RefillMatchesScaleAndPermute) {
+  // A refactorization scales each new value straight into its Â position
+  // (the transform's at_pos map) instead of permuting. That must be
+  // bitwise apply_scaling + permute with the analysis' scalings and
+  // permutations, on both the full and the delta path.
+  for (const char* name : {"west0497-s", "add20-s"}) {
+    const auto A0 = sparse::testbed_entry(name).make();
+    const auto opt = thread_opts(1);
+    const TransformResult<double> tr = compute_transform(A0, opt);
+    Solver<double> full(A0, opt), delta(A0, opt);
+    ASSERT_TRUE(gesp::testing::same_bytes(full.transformed_matrix().values,
+                                          tr.At.values))
+        << name;
+    for (int step = 1; step <= 3; ++step) {
+      const auto A = sparse::perturb_column_window(A0, 0.05, 0.05, 40 + step);
+      full.refactorize(A);
+      delta.refactorize_delta(A);
+      const auto E = sparse::permute(
+          sparse::apply_scaling(A, tr.row_scale, tr.col_scale), tr.row_perm,
+          tr.col_perm);
+      for (const Solver<double>* s : {&full, &delta}) {
+        const auto& R = s->transformed_matrix();
+        EXPECT_EQ(R.colptr, E.colptr) << name << " step " << step;
+        EXPECT_EQ(R.rowind, E.rowind) << name << " step " << step;
+        EXPECT_TRUE(gesp::testing::same_bytes(R.values, E.values))
+            << name << " step " << step;
+      }
+    }
+  }
 }
 
 TEST(DeltaBitwise, AdversarialEntries) {

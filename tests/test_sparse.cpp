@@ -137,6 +137,37 @@ TEST(Csc, PermuteMatchesCooReassembly) {
   }
 }
 
+TEST(Csc, PermuteReportsEntryPositions) {
+  // dest[p] is where A's p-th stored entry lands in B, and every position
+  // of B is some entry's destination.
+  Rng rng(12);
+  CooMatrix<double> coo(90, 90);
+  for (index_t k = 0; k < 500; ++k)
+    coo.add(rng.next_index(90), rng.next_index(90), rng.uniform(-1.0, 1.0));
+  const CscMatrix<double> A = coo.to_csc();
+  std::vector<index_t> pr(90), pc(90);
+  for (index_t i = 0; i < 90; ++i) {
+    pr[i] = (7 * i + 3) % 90;
+    pc[i] = 89 - i;
+  }
+  std::vector<index_t> dest;
+  const CscMatrix<double> B = permute(A, pr, pc, &dest);
+  EXPECT_EQ(B.colptr, permute(A, pr, pc).colptr);
+  ASSERT_EQ(dest.size(), A.rowind.size());
+  std::vector<char> hit(dest.size(), 0);
+  for (index_t j = 0; j < A.ncols; ++j)
+    for (index_t p = A.colptr[j]; p < A.colptr[j + 1]; ++p) {
+      const index_t d = dest[p];
+      ASSERT_GE(d, B.colptr[pc[j]]);
+      ASSERT_LT(d, B.colptr[pc[j] + 1]);
+      EXPECT_EQ(B.rowind[d], pr[A.rowind[p]]);
+      EXPECT_EQ(B.values[d], A.values[p]);
+      hit[d] = 1;
+    }
+  EXPECT_EQ(std::count(hit.begin(), hit.end(), 1),
+            static_cast<std::ptrdiff_t>(hit.size()));
+}
+
 TEST(Csc, InversePermutation) {
   const std::vector<index_t> p{2, 0, 3, 1};
   const auto inv = inverse_permutation(p);
