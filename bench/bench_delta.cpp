@@ -8,7 +8,6 @@
 // compared. Matrices are the TWOTONE/circuit class the delta path targets,
 // plus a device-class contrast; changed-column fractions sweep 1%, 5%, 25%.
 //
-// Machine-readable output goes to BENCH_delta.json (or --out=<path>);
 // --quick shrinks the matrices and the step count for CI smoke runs.
 #include <algorithm>
 #include <cstdint>
@@ -36,7 +35,6 @@ struct Row {
   std::string model;      ///< "window" (localized) or "scattered"
   index_t n = 0;
   count_t nnz = 0;
-  double frac = 0;        ///< requested changed-column fraction
   double full_ms = 0;     ///< mean refactorize() wall per step
   double delta_ms = 0;    ///< mean refactorize_delta() wall per step
   double speedup = 0;     ///< full / delta
@@ -59,12 +57,9 @@ sparse::CscMatrix<double> drift(const sparse::CscMatrix<double>& A,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_delta.json";
   bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
+  for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
   const index_t scale = quick ? 1 : 2;
   const int steps = quick ? 3 : 5;
 
@@ -88,7 +83,6 @@ int main(int argc, char** argv) {
   const double fracs[] = {0.01, 0.05, 0.25};
   const char* models[] = {"window", "scattered"};
 
-  std::vector<Row> rows;
   std::printf("%-14s %-10s %6s %9s %6s %10s %10s %8s %7s %14s\n", "matrix",
               "model", "n", "nnz", "frac", "full ms", "delta ms", "speedup",
               "dirty", "routes s/p/f");
@@ -101,7 +95,6 @@ int main(int argc, char** argv) {
         r.model = model;
         r.n = A0.ncols;
         r.nnz = A0.nnz();
-        r.frac = frac;
         // Two solvers with identical analyses walk the same drift sequence;
         // only the refactorization routine differs.
         Solver<double> full(A0, {});
@@ -141,35 +134,9 @@ int main(int argc, char** argv) {
                     static_cast<long long>(r.smw),
                     static_cast<long long>(r.partial),
                     static_cast<long long>(r.full_route));
-        rows.push_back(r);
       }
     }
   }
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"delta\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    std::fprintf(
-        f,
-        "    {\"matrix\": \"%s\", \"model\": \"%s\", \"n\": %d, "
-        "\"nnz\": %lld, "
-        "\"changed_col_frac\": %.2f, \"full_ms\": %.3f, "
-        "\"delta_ms\": %.3f, \"speedup\": %.3f, \"dirty_frac\": %.4f, "
-        "\"routes\": {\"smw\": %lld, \"partial\": %lld, \"full\": %lld}}%s\n",
-        r.matrix.c_str(), r.model.c_str(), r.n,
-        static_cast<long long>(r.nnz), r.frac,
-        r.full_ms, r.delta_ms, r.speedup, r.dirty_frac,
-        static_cast<long long>(r.smw), static_cast<long long>(r.partial),
-        static_cast<long long>(r.full_route),
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", out_path.c_str());
   return 0;
 }

@@ -2,13 +2,11 @@
 // shapes, in both the performance model (simulated makespan, the paper's
 // "10-40% on 64 T3E processors" pipelining gain) and the real MiniMPI
 // execution (message/byte counters, look-ahead hits, bitwise check against
-// the serial factorization). Machine-readable output goes to
-// BENCH_dist.json (or --out=<path>) for the CI bench-smoke artifact.
+// the serial factorization).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -49,12 +47,8 @@ struct RealRun {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace gesp;
-  std::string out_path = "BENCH_dist.json";
-  for (int i = 1; i < argc; ++i)
-    if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
-
   const auto A = sparse::convdiff2d(40, 40, 1.5, 0.75);
   auto sym = std::make_shared<const symbolic::SymbolicLU>(
       symbolic::analyze(A, {}));
@@ -102,19 +96,9 @@ int main(int argc, char** argv) {
     return r;
   };
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n  \"matrix\": {\"name\": \"convdiff2d_40x40\", \"n\": %d, "
-               "\"nnz\": %lld, \"nsup\": %d},\n  \"grids\": [\n",
-               A.ncols, static_cast<long long>(A.nnz()), sym->nsup);
-
   Table table({"Grid", "Model strict(s)", "Model piped(s)", "Gain%",
-               "Real msgs", "Real bytes", "Lookahead", "Bitwise"});
-  bool first = true;
+               "Model msgs pruned/full", "Real piped(s)", "Real msgs",
+               "Real bytes", "Lookahead", "Bitwise"});
   for (const auto& [pr, pc] : grids) {
     const dist::ProcessGrid grid{pr, pc};
     dist::PerfOptions strict_opt, piped_opt;
@@ -130,44 +114,15 @@ int main(int argc, char** argv) {
     table.add_row({std::to_string(pr) + "x" + std::to_string(pc),
                    Table::fmt(ms.time, 4), Table::fmt(mp.time, 4),
                    Table::fmt((ms.time / mp.time - 1.0) * 100.0, 1),
+                   std::to_string(comm_pruned.messages) + "/" +
+                       std::to_string(comm_full.messages),
+                   Table::fmt(piped.wall_s, 4),
                    std::to_string(piped.messages),
                    std::to_string(piped.bytes),
                    std::to_string(piped.lookahead_hits),
                    piped.bitwise && strict.bitwise ? "yes" : "NO"});
-
-    std::fprintf(
-        f,
-        "%s    {\"pr\": %d, \"pc\": %d,\n"
-        "     \"model\": {\"strict_time_s\": %.6e, \"pipelined_time_s\": "
-        "%.6e, \"pipeline_gain_pct\": %.2f,\n"
-        "               \"messages_pruned\": %lld, \"bytes_pruned\": %lld, "
-        "\"messages_full\": %lld, \"bytes_full\": %lld},\n"
-        "     \"real_pipelined\": {\"messages\": %lld, \"bytes\": %lld, "
-        "\"lookahead_hits\": %lld, \"wall_s\": %.6e, "
-        "\"factors_bitwise_match_serial\": %s},\n"
-        "     \"real_strict\": {\"messages\": %lld, \"bytes\": %lld, "
-        "\"lookahead_hits\": %lld, \"wall_s\": %.6e, "
-        "\"factors_bitwise_match_serial\": %s}}",
-        first ? "" : ",\n", pr, pc, ms.time, mp.time,
-        (ms.time / mp.time - 1.0) * 100.0,
-        static_cast<long long>(comm_pruned.messages),
-        static_cast<long long>(comm_pruned.bytes),
-        static_cast<long long>(comm_full.messages),
-        static_cast<long long>(comm_full.bytes),
-        static_cast<long long>(piped.messages),
-        static_cast<long long>(piped.bytes),
-        static_cast<long long>(piped.lookahead_hits), piped.wall_s,
-        piped.bitwise ? "true" : "false",
-        static_cast<long long>(strict.messages),
-        static_cast<long long>(strict.bytes),
-        static_cast<long long>(strict.lookahead_hits), strict.wall_s,
-        strict.bitwise ? "true" : "false");
-    first = false;
   }
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
 
   table.print(std::cout);
-  std::printf("\nwrote %s\n", out_path.c_str());
   return 0;
 }

@@ -4,11 +4,9 @@
 // the rung that produced the answer, the berr it achieved, the total
 // ladder wall time (every attempted factorization included), and the
 // GEPP-only baseline time on the same matrix — the price the portfolio is
-// trying to undercut. Machine-readable output goes to BENCH_hostile.json
-// (or --out=<path>) for the CI hostile-matrices artifact.
+// trying to undercut.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -30,9 +28,8 @@ double now_s() {
 }
 
 struct HostileRun {
-  std::string name, attack, expect_rung, final_rung;
+  std::string name, expect_rung, final_rung;
   index_t n = 0;
-  bool recovered = false;
   double berr = -1.0;
   std::size_t attempts = 0;
   double ladder_s = 0.0;  ///< armed solve, all attempted rungs included
@@ -43,16 +40,11 @@ struct HostileRun {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string out_path = "BENCH_hostile.json";
-  for (int i = 1; i < argc; ++i)
-    if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
-
+int main() {
   std::vector<HostileRun> runs;
   for (const auto& e : sparse::adversarial_testbed()) {
     HostileRun r;
     r.name = e.name;
-    r.attack = e.attack;
     r.expect_rung = e.expect_rung;
     const auto A = e.make();
     r.n = A.ncols;
@@ -71,7 +63,6 @@ int main(int argc, char** argv) {
       r.ladder_s = now_s() - t0;
       const RecoveryTrail& trail = solver.stats().recovery;
       r.final_rung = recovery_rung_name(trail.final_rung);
-      r.recovered = trail.recovered;
       r.berr = solver.stats().berr;
       r.attempts = trail.attempts.size();
     } catch (const Error& err) {
@@ -110,30 +101,5 @@ int main(int argc, char** argv) {
   std::printf("\nportfolio rescues: %d of %d escalating matrices resolved "
               "before the GEPP rung\n",
               portfolio, escalated);
-
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"entries\": [\n");
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const auto& r = runs[i];
-    std::fprintf(
-        f,
-        "    {\"name\": \"%s\", \"n\": %d, \"attack\": \"%s\", "
-        "\"expect_rung\": \"%s\", \"final_rung\": \"%s\", "
-        "\"recovered\": %s, \"berr\": %.3e, \"attempts\": %zu, "
-        "\"ladder_seconds\": %.6f, \"gepp_seconds\": %.6f}%s\n",
-        r.name.c_str(), r.n, r.attack.c_str(), r.expect_rung.c_str(),
-        r.failed ? "failed" : r.final_rung.c_str(),
-        r.recovered ? "true" : "false", r.berr, r.attempts, r.ladder_s,
-        r.gepp_s, i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(f,
-               "  ],\n  \"portfolio_rescued\": %d,\n  \"escalated\": %d\n}\n",
-               portfolio, escalated);
-  std::fclose(f);
-  std::printf("\nwrote %s\n", out_path.c_str());
   return 0;
 }

@@ -6,11 +6,9 @@
 //     comparing factor+solve+refine time, final berr, and whether the
 //     float factorization held or promotion fired.
 //
-// Machine-readable output goes to BENCH_mixed.json (or --out=<path>).
 // Honors the shared --quick / --matrices= subsetting flags.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -64,22 +62,6 @@ double gemm_gflops(index_t b) {
   return best;
 }
 
-struct KernelRow {
-  index_t b = 0;
-  double gflops_double = 0;
-  double gflops_float = 0;
-};
-
-struct EndToEndRow {
-  std::string name;
-  double t_double = 0;  ///< factor + solve + refine, seconds
-  double t_mixed = 0;
-  double berr_double = 0;
-  double berr_mixed = 0;
-  count_t promotions = 0;
-  bool failed = false;
-};
-
 /// One timed GESP run: construction (analysis+factor) + solve. Returns the
 /// factor+solve+refine time (the phases precision changes) plus berr and
 /// promotion count via the stats. Fast solves repeat and keep the minimum
@@ -105,93 +87,36 @@ double timed_solve(const sparse::CscMatrix<double>& A,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_mixed.json";
-  for (int i = 1; i < argc; ++i)
-    if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
-
   // ---- kernel sweep -------------------------------------------------------
   const index_t blocks[] = {8, 16, 24, 32, 48};
-  std::vector<KernelRow> kernels;
   std::printf("%-6s %14s %14s %8s\n", "b", "double GF/s", "float GF/s",
               "ratio");
   for (index_t b : blocks) {
-    KernelRow r;
-    r.b = b;
-    r.gflops_double = gemm_gflops<double>(b);
-    r.gflops_float = gemm_gflops<float>(b);
-    std::printf("%-6d %14.2f %14.2f %7.2fx\n", b, r.gflops_double,
-                r.gflops_float, r.gflops_float / r.gflops_double);
-    kernels.push_back(r);
+    const double gd = gemm_gflops<double>(b);
+    const double gf = gemm_gflops<float>(b);
+    std::printf("%-6d %14.2f %14.2f %7.2fx\n", b, gd, gf, gf / gd);
   }
 
   // ---- end-to-end sweep ---------------------------------------------------
-  std::vector<EndToEndRow> runs;
   std::printf("\n%-16s %12s %12s %8s %11s %11s %5s\n", "matrix",
               "double s", "mixed s", "speedup", "berr dbl", "berr mix",
               "promo");
   for (const auto& entry : gesp::bench::select_testbed(argc, argv)) {
     if (entry.expect_fail) continue;
-    EndToEndRow row;
-    row.name = entry.name;
     try {
       const auto A = entry.make();
-      SolverOptions od;
-      SolveStats sd;
-      row.t_double = timed_solve(A, od, sd);
-      row.berr_double = sd.berr;
+      SolveStats sd, sm;
+      const double t_double = timed_solve(A, {}, sd);
       SolverOptions om;
       om.precision = Precision::mixed;
-      SolveStats sm;
-      row.t_mixed = timed_solve(A, om, sm);
-      row.berr_mixed = sm.berr;
-      row.promotions = sm.promotions;
+      const double t_mixed = timed_solve(A, om, sm);
+      std::printf("%-16s %12.4f %12.4f %7.2fx %11.2e %11.2e %5lld\n",
+                  entry.name.c_str(), t_double, t_mixed,
+                  t_mixed > 0 ? t_double / t_mixed : 0.0, sd.berr, sm.berr,
+                  static_cast<long long>(sm.promotions));
     } catch (const Error& e) {
-      row.failed = true;
-      std::printf("%-16s FAILED: %s\n", row.name.c_str(), e.what());
-      runs.push_back(row);
-      continue;
+      std::printf("%-16s FAILED: %s\n", entry.name.c_str(), e.what());
     }
-    std::printf("%-16s %12.4f %12.4f %7.2fx %11.2e %11.2e %5lld\n",
-                row.name.c_str(), row.t_double, row.t_mixed,
-                row.t_mixed > 0 ? row.t_double / row.t_mixed : 0.0,
-                row.berr_double, row.berr_mixed,
-                static_cast<long long>(row.promotions));
-    runs.push_back(row);
   }
-
-  // ---- BENCH_mixed.json ---------------------------------------------------
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"gemm\": [\n");
-  for (std::size_t i = 0; i < kernels.size(); ++i) {
-    const auto& r = kernels[i];
-    std::fprintf(f,
-                 "    {\"b\": %d, \"double_gflops\": %.3f, "
-                 "\"float_gflops\": %.3f, \"ratio\": %.3f}%s\n",
-                 r.b, r.gflops_double, r.gflops_float,
-                 r.gflops_double > 0 ? r.gflops_float / r.gflops_double : 0.0,
-                 i + 1 < kernels.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"end_to_end\": [\n");
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const auto& r = runs[i];
-    std::fprintf(f,
-                 "    {\"matrix\": \"%s\", \"double_s\": %.6f, "
-                 "\"mixed_s\": %.6f, \"speedup\": %.3f, "
-                 "\"berr_double\": %.3e, \"berr_mixed\": %.3e, "
-                 "\"promotions\": %lld, \"failed\": %s}%s\n",
-                 r.name.c_str(), r.t_double, r.t_mixed,
-                 r.t_mixed > 0 ? r.t_double / r.t_mixed : 0.0,
-                 r.berr_double, r.berr_mixed,
-                 static_cast<long long>(r.promotions),
-                 r.failed ? "true" : "false",
-                 i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", out_path.c_str());
   return 0;
 }

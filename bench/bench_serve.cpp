@@ -12,8 +12,7 @@
 // requests serialize on the cache entry's execution lock either way; the
 // batched service turns that serialization into blocked solve_multi calls.
 //
-// Machine-readable output goes to BENCH_serve.json (or --out=<path>) for
-// the CI serve-smoke artifact. --quick trims matrices and request counts.
+// --quick trims matrices and request counts.
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -88,7 +87,6 @@ double fire_concurrent(serve::SolverService<double>& svc,
 }
 
 struct HitPathResult {
-  std::string matrix;
   double cold_ms = 0, pattern_ms = 0, value_ms = 0;
   double speedup_pattern = 0, speedup_value = 0;
 };
@@ -102,12 +100,9 @@ struct ThroughputResult {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_serve.json";
   bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
+  for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
 
   std::vector<std::string> names = {"goodwin-s", "add20-s", "add32-s"};
   if (quick) names.resize(1);
@@ -116,11 +111,9 @@ int main(int argc, char** argv) {
   const int kColdSamples = quick ? 2 : 3;
 
   // ---- Experiment 1: cold vs pattern-hit vs value-hit latency ----------
-  std::vector<HitPathResult> hits;
   for (const auto& name : names) {
     Problem p = make_problem(name);
     HitPathResult r;
-    r.matrix = name;
 
     // Cold: a pattern miss only happens once per service lifetime, so each
     // sample gets a fresh (empty-cache) service. Cold traffic cannot batch
@@ -152,7 +145,6 @@ int main(int argc, char** argv) {
     r.value_ms = val * 1e3;
     r.speedup_pattern = r.pattern_ms > 0 ? r.cold_ms / r.pattern_ms : 0;
     r.speedup_value = r.value_ms > 0 ? r.cold_ms / r.value_ms : 0;
-    hits.push_back(r);
     std::printf(
         "%-12s per-request cost: cold %8.2f ms   pattern hit %7.2f ms "
         "(%4.1fx)   value hit %7.2f ms (%4.1fx)\n",
@@ -162,10 +154,9 @@ int main(int argc, char** argv) {
 
   // ---- Experiment 2: batched vs unbatched value-hit throughput ---------
   std::printf("\nbatched vs unbatched throughput (value-hit traffic, "
-              "%s):\n", hits.back().matrix.c_str());
+              "%s):\n", names.back().c_str());
   Problem tp = make_problem(names.back());
   const int per_client = quick ? 20 : 60;
-  std::vector<ThroughputResult> tput;
   for (int clients : {1, 4, 8}) {
     ThroughputResult t;
     t.clients = clients;
@@ -203,7 +194,6 @@ int main(int argc, char** argv) {
       }
     }
     t.speedup = t.unbatched_rps > 0 ? t.batched_rps / t.unbatched_rps : 0;
-    tput.push_back(t);
     std::printf(
         "  %d clients: batched %8.1f req/s (mean width %.2f)   "
         "unbatched %8.1f req/s   speedup %.2fx\n",
@@ -211,36 +201,5 @@ int main(int argc, char** argv) {
         t.speedup);
   }
 
-  // ---- BENCH_serve.json -------------------------------------------------
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"hit_paths\": [\n");
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    const auto& r = hits[i];
-    std::fprintf(f,
-                 "    {\"matrix\": \"%s\", \"cold_ms\": %.3f, "
-                 "\"pattern_hit_ms\": %.3f, \"value_hit_ms\": %.3f, "
-                 "\"speedup_pattern_hit\": %.2f, \"speedup_value_hit\": "
-                 "%.2f}%s\n",
-                 r.matrix.c_str(), r.cold_ms, r.pattern_ms, r.value_ms,
-                 r.speedup_pattern, r.speedup_value,
-                 i + 1 < hits.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"throughput\": [\n");
-  for (std::size_t i = 0; i < tput.size(); ++i) {
-    const auto& t = tput[i];
-    std::fprintf(f,
-                 "    {\"clients\": %d, \"batched_rps\": %.1f, "
-                 "\"unbatched_rps\": %.1f, \"speedup\": %.3f, "
-                 "\"batched_mean_width\": %.2f}%s\n",
-                 t.clients, t.batched_rps, t.unbatched_rps, t.speedup,
-                 t.batched_mean_width, i + 1 < tput.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", out_path.c_str());
   return 0;
 }

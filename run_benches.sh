@@ -42,54 +42,12 @@ for b in $BENCHES; do
   echo "###############################################################"
   echo "### $b"
   echo "###############################################################"
-  if [ "$b" = "bench_serve" ]; then
-    # Serving layer: cold vs pattern-hit vs value-hit per-request cost and
-    # batched vs unbatched throughput, recorded machine-readable next to
-    # this script (the CI serve-smoke artifact).
-    "build/bench/$b" --out=BENCH_serve.json || note_failure "$b"
-  elif [ "$b" = "bench_serve_dist" ]; then
-    # Sharded serving tier: fleet-vs-single-node cache capacity under one
-    # per-rank byte budget (the ~R x retention claim) and kill-rank chaos
-    # accounting, recorded machine-readable next to this script (the CI
-    # serve-dist artifact).
-    "build/bench/$b" --out=BENCH_serve_dist.json || note_failure "$b"
-  elif [ "$b" = "bench_dist_backend" ]; then
-    # Distributed backend: pipelined-vs-strict makespan model, real
-    # message/byte counters and look-ahead hits per grid shape, recorded
-    # machine-readable next to this script.
-    "build/bench/$b" --out=BENCH_dist.json || note_failure "$b"
-  elif [ "$b" = "bench_hostile" ]; then
-    # Adversarial testbed vs the recovery ladder: rung reached, backward
-    # error, and ladder time against the GEPP baseline per hostile matrix,
-    # recorded machine-readable next to this script (the CI
-    # hostile-matrices artifact).
-    "build/bench/$b" --out=BENCH_hostile.json || note_failure "$b"
-  elif [ "$b" = "bench_mixed" ]; then
-    # Mixed precision: float-vs-double GEMM GF/s per block size and
-    # mixed-vs-double end-to-end factor+solve+refine time over the full
-    # testbed, recorded machine-readable next to this script (the CI
-    # bench-smoke artifact behind the INTERNALS §16 table).
-    "build/bench/$b" --out=BENCH_mixed.json || note_failure "$b"
-  elif [ "$b" = "bench_delta" ]; then
-    # Delta refactorization: full-vs-delta refactorize cost per transient
-    # step on circuit-class generators, windowed and scattered drift
-    # shapes at 1/5/25% changed columns, recorded machine-readable next
-    # to this script (the CI bench-smoke artifact behind the
-    # EXPERIMENTS.md table).
-    "build/bench/$b" --out=BENCH_delta.json || note_failure "$b"
-  elif [ "$b" = "bench_kernels" ]; then
+  if [ "$b" = "bench_kernels" ]; then
     # google-benchmark binary (GEMM GFLOP/s per block size, factorization
     # per thread count). Its JSON is a per-run artifact, like the one CI's
     # bench-smoke job uploads, not a committed history.
     "build/bench/$b" --benchmark_out=BENCH_kernels.json \
       --benchmark_out_format=json || note_failure "$b"
-  elif [ "$b" = "bench_autotune" ]; then
-    # Autotuning: calibrated machine constants, tuned-vs-default factor
-    # time over the testbed, and the adaptive serve controller's
-    # step-change experiment, recorded machine-readable next to this
-    # script (the CI autotune-smoke artifact). The calibration is cached
-    # across runs when GESP_TUNE_CACHE points at a writable path.
-    "build/bench/$b" --out=BENCH_autotune.json || note_failure "$b"
   else
     "build/bench/$b" || note_failure "$b"
   fi

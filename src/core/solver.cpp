@@ -72,16 +72,13 @@ const char* precision_name(Precision p) noexcept {
   return "unknown";
 }
 
-const char* tune_policy_name(TunePolicy p) noexcept {
-  switch (p) {
-    case TunePolicy::off:
-      return "off";
-    case TunePolicy::model:
-      return "model";
-    case TunePolicy::probe:
-      return "probe";
-  }
-  return "unknown";
+void SolveStats::record_structure(const symbolic::SymbolicLU& S) {
+  nnz_l = S.nnz_L;
+  nnz_u = S.nnz_U;
+  stored_l = S.stored_L;
+  stored_u = S.stored_U;
+  flops = S.flops;
+  nsup = S.nsup;
 }
 
 void SolveStats::export_metrics(metrics::Registry& reg) const {
@@ -125,26 +122,6 @@ void SolveStats::export_metrics(metrics::Registry& reg) const {
       .set(static_cast<double>(delta.dirty_supernodes));
   reg.gauge("solver.delta.smw_rank")
       .set(static_cast<double>(delta.smw_rank));
-  reg.gauge("solver.tune.policy").set(static_cast<double>(tuning.policy));
-  reg.gauge("solver.tune.consulted").set(tuning.consulted ? 1.0 : 0.0);
-  reg.gauge("solver.tune.applied").set(tuning.applied ? 1.0 : 0.0);
-  if (tuning.consulted) {
-    reg.gauge("solver.tune.block")
-        .set(static_cast<double>(tuning.decision.max_block > 0
-                                     ? tuning.decision.max_block
-                                     : tuning.default_block));
-    reg.gauge("solver.tune.default_block")
-        .set(static_cast<double>(tuning.default_block));
-    reg.gauge("solver.tune.num_threads")
-        .set(static_cast<double>(tuning.decision.num_threads));
-    reg.gauge("solver.tune.predicted_seconds")
-        .set(tuning.decision.predicted_seconds);
-    reg.gauge("solver.tune.predicted_default_seconds")
-        .set(tuning.decision.predicted_default_seconds);
-    reg.gauge("solver.tune.actual_factor_seconds")
-        .set(tuning.actual_factor_seconds);
-    reg.gauge("solver.tune.model_error").set(tuning.model_error);
-  }
   for (const auto& [phase, seconds] : times.all())
     reg.gauge("solver.time." + phase).set(seconds);
   for (const auto& [phase, seconds] : times.all_totals())
@@ -222,91 +199,14 @@ Solver<T>::Solver(const sparse::CscMatrix<T>& A, const SolverOptions& opt)
   pattern_ = sparse::pattern_key(A);
   if (opt_.recovery.enabled) A_keep_ = A;
   transform(A);
-  consult_tuner();
   if (!opt_.recovery.enabled) {
     factor();
-    finish_tuning();
     return;
   }
   // A non-default start rung (serve's hostile fast path) skips the rungs
   // a repeat offender is known to burn through.
   rung_ = opt_.recovery.start_rung;
   factor_ladder();
-  finish_tuning();
-}
-
-template <class T>
-void Solver<T>::consult_tuner() {
-  if (opt_.tune.policy == TunePolicy::off) return;
-  GESP_CHECK(opt_.tune.tuner != nullptr, Errc::invalid_argument,
-             "TunePolicy::model/probe need a tuner "
-             "(construct one with tune::make_tuner)");
-  GESP_TRACE_SPAN("solver", "tune");
-  Timer t;
-  // The decision prices the structure the request would produce, so the
-  // symbolic analysis under the requested options runs first; factor()
-  // reuses it unless the tuner picks a different block size.
-  if (!sym_) {
-    GESP_TRACE_SPAN("solver", "symbolic");
-    Timer ts;
-    sym_ = std::make_shared<const symbolic::SymbolicLU>(
-        symbolic::analyze(At_, opt_.symbolic, etree_));
-    stats_.times.add("symbolic", ts.seconds());
-  }
-  TuneInputs in;
-  in.n = n_;
-  in.nnz = At_.nnz();
-  in.sym = sym_.get();
-  in.opt = &opt_;
-  in.max_threads = opt_.num_threads;
-  in.analyze = [this](const symbolic::SymbolicOptions& so) {
-    return symbolic::analyze(At_, so, etree_);
-  };
-  TuningReport& rep = stats_.tuning;
-  rep.policy = opt_.tune.policy;
-  rep.consulted = true;
-  rep.default_block = opt_.symbolic.max_block;
-  rep.decision = opt_.tune.tuner->decide(in);
-  metrics::global().counter("solver.tune.decisions").inc();
-  const TuneDecision& d = rep.decision;
-  if (d.changed) {
-    rep.applied = true;
-    metrics::global().counter("solver.tune.applied_events").inc();
-    trace::instant("solver", "tune_apply",
-                   static_cast<int>(d.max_block > 0 ? d.max_block
-                                                    : opt_.symbolic.max_block));
-    if (d.max_block > 0 && d.max_block != opt_.symbolic.max_block) {
-      opt_.symbolic.max_block = d.max_block;
-      sym_.reset();  // factor() re-analyzes under the chosen block
-    }
-    opt_.num_threads = std::clamp(d.num_threads, 1, std::max(1, in.max_threads));
-    if constexpr (std::is_same_v<T, double>) {
-      // A precision override must satisfy the same constraints the
-      // constructor validates for an explicit request; the tuner only
-      // proposes precisions its TunerOptions allow, this re-checks.
-      if (d.precision != opt_.precision &&
-          opt_.tiny_pivot != TinyPivotOption::aggressive_smw &&
-          !opt_.refine.compensated_residual)
-        opt_.precision = d.precision;
-    }
-  }
-  stats_.times.add("tune", t.seconds());
-}
-
-template <class T>
-void Solver<T>::finish_tuning() {
-  TuningReport& rep = stats_.tuning;
-  if (!rep.consulted) return;
-  rep.actual_factor_seconds = stats_.times.total("factor");
-  if (rep.decision.predicted_seconds > 0.0 &&
-      rep.actual_factor_seconds > 0.0)
-    rep.model_error =
-        rep.actual_factor_seconds / rep.decision.predicted_seconds;
-  if (opt_.tune.policy == TunePolicy::probe)
-    opt_.tune.tuner->observe(rep.decision, rep.actual_factor_seconds);
-  // Construction has no solve() to export through: publish the tuning
-  // gauges now so the decision is observable before the first request.
-  stats_.export_metrics(metrics::global());
 }
 
 template <class T>
@@ -564,6 +464,32 @@ TransformResult<T> compute_transform(const sparse::CscMatrix<T>& A,
   return out;
 }
 
+template <class T>
+sparse::CscMatrix<T> refill_transformed(const sparse::CscMatrix<T>& A_new,
+                                        const sparse::CscMatrix<T>& At,
+                                        std::span<const double> row_scale,
+                                        std::span<const double> col_scale,
+                                        std::span<const index_t> at_pos) {
+  // apply_scaling's arithmetic, entry by entry, then permute's placement.
+  const index_t n = At.ncols;
+  sparse::CscMatrix<T> B;
+  B.nrows = n;
+  B.ncols = n;
+  B.colptr = At.colptr;
+  B.rowind = At.rowind;
+  B.values.resize(A_new.values.size());
+  for (index_t j = 0; j < n; ++j) {
+    const double cj = col_scale.empty() ? 1.0 : col_scale[j];
+    for (index_t p = A_new.colptr[j]; p < A_new.colptr[j + 1]; ++p) {
+      const double ri = row_scale.empty() ? 1.0 : row_scale[A_new.rowind[p]];
+      T v = A_new.values[p];
+      v *= ri * cj;
+      B.values[at_pos[p]] = v;
+    }
+  }
+  return B;
+}
+
 std::size_t factor_asset_bytes(count_t stored_l, count_t stored_u,
                                count_t nnz_l, count_t nnz_u, index_t n,
                                count_t nnz, std::size_t factor_scalar,
@@ -611,28 +537,6 @@ void Solver<T>::transform(const sparse::CscMatrix<T>& A) {
 }
 
 template <class T>
-sparse::CscMatrix<T> Solver<T>::transformed(
-    const sparse::CscMatrix<T>& A_new) const {
-  // apply_scaling's arithmetic, entry by entry, then permute's placement.
-  sparse::CscMatrix<T> B;
-  B.nrows = n_;
-  B.ncols = n_;
-  B.colptr = At_.colptr;
-  B.rowind = At_.rowind;
-  B.values.resize(A_new.values.size());
-  for (index_t j = 0; j < n_; ++j) {
-    const double cj = col_scale_.empty() ? 1.0 : col_scale_[j];
-    for (index_t p = A_new.colptr[j]; p < A_new.colptr[j + 1]; ++p) {
-      const double ri = row_scale_.empty() ? 1.0 : row_scale_[A_new.rowind[p]];
-      T v = A_new.values[p];
-      v *= ri * cj;
-      B.values[at_pos_[p]] = v;
-    }
-  }
-  return B;
-}
-
-template <class T>
 numeric::NumericOptions Solver<T>::numeric_options(bool use_single) const {
   numeric::NumericOptions nopt;
   nopt.num_threads = opt_.num_threads;
@@ -673,15 +577,6 @@ void Solver<T>::factor() {
         symbolic::analyze(At_, opt_.symbolic, etree_));
     stats_.times.add("symbolic", t.seconds());
   }
-  // Refresh on every factorization, not just the first analysis: a GEPP
-  // recovery rung may have overwritten these with the fallback's counts.
-  stats_.nnz_l = sym_->nnz_L;
-  stats_.nnz_u = sym_->nnz_U;
-  stats_.stored_l = sym_->stored_L;
-  stats_.stored_u = sym_->stored_U;
-  stats_.flops = sym_->flops;
-  stats_.nsup = sym_->nsup;
-
   const bool use_single = std::is_same_v<T, double> &&
                           opt_.precision != Precision::double_ && !promoted_;
   const numeric::NumericOptions nopt = numeric_options(use_single);
@@ -703,6 +598,14 @@ void Solver<T>::factor() {
       factors_ = std::make_shared<numeric::LUFactors<T>>(sym_, At_, nopt);
   }
   stats_.times.add("factor", t.seconds());
+  record_factorization();
+}
+
+template <class T>
+void Solver<T>::record_factorization() {
+  // Refreshed on every factorization, not just the first analysis: a GEPP
+  // recovery rung may have overwritten the structure with its own counts.
+  stats_.record_structure(*sym_);
   stats_.factor_precision =
       factors_f_ ? Precision::single : Precision::double_;
   stats_.pivots_replaced = factors_f_ ? factors_f_->pivots_replaced()
@@ -710,7 +613,7 @@ void Solver<T>::factor() {
   stats_.pivot_growth =
       factors_f_ ? factors_f_->pivot_growth() : factors_->pivot_growth();
   metrics::global().counter("solver.factorizations").inc();
-  if (opt_.tiny_pivot == TinyPivotOption::aggressive_smw &&
+  if (opt_.tiny_pivot == TinyPivotOption::aggressive_smw && factors_ &&
       !factors_->replacements().empty())
     smw_ = std::make_unique<refine::SmwSolver<T>>(factors_);
 }
@@ -1128,7 +1031,7 @@ void Solver<T>::refactorize(const sparse::CscMatrix<T>& A_new) {
   stats_.times.new_epoch();
   GESP_TRACE_SPAN("solver", "refactorize");
   // Reuse every static decision: scalings, permutations, symbolic structure.
-  At_ = transformed(A_new);
+  At_ = refill_transformed(A_new, At_, row_scale_, col_scale_, at_pos_);
   if (!opt_.recovery.enabled) {
     factor();
     return;
@@ -1171,7 +1074,8 @@ void Solver<T>::refactorize_delta(const sparse::CscMatrix<T>& A_new) {
   // Same arithmetic as refactorize(): combined scaling, then permutation.
   // Both are value-independent layout transforms, so At_new's colptr and
   // rowind are identical to At_'s and the value arrays align positionally.
-  sparse::CscMatrix<T> At_new = transformed(A_new);
+  sparse::CscMatrix<T> At_new =
+      refill_transformed(A_new, At_, row_scale_, col_scale_, at_pos_);
   // Diff against the values the current factors CONSUMED — with an active
   // low-rank correction that is the stashed base, not At_ (which already
   // holds the previous target). memcmp, not ==: matches the serve layer's
@@ -1301,24 +1205,8 @@ void Solver<T>::refactorize_delta(const sparse::CscMatrix<T>& A_new) {
     return;
   }
   stats_.times.add("factor", t.seconds());
-  // Same stats contract as factor(): the partial refactorization IS the
-  // factorization now producing answers.
-  stats_.nnz_l = sym_->nnz_L;
-  stats_.nnz_u = sym_->nnz_U;
-  stats_.stored_l = sym_->stored_L;
-  stats_.stored_u = sym_->stored_U;
-  stats_.flops = sym_->flops;
-  stats_.nsup = sym_->nsup;
-  stats_.factor_precision =
-      factors_f_ ? Precision::single : Precision::double_;
-  stats_.pivots_replaced = factors_f_ ? factors_f_->pivots_replaced()
-                                      : factors_->pivots_replaced();
-  stats_.pivot_growth =
-      factors_f_ ? factors_f_->pivot_growth() : factors_->pivot_growth();
-  metrics::global().counter("solver.factorizations").inc();
-  if (opt_.tiny_pivot == TinyPivotOption::aggressive_smw && factors_ &&
-      !factors_->replacements().empty())
-    smw_ = std::make_unique<refine::SmwSolver<T>>(factors_);
+  // The partial refactorization IS the factorization now producing answers.
+  record_factorization();
   ++stats_.delta.partial;
   metrics::global().counter("solver.delta.partial_events").inc();
   if (opt_.recovery.enabled) {
@@ -1343,6 +1231,14 @@ template TransformResult<double> compute_transform(
     const sparse::CscMatrix<double>&, const SolverOptions&, PhaseTimes*);
 template TransformResult<Complex> compute_transform(
     const sparse::CscMatrix<Complex>&, const SolverOptions&, PhaseTimes*);
+template sparse::CscMatrix<double> refill_transformed(
+    const sparse::CscMatrix<double>&, const sparse::CscMatrix<double>&,
+    std::span<const double>, std::span<const double>,
+    std::span<const index_t>);
+template sparse::CscMatrix<Complex> refill_transformed(
+    const sparse::CscMatrix<Complex>&, const sparse::CscMatrix<Complex>&,
+    std::span<const double>, std::span<const double>,
+    std::span<const index_t>);
 template std::size_t estimate_factor_bytes(const sparse::CscMatrix<double>&,
                                            const SolverOptions&);
 template std::size_t estimate_factor_bytes(const sparse::CscMatrix<Complex>&,

@@ -18,7 +18,6 @@
 // expensive extra triangular solves the paper only runs on demand).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -180,95 +179,6 @@ struct DistBackendOptions {
   double recv_timeout_s = 0.0;  ///< transport watchdog; 0 = no timeout
 };
 
-/// Opt-in autotuning policy (implemented in src/tune; core carries only the
-/// plain-data types and the abstract hook so the dependency points
-/// tune → core, never the reverse).
-///
-///   off    never consult a tuner — the pre-tuning code path, bitwise
-///          identical to a solver built without tuning at all.
-///   model  consult the tuner once, after symbolic analysis, using its
-///          calibrated performance model to pick the configuration.
-///   probe  model, plus the tuner refines its machine constants from the
-///          measured factorization time (the first factorization is the
-///          probe; later same-process decisions use the corrected model).
-enum class TunePolicy { off, model, probe };
-
-const char* tune_policy_name(TunePolicy p) noexcept;
-
-struct SolverOptions;  // fwd — TuneInputs points back at the request
-
-/// Everything the solver hands the tuner after symbolic analysis.
-struct TuneInputs {
-  index_t n = 0;
-  count_t nnz = 0;
-  /// Symbolic analysis under the *requested* options — supernode widths,
-  /// stored nnz(L+U), flop count, etree structure.
-  const symbolic::SymbolicLU* sym = nullptr;
-  const SolverOptions* opt = nullptr;  ///< the requested configuration
-  int max_threads = 1;  ///< thread budget the tuner may spend (the request's
-                        ///< num_threads; the tuner only ever scales DOWN)
-  int dist_nprocs = 0;  ///< >0: tuning a distributed factorization over this
-                        ///< many ranks (grid reshapes must preserve it)
-  /// Re-run symbolic analysis under candidate options — cheap and
-  /// deterministic, so the tuner can price alternative block sizes against
-  /// the structure they would actually produce.
-  std::function<symbolic::SymbolicLU(const symbolic::SymbolicOptions&)>
-      analyze;
-};
-
-/// The tuner's verdict. Fields mirror the knobs a tuner may override;
-/// `changed == false` means "the request is already what I would pick" and
-/// the solver applies nothing.
-struct TuneDecision {
-  bool changed = false;
-  index_t max_block = 0;  ///< chosen symbolic.max_block (0 = keep request)
-  int num_threads = 1;
-  Precision precision = Precision::double_;
-  int pr = 0, pc = 0;     ///< dist only: grid shape, pr·pc == dist_nprocs
-  bool pipelined = true;  ///< dist only: look-ahead on (depth 1) or off
-  double predicted_seconds = -1.0;          ///< model cost of the choice
-  double predicted_default_seconds = -1.0;  ///< model cost of the request
-  std::string note;  ///< human-readable rationale ("small flops: serial")
-};
-
-/// Abstract tuner hook. The concrete implementation (tune::Tuner) lives in
-/// src/tune with the calibration machinery; core only ever calls through
-/// this interface. decide() must be deterministic in its inputs — the
-/// distributed driver calls it collectively on every rank and the ranks
-/// must agree.
-class TunerBase {
- public:
-  virtual ~TunerBase() = default;
-  virtual TuneDecision decide(const TuneInputs& in) = 0;
-  /// TunePolicy::probe feedback: the measured factorization seconds for a
-  /// decision this tuner produced. Default: ignore.
-  virtual void observe(const TuneDecision& decision, double actual_seconds) {
-    (void)decision;
-    (void)actual_seconds;
-  }
-};
-
-struct TuneOptions {
-  TunePolicy policy = TunePolicy::off;
-  /// Consulted when policy != off. Construct one with tune::make_tuner()
-  /// (src/tune); a non-off policy with a null tuner is rejected at solver
-  /// construction — core cannot build the concrete tuner itself.
-  std::shared_ptr<TunerBase> tuner;
-};
-
-/// SolveStats::tuning — what the tuner chose and how well its model did.
-struct TuningReport {
-  TunePolicy policy = TunePolicy::off;
-  bool consulted = false;  ///< a tuner ran after symbolic analysis
-  bool applied = false;    ///< ...and changed at least one knob
-  TuneDecision decision;   ///< the verdict (meaningful when consulted)
-  index_t default_block = 0;  ///< the requested max_block, for the report
-  double actual_factor_seconds = -1.0;  ///< measured cost of the choice
-  /// actual / predicted factor seconds (1.0 = perfect model; -1 until both
-  /// sides are known). The misprediction signal probe mode feeds back.
-  double model_error = -1.0;
-};
-
 /// Routing policy for Solver::refactorize_delta(): how a same-pattern
 /// value update is absorbed, cheapest route first.
 struct DeltaPolicy {
@@ -330,9 +240,6 @@ struct SolverOptions {
   RecoveryPolicy recovery;
   /// Delta-refactorization routing (see refactorize_delta()).
   DeltaPolicy delta;
-  /// Opt-in autotuning (see TunePolicy); off by default, and off is
-  /// guaranteed bitwise identical to a build without tuning.
-  TuneOptions tune;
 };
 
 /// Accounting of refactorize_delta() routing. Counters are cumulative over
@@ -388,9 +295,10 @@ struct SolveStats {
   RecoveryTrail recovery;
   /// refactorize_delta() routing accounting.
   DeltaStats delta;
-  /// Autotuning decision + predicted-vs-actual cost (inert under
-  /// TunePolicy::off).
-  TuningReport tuning;
+
+  /// Copy the structure fields (nnz_l/nnz_u, stored_l/stored_u, flops,
+  /// nsup) from the symbolic analysis the factors were built on.
+  void record_structure(const symbolic::SymbolicLU& S);
 
   /// Publish every field into `reg` as typed metrics under "solver.*"
   /// (gauges for snapshots, "solver.time.<phase>" for the last call's
@@ -427,6 +335,18 @@ template <class T>
 TransformResult<T> compute_transform(const sparse::CscMatrix<T>& A,
                                      const SolverOptions& opt,
                                      PhaseTimes* times = nullptr);
+
+/// Â for new values on an analysed pattern, bitwise what compute_transform
+/// builds (apply_scaling with the stored scalings, then permute): each
+/// entry of A_new is scaled straight into its `at_pos` position, and the
+/// pattern is `At`'s. A_new must have the analysed pattern; the drivers
+/// check its pattern_key first.
+template <class T>
+sparse::CscMatrix<T> refill_transformed(const sparse::CscMatrix<T>& A_new,
+                                        const sparse::CscMatrix<T>& At,
+                                        std::span<const double> row_scale,
+                                        std::span<const double> col_scale,
+                                        std::span<const index_t> at_pos);
 
 /// Byte footprint of one resident factorization asset: supernodal factor
 /// storage (at `factor_scalar` bytes per stored entry), factor index
@@ -534,17 +454,12 @@ class Solver {
 
  private:
   void transform(const sparse::CscMatrix<T>& A);
-  /// Â for new values on the analysed pattern, bitwise what the transform
-  /// computes (apply_scaling with the stored scalings, then permute): each
-  /// entry is scaled straight into its at_pos_ position.
-  sparse::CscMatrix<T> transformed(const sparse::CscMatrix<T>& A_new) const;
-  /// TunePolicy::model/probe: run symbolic analysis under the requested
-  /// options, hand the tuner the stats, apply its decision (re-analyzing if
-  /// it picked another block size). No-op under TunePolicy::off.
-  void consult_tuner();
-  /// Record predicted-vs-actual factor cost and feed probe-mode feedback.
-  void finish_tuning();
   void factor();
+  /// Make stats_ describe the static factors now producing answers
+  /// (structure, precision, replaced pivots, growth), count the
+  /// factorization, and rebuild the aggressive-SMW correction from their
+  /// pivot replacements. Shared by factor() and the partial delta route.
+  void record_factorization();
   /// Numeric options for the current configuration. The tiny-pivot
   /// threshold uses the ||Â|| pinned at transform() time, so delta and full
   /// refactorizations of the same analysis agree bitwise (the threshold is
@@ -619,6 +534,14 @@ extern template TransformResult<double> compute_transform(
     const sparse::CscMatrix<double>&, const SolverOptions&, PhaseTimes*);
 extern template TransformResult<Complex> compute_transform(
     const sparse::CscMatrix<Complex>&, const SolverOptions&, PhaseTimes*);
+extern template sparse::CscMatrix<double> refill_transformed(
+    const sparse::CscMatrix<double>&, const sparse::CscMatrix<double>&,
+    std::span<const double>, std::span<const double>,
+    std::span<const index_t>);
+extern template sparse::CscMatrix<Complex> refill_transformed(
+    const sparse::CscMatrix<Complex>&, const sparse::CscMatrix<Complex>&,
+    std::span<const double>, std::span<const double>,
+    std::span<const index_t>);
 extern template std::size_t estimate_factor_bytes(
     const sparse::CscMatrix<double>&, const SolverOptions&);
 extern template std::size_t estimate_factor_bytes(

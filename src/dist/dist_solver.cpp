@@ -76,6 +76,7 @@ DistSolver<T>::DistSolver(minimpi::Comm& comm, const sparse::CscMatrix<T>& A,
   GESP_CHECK(opt_.precision == Precision::double_, Errc::invalid_argument,
              "single/mixed precision is not available on the dist backend");
   n_ = A.ncols;
+  pattern_ = sparse::pattern_key(A);
   grid_ = grid_from(opt_.dist);
   GESP_CHECK(grid_.nprocs() == comm.size(), Errc::invalid_argument,
              "process grid does not match communicator size");
@@ -90,26 +91,17 @@ DistSolver<T>::DistSolver(minimpi::Comm& comm, const sparse::CscMatrix<T>& A,
   row_perm_ = std::move(tr.row_perm);
   col_perm_ = std::move(tr.col_perm);
   At_ = std::move(tr.At);
-  etree_ = std::move(tr.etree);
+  at_pos_ = std::move(tr.at_pos);
   amax_ = static_cast<double>(sparse::norm_max(At_));
 
   Timer t;
   {
     GESP_TRACE_SPAN("solver", "symbolic");
     sym_ = std::make_shared<const symbolic::SymbolicLU>(
-        symbolic::analyze(At_, opt_.symbolic, etree_));
+        symbolic::analyze(At_, opt_.symbolic, tr.etree));
   }
   stats_.times.add("symbolic", t.seconds());
-  stats_.nnz_l = sym_->nnz_L;
-  stats_.nnz_u = sym_->nnz_U;
-  stats_.stored_l = sym_->stored_L;
-  stats_.stored_u = sym_->stored_U;
-  stats_.flops = sym_->flops;
-  stats_.nsup = sym_->nsup;
-
-  // Tuning happens before the SpMV plan and the factorization: both depend
-  // on the grid shape and the symbolic structure the tuner may replace.
-  consult_tuner(comm);
+  stats_.record_structure(*sym_);
 
   // SpMV exchange plan (pattern-only, so refactorize can reuse it): block
   // column J is needed by every rank whose rows its entries touch.
@@ -137,91 +129,6 @@ DistSolver<T>::DistSolver(minimpi::Comm& comm, const sparse::CscMatrix<T>& A,
   }
   stats_.times.add("factor", t.seconds());
   reduce_factor_stats(comm);
-  finish_tuning(comm);
-}
-
-template <class T>
-void DistSolver<T>::consult_tuner(minimpi::Comm& comm) {
-  if (opt_.tune.policy == TunePolicy::off) return;
-  GESP_CHECK(opt_.tune.tuner != nullptr, Errc::invalid_argument,
-             "TunePolicy::model/probe need a tuner "
-             "(construct one with tune::make_tuner)");
-  GESP_TRACE_SPAN("solver", "tune");
-  Timer t;
-  TuneInputs in;
-  in.n = n_;
-  in.nnz = At_.nnz();
-  in.sym = sym_.get();
-  in.opt = &opt_;
-  in.max_threads = std::max(1, opt_.num_threads);
-  in.dist_nprocs = comm.size();
-  in.analyze = [this](const symbolic::SymbolicOptions& so) {
-    return symbolic::analyze(At_, so, etree_);
-  };
-  TuningReport& rep = stats_.tuning;
-  rep.policy = opt_.tune.policy;
-  rep.consulted = true;
-  rep.default_block = opt_.symbolic.max_block;
-  // decide() is deterministic and every rank hands it identical inputs, so
-  // all ranks reach the same verdict without communicating; metric counters
-  // stay rank-0-only so a 4-rank grid counts one decision, not four.
-  rep.decision = opt_.tune.tuner->decide(in);
-  if (comm.rank() == 0)
-    metrics::global().counter("solver.tune.decisions").inc();
-  const TuneDecision& d = rep.decision;
-  if (d.changed) {
-    rep.applied = true;
-    if (comm.rank() == 0) {
-      metrics::global().counter("solver.tune.applied_events").inc();
-      trace::instant("solver", "tune_apply",
-                     static_cast<int>(d.max_block > 0
-                                          ? d.max_block
-                                          : opt_.symbolic.max_block));
-    }
-    if (d.max_block > 0 && d.max_block != opt_.symbolic.max_block) {
-      opt_.symbolic.max_block = d.max_block;
-      Timer ts;
-      {
-        GESP_TRACE_SPAN("solver", "symbolic");
-        sym_ = std::make_shared<const symbolic::SymbolicLU>(
-            symbolic::analyze(At_, opt_.symbolic, etree_));
-      }
-      stats_.times.add("symbolic", ts.seconds());
-      stats_.nnz_l = sym_->nnz_L;
-      stats_.nnz_u = sym_->nnz_U;
-      stats_.stored_l = sym_->stored_L;
-      stats_.stored_u = sym_->stored_U;
-      stats_.flops = sym_->flops;
-      stats_.nsup = sym_->nsup;
-    }
-    if (d.pr > 0 && d.pc > 0 && d.pr * d.pc == comm.size()) {
-      opt_.dist.pr = d.pr;
-      opt_.dist.pc = d.pc;
-      grid_ = ProcessGrid{d.pr, d.pc};
-      myrow_ = grid_.rank_row(comm.rank());
-      mycol_ = grid_.rank_col(comm.rank());
-    }
-    opt_.dist.pipelined = d.pipelined;
-  }
-  stats_.times.add("tune", t.seconds());
-}
-
-template <class T>
-void DistSolver<T>::finish_tuning(minimpi::Comm& comm) {
-  TuningReport& rep = stats_.tuning;
-  if (!rep.consulted) return;
-  rep.actual_factor_seconds = stats_.times.total("factor");
-  if (rep.decision.predicted_seconds > 0.0 &&
-      rep.actual_factor_seconds > 0.0)
-    rep.model_error =
-        rep.actual_factor_seconds / rep.decision.predicted_seconds;
-  // One probe observation per grid, not per rank: MiniMPI ranks are
-  // threads sharing the tuner object.
-  if (comm.rank() == 0) {
-    if (opt_.tune.policy == TunePolicy::probe)
-      opt_.tune.tuner->observe(rep.decision, rep.actual_factor_seconds);
-    stats_.export_metrics(metrics::global());
-  }
 }
 
 template <class T>
@@ -242,13 +149,15 @@ void DistSolver<T>::refactorize(minimpi::Comm& comm,
                                 const sparse::CscMatrix<T>& A_new) {
   GESP_CHECK(A_new.nrows == n_ && A_new.ncols == n_, Errc::invalid_argument,
              "refactorize dimension mismatch");
+  // Every rank holds the same A_new, so every rank throws or none does.
+  GESP_CHECK(sparse::pattern_key(A_new) == pattern_, Errc::invalid_argument,
+             "refactorize: matrix sparsity pattern differs from the "
+             "analysed pattern (same-size is not same-structure)");
   stats_.times.new_epoch();
   GESP_TRACE_SPAN("solver", "refactorize");
   // Reuse every static decision: scalings, permutations, symbolic
   // structure, distribution, and the SpMV plan (pattern-unchanged).
-  sparse::CscMatrix<T> As =
-      sparse::apply_scaling(A_new, row_scale_, col_scale_);
-  At_ = sparse::permute(As, row_perm_, col_perm_);
+  At_ = refill_transformed(A_new, At_, row_scale_, col_scale_, at_pos_);
   amax_ = static_cast<double>(sparse::norm_max(At_));
   Timer t;
   {

@@ -62,7 +62,8 @@ class DistSolver {
 
   /// Collective re-factorization for same-pattern new values, reusing the
   /// transforms and symbolic structure (the paper's repeated-solve
-  /// amortization).
+  /// amortization). Throws Errc::invalid_argument on a pattern() mismatch,
+  /// as core::Solver::refactorize does.
   void refactorize(minimpi::Comm& comm, const sparse::CscMatrix<T>& A_new);
 
   const DistributedLU<T>& lu() const { return *lu_; }
@@ -71,14 +72,6 @@ class DistSolver {
  private:
   using BlockVector = typename DistributedLU<T>::BlockVector;
 
-  /// TunePolicy::model/probe: hand the tuner the replicated symbolic
-  /// analysis plus dist_nprocs = comm.size(); apply block size
-  /// (re-analysis), grid shape, and look-ahead. decide() is deterministic
-  /// in its inputs and every rank sees identical inputs, so the call is
-  /// collective without any extra communication. No-op under off.
-  void consult_tuner(minimpi::Comm& comm);
-  /// Record predicted-vs-actual factor cost; rank 0 feeds probe feedback.
-  void finish_tuning(minimpi::Comm& comm);
   void reduce_factor_stats(minimpi::Comm& comm);
   /// One distributed residual + berr evaluation over my rows (diag-block
   /// ownership): exchanges the needed x̂ slices, fills rb = b̂ - Â·x̂, and
@@ -99,9 +92,10 @@ class DistSolver {
   int myrow_ = 0, mycol_ = 0;
   std::vector<double> row_scale_, col_scale_;
   std::vector<index_t> row_perm_, col_perm_;
-  sparse::CscMatrix<T> At_;     ///< transformed matrix (replicated)
-  std::vector<index_t> etree_;  ///< A+Aᵀ etree of At_ (from the transform)
-  double amax_ = 0.0;           ///< ||Â||_max for growth / tiny threshold
+  sparse::CscMatrix<T> At_;      ///< transformed matrix (replicated)
+  sparse::PatternKey pattern_;   ///< fingerprint of the analysed matrix
+  std::vector<index_t> at_pos_;  ///< At_ position of each entry of A
+  double amax_ = 0.0;            ///< ||Â||_max for growth / tiny threshold
   std::shared_ptr<const symbolic::SymbolicLU> sym_;
   std::unique_ptr<DistributedLU<T>> lu_;
   /// SpMV exchange plan: needers_[J] = ranks whose rows touch block

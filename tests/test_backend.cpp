@@ -6,6 +6,7 @@
 // dist backend the same sqrt(eps)·||Â|| rule the in-process engines use.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -202,6 +203,41 @@ TEST(Backend, DistSolverRefactorizeSamePattern) {
     EXPECT_LT(sparse::relative_error_inf<double>(x_true, x1[r]), 1e-10) << r;
     EXPECT_LT(sparse::relative_error_inf<double>(half, x2[r]), 1e-10) << r;
   }
+}
+
+TEST(Backend, DistSolverRefactorizeRejectsOtherPattern) {
+  // Same size and nnz, one entry moved: column 0's last row index moves
+  // one row down (rows are sorted, so the new one is absent). Like
+  // Solver::refactorize, the dist driver must refuse it on every rank and
+  // keep answering for the analysed matrix.
+  const auto A = test_matrix();
+  auto B = A;
+  B.rowind[B.colptr[1] - 1] += 1;
+  ASSERT_LT(B.rowind[B.colptr[1] - 1], B.nrows);
+  ASSERT_FALSE(sparse::pattern_key(A) == sparse::pattern_key(B));
+  std::vector<double> x_true(static_cast<std::size_t>(A.ncols), 1.0),
+      b(x_true);
+  sparse::spmv<double>(A, x_true, b);
+
+  SolverOptions dopt;
+  dopt.backend = Backend::dist;
+  dopt.dist.pr = 2;
+  dopt.dist.pc = 2;
+  minimpi::World world(4);
+  std::atomic<int> rejected{0};
+  std::vector<std::vector<double>> x(4, std::vector<double>(b.size()));
+  world.run([&](minimpi::Comm& comm) {
+    DistSolver<double> ds(comm, A, dopt);
+    try {
+      ds.refactorize(comm, B);
+    } catch (const Error& e) {
+      if (e.code() == Errc::invalid_argument) ++rejected;
+    }
+    ds.solve(comm, b, x[comm.rank()]);
+  });
+  EXPECT_EQ(rejected.load(), 4);
+  for (int r = 0; r < 4; ++r)
+    EXPECT_LT(sparse::relative_error_inf<double>(x_true, x[r]), 1e-10) << r;
 }
 
 TEST(Backend, DistInheritsTinyPivotReplacement) {

@@ -24,11 +24,6 @@
 //   --no-shed             keep iterative refinement even under load
 //   --warm                pre-factor every distinct pattern (value set 0)
 //                         before replay starts
-//   --tune=off|model|probe
-//                         consult the calibrated autotuner for every
-//                         factorization the service builds (block size /
-//                         threads per matrix); probe feeds the
-//                         measured factor times back into the model
 //   --adapt               enable the adaptive serving controller: walks the
 //                         effective max-batch / linger / shed knobs toward
 //                         the latency target from windowed arrival-rate and
@@ -78,7 +73,6 @@
 #include "serve/shard.hpp"
 #include "serve/workload.hpp"
 #include "sparse/ops.hpp"
-#include "tune/tuner.hpp"
 
 namespace {
 
@@ -93,8 +87,7 @@ using namespace gesp;
                "[--workers=N] [--max-batch=N]\n"
                "       [--linger-us=N] [--max-queue=N] [--cache-entries=N] "
                "[--cache-mb=N] [--per-column]\n"
-               "       [--deadline-ms=X] [--no-shed] [--warm] "
-               "[--tune=off|model|probe] [--adapt]\n"
+               "       [--deadline-ms=X] [--no-shed] [--warm] [--adapt]\n"
                "       [--target-p99-ms=X] [--adapt-window-ms=X] "
                "[--backend=serial|threaded|dist] [--threads=N]\n"
                "       [--grid=PxQ] [--replication=N] [--shard-entries=N] "
@@ -179,15 +172,6 @@ int main(int argc, char** argv) {
       sopt.cache_max_bytes = static_cast<std::size_t>(std::atoll(v11)) << 20;
     } else if (const char* v12 = value_of(a, "--deadline-ms")) {
       deadline_ms = std::atof(v12);
-    } else if (const char* vt = value_of(a, "--tune")) {
-      if (std::strcmp(vt, "off") == 0)
-        tune::attach_tuner(sopt.solver, TunePolicy::off);
-      else if (std::strcmp(vt, "model") == 0)
-        tune::attach_tuner(sopt.solver, TunePolicy::model);
-      else if (std::strcmp(vt, "probe") == 0)
-        tune::attach_tuner(sopt.solver, TunePolicy::probe);
-      else
-        usage("unknown --tune value");
     } else if (const char* vtp = value_of(a, "--target-p99-ms")) {
       sopt.adapt_controller.target_p99_us = std::atof(vtp) * 1e3;
       if (sopt.adapt_controller.target_p99_us <= 0)
@@ -405,11 +389,6 @@ int main(int argc, char** argv) {
                 "%lld retries after eviction, %lld recovered\n",
                 shed.load(), cval("serve.deadline_expired"),
                 cval("serve.retries"), recovered.load());
-    if (sopt.solver.tune.policy != TunePolicy::off)
-      std::printf("tuning      policy %s, %lld decisions, %lld applied\n",
-                  tune_policy_name(sopt.solver.tune.policy),
-                  cval("solver.tune.decisions"),
-                  cval("solver.tune.applied_events"));
     if (sopt.adapt) {
       const auto as = svc.adapt_stats();
       const auto gval = [&](const char* name) -> long long {

@@ -30,15 +30,6 @@
 //   --recover             arm the graceful-degradation ladder (GESP ->
 //                         aggressive SMW -> unscaled -> threshold ->
 //                         panel-RRP -> GEPP) and print the recovery trail
-//   --tune=off|model|probe
-//                         consult the calibrated autotuner after symbolic
-//                         analysis: model applies the perf-model's pick of
-//                         block size / threads (grid shape and
-//                         look-ahead on the dist backend), probe also
-//                         feeds the measured factor time back into the
-//                         model; the report prints the decision and the
-//                         effective post-tuning configuration. Calibration
-//                         is cached across runs via GESP_TUNE_CACHE.
 //   --threads=N           shared-memory factorization threads (default 1;
 //                         > 1 is a usage error under --backend=serial)
 //   --backend=serial|threaded|dist
@@ -103,7 +94,6 @@
 #include "sparse/ops.hpp"
 #include "sparse/testbed.hpp"
 #include "symbolic/symbolic.hpp"
-#include "tune/tuner.hpp"
 
 namespace {
 
@@ -119,7 +109,6 @@ void print_usage(std::FILE* out) {
                "[--precision=double|single|mixed] [--max-block=N] "
                "[--relax=N] [--ferr] [--rcond] [--recover]\n"
                "       [--backend=serial|threaded|dist] [--threads=N] "
-               "[--tune=off|model|probe] "
                "[--repeat=N] [--delta[=FRAC]] [--dist=P] [--grid=RxC]\n"
                "       [--no-pipeline] [--no-edag] "
                "[--trace=FILE] [--metrics-json=FILE] [--list] [--help]\n"
@@ -275,16 +264,6 @@ int main(int argc, char** argv) {
       opt.symbolic.max_block = std::atoi(v5);
     } else if (const char* v6 = value_of(a, "--relax")) {
       opt.symbolic.relax = std::atoi(v6);
-    } else if (const char* vt = value_of(a, "--tune")) {
-      const std::string s = vt;
-      if (s == "off")
-        tune::attach_tuner(opt, TunePolicy::off);
-      else if (s == "model")
-        tune::attach_tuner(opt, TunePolicy::model);
-      else if (s == "probe")
-        tune::attach_tuner(opt, TunePolicy::probe);
-      else
-        usage("unknown --tune value");
     } else if (const char* v7 = value_of(a, "--threads")) {
       opt.num_threads = std::atoi(v7);
       if (opt.num_threads < 1) usage("--threads must be >= 1");
@@ -466,33 +445,6 @@ int main(int argc, char** argv) {
                   precision_name(s.factor_precision),
                   static_cast<long long>(s.promotions),
                   s.promotions == 1 ? "" : "s");
-    if (s.tuning.consulted) {
-      const TuneDecision& d = s.tuning.decision;
-      std::printf("tuning      policy %s, %s: %s\n",
-                  tune_policy_name(s.tuning.policy),
-                  s.tuning.applied ? "applied" : "no change",
-                  d.note.c_str());
-      // The effective post-tuning configuration (== the request when the
-      // tuner kept it).
-      if (opt.backend == Backend::dist)
-        std::printf("effective   block %lld, grid %dx%d, %s\n",
-                    static_cast<long long>(
-                        d.max_block > 0 ? d.max_block
-                                        : s.tuning.default_block),
-                    d.pr, d.pc,
-                    d.pipelined ? "pipelined" : "strict order");
-      else
-        std::printf("effective   block %lld, threads %d, precision %s\n",
-                    static_cast<long long>(
-                        d.max_block > 0 ? d.max_block
-                                        : s.tuning.default_block),
-                    d.num_threads, precision_name(d.precision));
-      if (s.tuning.model_error > 0)
-        std::printf("model       predicted %.3gs (request %.3gs), actual "
-                    "%.3gs, error %.2fx\n",
-                    d.predicted_seconds, d.predicted_default_seconds,
-                    s.tuning.actual_factor_seconds, s.tuning.model_error);
-    }
     if (s.ferr >= 0) std::printf("ferr bound  %.3e\n", s.ferr);
     if (s.rcond >= 0) std::printf("rcond       %.3e\n", s.rcond);
     std::printf("factors     nnz(L+U) = %lld (fill %.1fx), %d supernodes\n",
