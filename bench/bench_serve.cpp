@@ -47,13 +47,12 @@ Problem make_problem(const std::string& name) {
   return p;
 }
 
-serve::ServiceOptions service_options(index_t max_batch, double linger_s,
-                                      int workers) {
+/// One worker: batches form from the backlog queued behind it.
+serve::ServiceOptions service_options(index_t max_batch) {
   serve::ServiceOptions o;
   o.backend = Backend::serial;
-  o.num_workers = workers;
+  o.num_workers = 1;
   o.max_batch = max_batch;
-  o.batch_linger_s = linger_s;
   o.shed_refinement = false;  // measure full-quality answers throughout
   return o;
 }
@@ -119,18 +118,18 @@ int main(int argc, char** argv) {
     // sample gets a fresh (empty-cache) service. Cold traffic cannot batch
     // — the per-request cost IS the request cost.
     for (int s = 0; s < kColdSamples; ++s) {
-      serve::SolverService<double> svc(service_options(8, 1e-3, 1));
+      serve::SolverService<double> svc(service_options(8));
       Timer t;
       (void)svc.solve(p.base, p.b);
       r.cold_ms += t.seconds() * 1e3 / kColdSamples;
     }
 
-    // Pattern hits: each new value set refactorizes once and the batch of
-    // concurrent requests rides on it (single worker + generous linger +
-    // barrier release => one full-width batch). Value hits: repeat a value
-    // set that is already factored.
+    // Pattern hits: each new value set refactorizes once, and the requests
+    // queued behind the first one ride on it as one batch (single worker +
+    // barrier release). Value hits: repeat a value set that is already
+    // factored.
     serve::SolverService<double> svc(
-        service_options(static_cast<index_t>(kClients), 10e-3, 1));
+        service_options(static_cast<index_t>(kClients)));
     svc.warm(p.base);
     double pat = 0, val = 0;
     for (int v = 1; v <= kValueSets; ++v) {
@@ -161,14 +160,11 @@ int main(int argc, char** argv) {
     ThroughputResult t;
     t.clients = clients;
     for (const bool batched : {false, true}) {
-      // Closed-loop clients: no linger — the service coalesces whatever
-      // backlog has formed, which is the natural batching regime (a linger
-      // deadline only stalls clients that are waiting on their own reply).
-      // One worker: same-pattern traffic serializes on the entry's
+      // Closed-loop clients: the service coalesces whatever backlog has
+      // formed. One worker: same-pattern traffic serializes on the entry's
       // execution lock regardless, and a single worker drains the backlog
       // in full-width batches.
-      serve::SolverService<double> svc(
-          service_options(batched ? 8 : 1, 0.0, 1));
+      serve::SolverService<double> svc(service_options(batched ? 8 : 1));
       svc.warm(tp.base);
       (void)svc.solve(tp.base, tp.b);  // prime: every timed request hits
       const auto* bw =

@@ -35,7 +35,6 @@ bench_serve
 bench_serve_dist
 bench_mixed
 bench_delta
-bench_autotune
 bench_kernels
 "
 for b in $BENCHES; do

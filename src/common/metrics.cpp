@@ -36,8 +36,7 @@ int bucket_of(double v) noexcept {
                : (k >= Histogram::kBuckets ? Histogram::kBuckets - 1 : k);
 }
 
-// Shared quantile estimator over power-of-two bucket counts (the live
-// histogram and its frozen Snapshot use identical interpolation).
+// Quantile estimator over power-of-two bucket counts.
 double bucket_quantile(double q, const count_t* buckets, double total,
                        double mn, double mx) noexcept {
   if (total <= 0.0) return 0.0;
@@ -102,32 +101,6 @@ double Histogram::quantile(double q) const noexcept {
   for (int k = 0; k < kBuckets; ++k) buckets[k] = bucket(k);
   return bucket_quantile(q, buckets, static_cast<double>(total), min(),
                          max());
-}
-
-double Histogram::Snapshot::quantile(double q) const noexcept {
-  // Total from the drained buckets, not the (possibly torn) count field.
-  double total = 0.0;
-  for (const count_t b : buckets) total += static_cast<double>(b);
-  return bucket_quantile(q, buckets, total, min, max);
-}
-
-Histogram::Snapshot Histogram::snapshot_and_reset() noexcept {
-  Snapshot s;
-  s.count = count_.exchange(0, std::memory_order_relaxed);
-  s.sum = sum_.exchange(0.0, std::memory_order_relaxed);
-  s.min = min_.exchange(std::numeric_limits<double>::infinity(),
-                        std::memory_order_relaxed);
-  s.max = max_.exchange(-std::numeric_limits<double>::infinity(),
-                        std::memory_order_relaxed);
-  for (int k = 0; k < kBuckets; ++k)
-    s.buckets[k] =
-        buckets_[static_cast<std::size_t>(k)].exchange(
-            0, std::memory_order_relaxed);
-  if (s.count == 0) {
-    s.min = 0.0;
-    s.max = 0.0;
-  }
-  return s;
 }
 
 void Histogram::reset() noexcept {

@@ -37,40 +37,6 @@ class Counter {
   std::atomic<count_t> v_{0};
 };
 
-/// Windowed-rate reader over a Counter: each tick() returns the event rate
-/// (events/second) since the previous tick, without resetting the counter —
-/// the lifetime total stays intact for exporters while a controller samples
-/// per-window arrival rates. One RateWindow per reader; the counter itself
-/// may be updated concurrently from any thread.
-class RateWindow {
- public:
-  explicit RateWindow(const Counter& c) : c_(&c) {}
-
-  /// Rate over (last tick, now]. `now_s` is any monotonic clock reading in
-  /// seconds. The first call establishes the window start and returns 0.
-  double tick(double now_s) noexcept {
-    const count_t cur = c_->value();
-    if (last_t_ < 0.0) {
-      last_ = cur;
-      last_t_ = now_s;
-      return 0.0;
-    }
-    const double dt = now_s - last_t_;
-    const double events = static_cast<double>(cur - last_);
-    last_ = cur;
-    last_t_ = now_s;
-    return dt > 0.0 ? events / dt : 0.0;
-  }
-
-  /// Events since the previous tick without advancing the window.
-  count_t pending() const noexcept { return c_->value() - last_; }
-
- private:
-  const Counter* c_;
-  count_t last_{0};
-  double last_t_{-1.0};
-};
-
 /// Last-written double (berr, pivot growth, queue depth, ...).
 class Gauge {
  public:
@@ -129,31 +95,6 @@ class Histogram {
                  const count_t* buckets) noexcept;
 
   void reset() noexcept;
-
-  /// Value-type copy of a histogram at one instant — what a windowed reader
-  /// works with after the live histogram has been handed back to writers.
-  struct Snapshot {
-    count_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    count_t buckets[kBuckets] = {};
-
-    double mean() const noexcept {
-      return count > 0 ? sum / static_cast<double>(count) : 0.0;
-    }
-    /// Same estimator as Histogram::quantile, over the frozen buckets.
-    double quantile(double q) const noexcept;
-  };
-
-  /// Atomically drain the histogram into a Snapshot and reset it to empty,
-  /// so successive calls partition the sample stream into disjoint windows
-  /// (the serve controller's per-window p99). Samples recorded concurrently
-  /// with the swap land in exactly one of the two windows; none are lost,
-  /// though a racing record() may split its count/sum across the boundary —
-  /// harmless for rate/quantile use. Snapshot quantiles derive the total
-  /// from the drained buckets, so a torn count cannot skew them.
-  Snapshot snapshot_and_reset() noexcept;
 
  private:
   std::atomic<count_t> count_{0};

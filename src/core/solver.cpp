@@ -1031,7 +1031,14 @@ void Solver<T>::refactorize(const sparse::CscMatrix<T>& A_new) {
   stats_.times.new_epoch();
   GESP_TRACE_SPAN("solver", "refactorize");
   // Reuse every static decision: scalings, permutations, symbolic structure.
-  At_ = refill_transformed(A_new, At_, row_scale_, col_scale_, at_pos_);
+  factor_refilled(
+      refill_transformed(A_new, At_, row_scale_, col_scale_, at_pos_), A_new);
+}
+
+template <class T>
+void Solver<T>::factor_refilled(sparse::CscMatrix<T>&& At_new,
+                                const sparse::CscMatrix<T>& A_new) {
+  At_ = std::move(At_new);
   if (!opt_.recovery.enabled) {
     factor();
     return;
@@ -1056,26 +1063,28 @@ void Solver<T>::refactorize_delta(const sparse::CscMatrix<T>& A_new) {
   GESP_TRACE_SPAN("solver", "refactorize_delta");
   ++stats_.delta.calls;
   metrics::global().counter("solver.delta.call_events").inc();
-  const auto fall_back_to_full = [&] {
-    ++stats_.delta.full;
-    metrics::global().counter("solver.delta.full_events").inc();
-    stats_.delta.smw_rank = 0;
-    refactorize(A_new);
-  };
-  // An escalated ladder or the GEPP fallback means the static factors no
-  // longer produce the answer as-is; only a full refactorize restarts that
-  // machinery correctly (and identically to refactorize(A_new), which is
-  // what keeps delta-vs-full comparable on hostile matrices).
-  if (rung_ != RecoveryRung::gesp || gepp_ || (!factors_ && !factors_f_)) {
-    fall_back_to_full();
-    return;
-  }
-
   // Same arithmetic as refactorize(): combined scaling, then permutation.
   // Both are value-independent layout transforms, so At_new's colptr and
   // rowind are identical to At_'s and the value arrays align positionally.
   sparse::CscMatrix<T> At_new =
       refill_transformed(A_new, At_, row_scale_, col_scale_, at_pos_);
+  // The full route factors this same refill — identical to
+  // refactorize(A_new), without checking the pattern or refilling again.
+  const auto fall_back_to_full = [&] {
+    ++stats_.delta.full;
+    metrics::global().counter("solver.delta.full_events").inc();
+    stats_.delta.smw_rank = 0;
+    factor_refilled(std::move(At_new), A_new);
+  };
+  // An escalated ladder or the GEPP fallback means the static factors no
+  // longer produce the answer as-is; only a full refactorization restarts
+  // that machinery correctly (and identically to refactorize(A_new), which
+  // is what keeps delta-vs-full comparable on hostile matrices).
+  if (rung_ != RecoveryRung::gesp || gepp_ || (!factors_ && !factors_f_)) {
+    fall_back_to_full();
+    return;
+  }
+
   // Diff against the values the current factors CONSUMED — with an active
   // low-rank correction that is the stashed base, not At_ (which already
   // holds the previous target). memcmp, not ==: matches the serve layer's

@@ -455,6 +455,12 @@ class Solver {
  private:
   void transform(const sparse::CscMatrix<T>& A);
   void factor();
+  /// The full refactorization of an already refilled Â (`At_new`, from
+  /// refill_transformed of `A_new`): factor it, or restart the recovery
+  /// ladder from its start rung. refactorize() and refactorize_delta()'s
+  /// full route both end here.
+  void factor_refilled(sparse::CscMatrix<T>&& At_new,
+                       const sparse::CscMatrix<T>& A_new);
   /// Make stats_ describe the static factors now producing answers
   /// (structure, precision, replaced pivots, growth), count the
   /// factorization, and rebuild the aggressive-SMW correction from their

@@ -122,19 +122,14 @@ Response<T> EntryExecutor<T>::execute(const sparse::CscMatrix<T>& A0,
           reg_.counter("serve.cache.value_hash_collisions").inc();
         GESP_TRACE_SPAN("serve", "refactorize");
         reg_.counter("serve.cache.pattern_hit").inc();
-        if (opt_.values_delta) {
-          // Near-values hit: the solver diffs the values and absorbs the
-          // change with the cheapest route (noop / SMW / partial); it
-          // falls back to the full refactorize on its own for large drifts
-          // or an escalated configuration.
-          const count_t full_before = e->solver->stats().delta.full;
-          e->solver->refactorize_delta(A);
-          tmpl.value_delta = e->solver->stats().delta.full == full_before;
-          if (tmpl.value_delta)
-            reg_.counter("serve.cache.value_delta").inc();
-        } else {
-          e->solver->refactorize(A);
-        }
+        // Near-values hit: the solver diffs the values and absorbs the
+        // change with the cheapest route (noop / SMW / partial); it falls
+        // back to the full refactorization on its own for large drifts or
+        // an escalated configuration.
+        const count_t full_before = e->solver->stats().delta.full;
+        e->solver->refactorize_delta(A);
+        tmpl.value_delta = e->solver->stats().delta.full == full_before;
+        if (tmpl.value_delta) reg_.counter("serve.cache.value_delta").inc();
         e->value_hash = vhash;
         e->values = A.values;
         tmpl.pattern_hit = true;

@@ -7,8 +7,7 @@
 //
 //   * the entry for the group's pattern is acquired and prepared — a cold
 //     build, a value hit (value hash AND exact bytes), or a pattern hit
-//     through Solver::refactorize_delta (ServiceOptions::values_delta) or
-//     Solver::refactorize;
+//     through Solver::refactorize_delta;
 //   * the solves run (blocked solve_multi or one solve() per column, per
 //     ServiceOptions::batch_mode), with an optional refinement override;
 //   * the entry's bytes are accounted before the solves and re-accounted

@@ -31,12 +31,9 @@ SolverService<T>::SolverService(const ServiceOptions& opt)
   opt_.num_workers = std::max(1, opt_.num_workers);
   opt_.max_queue = std::max<std::size_t>(1, opt_.max_queue);
   opt_.max_batch = std::max<index_t>(1, opt_.max_batch);
-  eff_max_batch_.store(opt_.max_batch, std::memory_order_relaxed);
-  eff_linger_s_.store(opt_.batch_linger_s, std::memory_order_relaxed);
-  eff_shed_fraction_.store(opt_.shed_fraction, std::memory_order_relaxed);
   if (opt_.backend == Backend::dist) {
     tier_ = std::make_unique<ShardedTier<T>>(opt_);
-    return;  // the tier IS the service (it runs its own gateway adaptation)
+    return;  // the tier IS the service
   }
   GESP_CHECK(!shard_options_set(opt_.shard), Errc::invalid_argument,
              "SolverService: ShardOptions (grid/replication/shard budgets/"
@@ -49,13 +46,6 @@ SolverService<T>::SolverService(const ServiceOptions& opt)
   workers_.reserve(static_cast<std::size_t>(opt_.num_workers));
   for (int i = 0; i < opt_.num_workers; ++i)
     workers_.emplace_back([this] { worker_loop(); });
-  if (opt_.adapt) {
-    controller_ = std::make_unique<tune::ServeController>(
-        tune::ServeKnobs{opt_.max_batch, opt_.batch_linger_s,
-                         opt_.shed_fraction},
-        opt_.adapt_controller);
-    adapt_thread_ = std::thread([this] { adapt_loop(); });
-  }
 }
 
 template <class T>
@@ -95,7 +85,6 @@ Response<T> SolverService<T>::solve(const sparse::CscMatrix<T>& A,
       reject("request queue full; retry later or raise max_queue");
     queue_.push_back(std::move(p));
     metrics::global().counter("serve.admitted").inc();
-    window_admitted_.inc();
     const auto depth = static_cast<double>(queue_.size());
     metrics::global().gauge("serve.queue.depth").set(depth);
     trace::counter("serve.queue.depth", depth);
@@ -125,12 +114,6 @@ void SolverService<T>::stop() {
     tier_->stop();
     return;
   }
-  {
-    std::lock_guard lk(adapt_mu_);
-    adapt_stop_ = true;
-  }
-  adapt_cv_.notify_all();
-  if (adapt_thread_.joinable()) adapt_thread_.join();
   {
     std::lock_guard lk(mu_);
     stop_ = true;
@@ -188,29 +171,11 @@ void SolverService<T>::worker_loop() {
       if (queue_.empty()) return;  // stop_ set and fully drained
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
+      // Greedy batching: take the same-(pattern, values) requests already
+      // queued and execute at once. Every client in this repository is
+      // closed-loop, so waiting for more arrivals only adds latency —
+      // batches form from backlog.
       collect_matches_locked(batch);
-      // Batching knobs come from the effective-knob atomics, not opt_:
-      // the adaptive controller may have moved them since construction.
-      const index_t max_batch =
-          eff_max_batch_.load(std::memory_order_relaxed);
-      const double linger_s = eff_linger_s_.load(std::memory_order_relaxed);
-      // Linger: hold a non-full batch briefly so concurrent same-
-      // factorization arrivals coalesce. Other workers keep draining the
-      // queue meanwhile — the lock is released inside wait_until.
-      if (max_batch > 1 && linger_s > 0 &&
-          static_cast<index_t>(batch.size()) < max_batch && !stop_) {
-        const auto linger_until =
-            Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(linger_s));
-        while (static_cast<index_t>(batch.size()) < max_batch &&
-               !stop_) {
-          if (cv_.wait_until(lk, linger_until) == std::cv_status::timeout) {
-            collect_matches_locked(batch);
-            break;
-          }
-          collect_matches_locked(batch);
-        }
-      }
       const auto depth = static_cast<double>(queue_.size());
       metrics::global().gauge("serve.queue.depth").set(depth);
       trace::counter("serve.queue.depth", depth);
@@ -220,76 +185,14 @@ void SolverService<T>::worker_loop() {
 }
 
 template <class T>
-tune::ServeKnobs SolverService<T>::effective_knobs() const {
-  tune::ServeKnobs k;
-  k.max_batch = eff_max_batch_.load(std::memory_order_relaxed);
-  k.batch_linger_s = eff_linger_s_.load(std::memory_order_relaxed);
-  k.shed_fraction = eff_shed_fraction_.load(std::memory_order_relaxed);
-  return k;
-}
-
-template <class T>
-tune::ServeController::Stats SolverService<T>::adapt_stats() const {
-  std::lock_guard lk(adapt_mu_);
-  return controller_ ? controller_->stats() : tune::ServeController::Stats{};
-}
-
-template <class T>
-void SolverService<T>::adapt_loop() {
-  metrics::RateWindow arrivals(window_admitted_);
-  const auto t0 = Clock::now();
-  const auto now_s = [&t0] {
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-  };
-  arrivals.tick(now_s());
-  const double window_s = std::max(1e-3, opt_.adapt_window_s);
-  const auto window = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(window_s));
-  std::unique_lock lk(adapt_mu_);
-  for (;;) {
-    if (adapt_cv_.wait_for(lk, window, [this] { return adapt_stop_; }))
-      return;
-    tune::ControllerInput in;
-    in.window_s = window_s;
-    in.arrival_rate = arrivals.tick(now_s());
-    const auto snap = window_latency_us_.snapshot_and_reset();
-    in.completed = snap.count;
-    in.p50_us = snap.quantile(0.5);
-    in.p99_us = snap.quantile(0.99);
-    in.queue_depth = static_cast<double>(queue_depth());
-    const tune::ServeKnobs k = controller_->step(in);
-    const tune::ServeKnobs prev = effective_knobs();
-    eff_max_batch_.store(k.max_batch, std::memory_order_relaxed);
-    eff_linger_s_.store(k.batch_linger_s, std::memory_order_relaxed);
-    eff_shed_fraction_.store(k.shed_fraction, std::memory_order_relaxed);
-    auto& reg = metrics::global();
-    reg.gauge("serve.tune.max_batch")
-        .set(static_cast<double>(k.max_batch));
-    reg.gauge("serve.tune.batch_linger_s").set(k.batch_linger_s);
-    reg.gauge("serve.tune.shed_fraction").set(k.shed_fraction);
-    reg.gauge("serve.tune.window_p99_us").set(in.p99_us);
-    reg.gauge("serve.tune.window_arrival_rate").set(in.arrival_rate);
-    const auto& cs = controller_->stats();
-    reg.gauge("serve.tune.windows").set(static_cast<double>(cs.windows));
-    reg.gauge("serve.tune.trims").set(static_cast<double>(cs.trims));
-    reg.gauge("serve.tune.relaxes").set(static_cast<double>(cs.relaxes));
-    if (!(k == prev)) {
-      reg.counter("serve.tune.adjustments").inc();
-      trace::instant("serve", "tune_adjust",
-                     static_cast<int>(k.max_batch));
-    }
-  }
-}
-
-template <class T>
 void SolverService<T>::collect_matches_locked(Batch& batch) {
   // Coalesce on (pattern key, value hash): 128 combined hash bits, so a
   // cross-matrix collision here is beyond negligible — and the cache layer
   // still validates the pattern arrays exactly before any symbolic reuse.
   const Pending& head = *batch.front();
-  const index_t max_batch = eff_max_batch_.load(std::memory_order_relaxed);
   for (auto it = queue_.begin();
-       it != queue_.end() && static_cast<index_t>(batch.size()) < max_batch;) {
+       it != queue_.end() &&
+       static_cast<index_t>(batch.size()) < opt_.max_batch;) {
     if ((*it)->key == head.key && (*it)->vhash == head.vhash) {
       batch.push_back(std::move(*it));
       it = queue_.erase(it);
@@ -362,7 +265,7 @@ void SolverService<T>::execute_batch_impl(Batch& batch) {
   const bool shed =
       opt_.shed_refinement &&
       queue_depth() >= static_cast<std::size_t>(
-                           eff_shed_fraction_.load(std::memory_order_relaxed) *
+                           opt_.shed_fraction *
                            static_cast<double>(opt_.max_queue));
   refine::RefineOptions shed_refine = opt_.solver.refine;
   shed_refine.max_iters = 0;
@@ -398,7 +301,6 @@ void SolverService<T>::fulfill(PendingPtr& p, Response<T>&& r) {
   // Microseconds: the histogram's power-of-two buckets would fold every
   // sub-second latency into one bucket if recorded in seconds.
   metrics::global().histogram("serve.latency_us").record(r.latency_s * 1e6);
-  window_latency_us_.record(r.latency_s * 1e6);
   p->promise.set_value(Outcome<T>{std::move(r), true, {}, {}});
   // Null the owning slot: the retry/error/catch-all paths skip resolved
   // requests by this marker.

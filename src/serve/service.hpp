@@ -10,9 +10,10 @@
 //     execution core every backend shares (execute.hpp): a request with a
 //     known pattern but new values takes the refactorize fast path; a
 //     known (pattern, values) pair goes straight to triangular solves;
-//   * a request queue with RHS batching: concurrent single-RHS requests
-//     against the same cached factorization coalesce into one solve_multi
-//     call, up to a configurable batch width and linger deadline;
+//   * a request queue with greedy RHS batching: a worker takes the queue
+//     head plus the same-(pattern, values) requests already queued behind
+//     it, up to a configurable batch width, into one solve_multi call —
+//     batches come from backlog, never from waiting;
 //   * admission control and graceful degradation: bounded queue depth with
 //     typed rejection (Errc::overloaded), per-request deadlines, and a
 //     shed mode that skips iterative refinement under load;
@@ -37,7 +38,6 @@
 // served solutions are then bitwise identical to a serial Solver replay.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <future>
@@ -47,11 +47,9 @@
 #include <thread>
 #include <vector>
 
-#include "common/metrics.hpp"
 #include "dist/fault.hpp"
 #include "refine/refine.hpp"
 #include "serve/cache.hpp"
-#include "tune/controller.hpp"
 
 namespace gesp::serve {
 
@@ -128,9 +126,6 @@ struct ServiceOptions {
   std::size_t cache_max_entries = 16;
   std::size_t cache_max_bytes = std::size_t{256} << 20;
   index_t max_batch = 8;        ///< RHS coalescing width (1 = no batching)
-  /// How long a worker holding a non-full batch waits for more same-
-  /// (pattern, values) arrivals before executing. 0 disables lingering.
-  double batch_linger_s = 200e-6;
   BatchMode batch_mode = BatchMode::blocked;
   /// Shed mode: when the queue is more than this full at execution time,
   /// solves skip iterative refinement (berr is still measured once).
@@ -147,23 +142,6 @@ struct ServiceOptions {
   /// pattern. A successful recovery resets a not-yet-hostile pattern's
   /// failure count. <= 0 disables marking.
   int hostile_threshold = 2;
-  /// Pattern hits route through Solver::refactorize_delta instead of a
-  /// full refactorize: a transient workload whose values drift a few
-  /// columns per step turns same-values cache hits into near-values hits
-  /// (SMW correction or partial re-elimination, per solver.delta policy).
-  bool values_delta = true;
-  /// Adaptive serving (tune::ServeController): every adapt_window_s a
-  /// sampling loop reads the windowed arrival rate and latency quantiles
-  /// and walks the *effective* max_batch / batch_linger_s / shed_fraction
-  /// toward adapt_controller.target_p99_us (clamped, hysteresis-damped —
-  /// see tune/controller.hpp). Off by default: the static knobs above then
-  /// apply verbatim. Under Backend::dist the controller runs beside the
-  /// gateway and its shed knob scales the admission bound instead — the
-  /// tier routes rather than batches, so earlier typed rejection is its
-  /// graceful-degradation lever.
-  bool adapt = false;
-  double adapt_window_s = 0.25;
-  tune::ControllerOptions adapt_controller;
 };
 
 struct RequestOptions {
@@ -248,11 +226,6 @@ class SolverService {
   void stop();
 
   const ServiceOptions& options() const { return opt_; }
-  /// The batching/shedding knobs in force right now: the configured values
-  /// until the adaptive controller (opt.adapt) moves them.
-  tune::ServeKnobs effective_knobs() const;
-  /// Adaptive-controller accounting (all zeros while adapt is off).
-  tune::ServeController::Stats adapt_stats() const;
   /// Cached patterns / bytes. Under Backend::dist these are fleet-wide
   /// sums over every shard (a dead rank's shard counts as empty).
   std::size_t cache_entries() const;
@@ -286,9 +259,6 @@ class SolverService {
   using Batch = std::vector<PendingPtr>;
 
   void worker_loop();
-  /// Sampling thread behind opt.adapt: one ServeController::step per
-  /// window, effective knobs published through the atomics below.
-  void adapt_loop();
   /// Move queued requests matching (key, vhash) into `batch` (locked).
   void collect_matches_locked(Batch& batch);
   /// Execute `batch`, resolving every promise exactly once. Never throws:
@@ -315,23 +285,6 @@ class SolverService {
   std::list<PendingPtr> queue_;
   bool stop_ = false;
   std::vector<std::thread> workers_;
-
-  /// Effective knobs, read lock-free on the hot paths (worker batching,
-  /// shed check). Initialized from the configured options; only the
-  /// adapt thread ever stores after construction.
-  std::atomic<index_t> eff_max_batch_{1};
-  std::atomic<double> eff_linger_s_{0.0};
-  std::atomic<double> eff_shed_fraction_{1.0};
-  /// Windowed inputs for the controller — private instances so draining a
-  /// window never disturbs the lifetime serve.* metrics in the global
-  /// registry.
-  metrics::Histogram window_latency_us_;
-  metrics::Counter window_admitted_;
-  std::unique_ptr<tune::ServeController> controller_;  ///< adapt_mu_
-  mutable std::mutex adapt_mu_;
-  std::condition_variable adapt_cv_;
-  bool adapt_stop_ = false;  ///< adapt_mu_
-  std::thread adapt_thread_;
 };
 
 extern template class SolverService<double>;

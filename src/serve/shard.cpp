@@ -1,7 +1,6 @@
 #include "serve/shard.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <deque>
@@ -434,21 +433,6 @@ struct ShardedTier<T>::Impl {
   void fulfill(PendingPtr& p, Response<T>&& r);
   static void fail(PendingPtr& p, Errc code, std::string msg);
 
-  // Adaptive admission (opt_.adapt): the tier routes rather than batches,
-  // so the controller's lever is the gateway's admission bound — its shed
-  // knob scales max_queue, rejecting earlier (typed Errc::overloaded)
-  // while the fleet is hot and relaxing back to the configured bound when
-  // it cools. Controller state is gateway-thread-only; clients read only
-  // the eff_admit_ atomic.
-  std::atomic<std::size_t> eff_admit_{1};
-  metrics::Counter window_admitted_;
-  metrics::Histogram window_latency_us_;
-  std::unique_ptr<tune::ServeController> controller_;
-  metrics::RateWindow arrivals_{window_admitted_};
-  Clock::time_point next_adapt_{};
-  Clock::duration adapt_window_{};
-  void adapt_step(Clock::time_point now);
-
   ServiceOptions opt_;
   dist::ProcessGrid grid_;
   int nranks_ = 0;
@@ -498,17 +482,6 @@ ShardedTier<T>::Impl::Impl(const ServiceOptions& opt) : opt_(opt) {
   shard_max_bytes_ = opt_.shard.shard_max_bytes ? opt_.shard.shard_max_bytes
                                                 : opt_.cache_max_bytes;
   opt_.max_queue = std::max<std::size_t>(1, opt_.max_queue);
-  eff_admit_.store(opt_.max_queue, std::memory_order_relaxed);
-  if (opt_.adapt) {
-    // The batch/linger knobs are along for the ride (the tier has none);
-    // only shed_fraction matters, relaxing back to full admission (1.0).
-    controller_ = std::make_unique<tune::ServeController>(
-        tune::ServeKnobs{opt_.max_batch, opt_.batch_linger_s, 1.0},
-        opt_.adapt_controller);
-    adapt_window_ = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double>(std::max(1e-3, opt_.adapt_window_s)));
-    next_adapt_ = Clock::now() + adapt_window_;
-  }
   // Per-shard numerics: serial or threaded per num_threads; the sharding
   // IS the dist parallelism on the routed path.
   ServiceOptions core_opt = opt_;
@@ -541,7 +514,6 @@ void ShardedTier<T>::Impl::fulfill(PendingPtr& p, Response<T>&& r) {
   r.latency_s =
       std::chrono::duration<double>(Clock::now() - p->enqueued).count();
   metrics::global().histogram("serve.latency_us").record(r.latency_s * 1e6);
-  window_latency_us_.record(r.latency_s * 1e6);
   p->promise.set_value(Outcome<T>{std::move(r), true, {}, {}});
   p.reset();
 }
@@ -599,11 +571,10 @@ Response<T> ShardedTier<T>::Impl::submit(const sparse::CscMatrix<T>& A,
     metrics::global().counter("serve.requests").inc();
     if (stop_requested_) reject("service stopped");
     if (gateway_down_) reject("serving gateway died");
-    if (frontend_.size() >= eff_admit_.load(std::memory_order_relaxed))
+    if (frontend_.size() >= opt_.max_queue)
       reject("request queue full; retry later or raise max_queue");
     frontend_.push_back(std::move(p));
     metrics::global().counter("serve.admitted").inc();
-    window_admitted_.inc();
     const auto depth = static_cast<double>(frontend_.size());
     metrics::global().gauge("serve.queue.depth").set(depth);
   }
@@ -1062,42 +1033,6 @@ void ShardedTier<T>::Impl::shutdown_fleet(minimpi::Comm& comm) {
 }
 
 template <class T>
-void ShardedTier<T>::Impl::adapt_step(Clock::time_point now) {
-  next_adapt_ = now + adapt_window_;
-  tune::ControllerInput in;
-  in.window_s = std::chrono::duration<double>(adapt_window_).count();
-  in.arrival_rate = arrivals_.tick(
-      std::chrono::duration<double>(now.time_since_epoch()).count());
-  const auto snap = window_latency_us_.snapshot_and_reset();
-  in.completed = snap.count;
-  in.p50_us = snap.quantile(0.5);
-  in.p99_us = snap.quantile(0.99);
-  {
-    std::lock_guard lk(fmu_);
-    in.queue_depth =
-        static_cast<double>(frontend_.size() + inflight_.size());
-  }
-  const tune::ServeKnobs k = controller_->step(in);
-  const auto admit = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             k.shed_fraction * static_cast<double>(opt_.max_queue) + 0.5));
-  const auto prev = eff_admit_.load(std::memory_order_relaxed);
-  eff_admit_.store(admit, std::memory_order_relaxed);
-  auto& reg = metrics::global();
-  reg.gauge("serve.tune.admit_bound").set(static_cast<double>(admit));
-  reg.gauge("serve.tune.window_p99_us").set(in.p99_us);
-  reg.gauge("serve.tune.window_arrival_rate").set(in.arrival_rate);
-  const auto& cs = controller_->stats();
-  reg.gauge("serve.tune.windows").set(static_cast<double>(cs.windows));
-  reg.gauge("serve.tune.trims").set(static_cast<double>(cs.trims));
-  reg.gauge("serve.tune.relaxes").set(static_cast<double>(cs.relaxes));
-  if (admit != prev) {
-    reg.counter("serve.tune.adjustments").inc();
-    trace::instant("serve", "tune_adjust", static_cast<int>(admit));
-  }
-}
-
-template <class T>
 void ShardedTier<T>::Impl::gateway_loop(minimpi::Comm& comm) {
   for (;;) {
     bool progress = false;
@@ -1177,9 +1112,6 @@ void ShardedTier<T>::Impl::gateway_loop(minimpi::Comm& comm) {
     }
     std::erase_if(repl_,
                   [&](const auto& kv) { return now > kv.second.timeout; });
-
-    // 5b. Adaptive admission: one controller step per window (opt_.adapt).
-    if (controller_ && now >= next_adapt_) adapt_step(now);
 
     // 6. Shutdown, after everything admitted has been answered.
     bool stopping;
@@ -1285,11 +1217,6 @@ template <class T>
 std::size_t ShardedTier<T>::queue_depth() const {
   std::lock_guard lk(impl_->fmu_);
   return impl_->frontend_.size();
-}
-
-template <class T>
-std::size_t ShardedTier<T>::effective_admit() const {
-  return impl_->eff_admit_.load(std::memory_order_relaxed);
 }
 
 template class ShardedTier<double>;

@@ -117,9 +117,6 @@ class ShardedTier {
   /// One shard's entry count (tests: capacity spread, post-kill eviction).
   std::size_t shard_entries(int rank) const;
   std::size_t queue_depth() const;
-  /// Gateway admission bound in force right now: max_queue until the
-  /// adaptive controller (ServiceOptions::adapt) tightens it under load.
-  std::size_t effective_admit() const;
 
  private:
   struct Impl;

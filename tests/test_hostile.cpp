@@ -183,20 +183,21 @@ TEST(FaultInjection, LadderAbsorbsValueCorruption) {
 
 TEST(FaultInjection, ServeRefactorizesFaultedValuesOnTheCachedPattern) {
   // The faulted matrix keeps the clean pattern, so the serve layer routes
-  // it onto the cached analysis. With values_delta off that is a plain
-  // refactorize — which reuses the CLEAN values' equilibration and mc64
-  // scalings on entries now 1e14 off. The static factorization that falls
-  // out stalls refinement (pivot growth the stale scalings can no longer
-  // damp — 40 faults at this magnitude; with the replacement threshold
-  // pinned at analysis time, milder faults now factor cleanly), and a
-  // robust service must be run with the ladder armed so the stall
-  // escalates instead of being served. End-to-end: warm clean, then serve
-  // faulted values across seeds and demand a policy-meeting berr plus a
-  // trail showing the escalation.
+  // it onto the cached analysis. With the delta policy's SMW and partial
+  // routes off, that is a full refactorization — which reuses the CLEAN
+  // values' equilibration and mc64 scalings on entries now 1e14 off. The
+  // static factorization that falls out stalls refinement (pivot growth
+  // the stale scalings can no longer damp — 40 faults at this magnitude;
+  // with the replacement threshold pinned at analysis time, milder faults
+  // now factor cleanly), and a robust service must be run with the ladder
+  // armed so the stall escalates instead of being served. End-to-end: warm
+  // clean, then serve faulted values across seeds and demand a
+  // policy-meeting berr plus a trail showing the escalation.
   serve::ServiceOptions sopt;
   sopt.backend = Backend::serial;
   sopt.solver.recovery.enabled = true;
-  sopt.values_delta = false;
+  sopt.solver.delta.smw_max_rank = 0;
+  sopt.solver.delta.max_dirty_fraction = 0;
   serve::SolverService<double> svc(sopt);
   const auto A = sparse::convdiff2d(20, 20, 1.0, 0.5);
   svc.warm(A);
@@ -217,7 +218,7 @@ TEST(FaultInjection, ServeRefactorizesFaultedValuesOnTheCachedPattern) {
 }
 
 TEST(FaultInjection, ValuesDeltaAbsorbsFaultsExactlyWithoutEscalation) {
-  // With values_delta on (the default), the same 10-entry faults never
+  // With the default delta policy, the same 10-entry faults never
   // reach the stale-scalings trap: the delta router absorbs them as an
   // exact rank-10 SMW correction over the clean factors, so the service
   // answers at machine-level berr with no ladder escalation at all —

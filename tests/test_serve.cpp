@@ -44,6 +44,28 @@ count_t counter_value(const char* name) {
   return c ? c->value() : 0;
 }
 
+/// Keeps a one-worker service busy so that requests submitted meanwhile
+/// queue behind it and batch from backlog: starts solving A (a larger
+/// testbed matrix, factored cold or refactorized for new values) on a
+/// background thread and returns once the worker has taken that request
+/// off the queue. Join the returned thread when done.
+std::thread occupy_worker(serve::SolverService<double>& svc,
+                          const sparse::CscMatrix<double>& A,
+                          const std::vector<double>& b) {
+  const count_t admitted0 = counter_value("serve.admitted");
+  std::thread busy([&svc, &A, &b] {
+    try {
+      (void)svc.solve(A, b);
+    } catch (const Error&) {
+      // Only the time it held the worker matters.
+    }
+  });
+  while (counter_value("serve.admitted") == admitted0 ||
+         svc.queue_depth() != 0)
+    std::this_thread::yield();
+  return busy;
+}
+
 /// A tiny structurally-fine but numerically singular system: every GESP
 /// rung (and GEPP) fails on it, which is exactly what the recovery-wiring
 /// test needs.
@@ -270,15 +292,19 @@ TEST(SolverService, BlockedBatchingCoalescesAndStaysAccurate) {
   serve::ServiceOptions opt;
   opt.backend = Backend::serial;
   opt.num_workers = 1;          // one executor => one batch per drain
-  opt.batch_linger_s = 50e-3;   // generous: TSan slows the clients down
   opt.max_batch = 4;
   opt.shed_refinement = false;
   serve::SolverService<double> svc(opt);
   svc.warm(A);
   (void)svc.solve(A, b);  // value-hit traffic from here on
 
+  const auto big = testbed_matrix("af23560-s");
   index_t widest = 0;
   for (int round = 0; round < 5 && widest < 2; ++round) {
+    // New values every round, so the blocker always factors.
+    const auto blocker = serve::perturb_values(big, round);
+    const auto blocker_b = rhs_for(blocker);
+    std::thread busy = occupy_worker(svc, blocker, blocker_b);
     std::atomic<int> ready{0};
     std::atomic<bool> go{false};
     std::atomic<index_t> max_width{0};
@@ -301,6 +327,7 @@ TEST(SolverService, BlockedBatchingCoalescesAndStaysAccurate) {
     }
     go.store(true, std::memory_order_release);
     for (auto& t : clients) t.join();
+    busy.join();
     widest = std::max(widest, max_width.load());
   }
   EXPECT_GE(widest, 2) << "4 simultaneous same-value requests never "
@@ -570,9 +597,13 @@ TEST(SolverService, FailingCoalescedBatchResolvesEveryClientExactlyOnce) {
   opt.solver.tiny_pivot = TinyPivotOption::fail;
   opt.batch_mode = serve::BatchMode::per_column;
   opt.num_workers = 1;              // one executor, so requests coalesce
-  opt.batch_linger_s = 20e-3;
   serve::SolverService<double> svc(opt);
 
+  // The clients queue behind a larger factorization and batch from that
+  // backlog.
+  const auto big = testbed_matrix("af23560-s");
+  const auto big_b = rhs_for(big);
+  std::thread busy = occupy_worker(svc, big, big_b);
   const auto S = singular2x2();
   const std::vector<double> b = {1.0, 2.0};
   constexpr int kClients = 4;
@@ -593,6 +624,7 @@ TEST(SolverService, FailingCoalescedBatchResolvesEveryClientExactlyOnce) {
       outcomes.fetch_add(1, std::memory_order_relaxed);
     });
   for (auto& c : clients) c.join();
+  busy.join();
   EXPECT_EQ(outcomes.load(), kClients);
 
   // The worker survived: the service still serves good traffic.
@@ -679,10 +711,12 @@ TEST(SolverService, ValuesDeltaAbsorbsDriftOnPatternHits) {
   EXPECT_TRUE(again.value_hit);
   EXPECT_FALSE(again.value_delta);
 
-  // values_delta=false restores the plain refactorize path.
-  serve::ServiceOptions off = opt;
-  off.values_delta = false;
-  serve::SolverService<double> svc2(off);
+  // With the SMW and partial routes off, a pattern hit takes the full
+  // refactorization route.
+  serve::ServiceOptions full_route = opt;
+  full_route.solver.delta.smw_max_rank = 0;
+  full_route.solver.delta.max_dirty_fraction = 0;
+  serve::SolverService<double> svc2(full_route);
   (void)svc2.solve(A, rhs_for(A));
   const auto full = svc2.solve(B, rhs_for(B));
   EXPECT_TRUE(full.pattern_hit);
@@ -722,58 +756,6 @@ TEST(FactorizationCache, EvictedEntryWithLiveSmwCorrectionStillSolves) {
   const std::vector<double> ones(b.size(), 1.0);
   e->solver->solve(b, x);
   EXPECT_LT(sparse::relative_error_inf<double>(ones, x), 1e-8);
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive serving (ServiceOptions::adapt).
-
-TEST(SolverService, AdaptOffKeepsStaticKnobs) {
-  serve::ServiceOptions opt;
-  opt.backend = Backend::serial;
-  opt.max_batch = 4;
-  opt.batch_linger_s = 1e-3;
-  opt.shed_fraction = 0.5;
-  serve::SolverService<double> svc(opt);
-  const auto k = svc.effective_knobs();
-  EXPECT_EQ(k.max_batch, 4);
-  EXPECT_DOUBLE_EQ(k.batch_linger_s, 1e-3);
-  EXPECT_DOUBLE_EQ(k.shed_fraction, 0.5);
-  EXPECT_EQ(svc.adapt_stats().windows, 0);
-  svc.stop();
-  EXPECT_EQ(svc.effective_knobs().max_batch, 4);  // stop() never adjusts
-}
-
-TEST(SolverService, AdaptTrimsUnderSustainedOverload) {
-  // An impossible latency target makes every completed window hot, so the
-  // controller must trim within a couple of windows — the assertion waits
-  // on controller state, not on wall-clock luck.
-  serve::ServiceOptions opt;
-  opt.backend = Backend::serial;
-  opt.max_batch = 2;
-  opt.batch_linger_s = 1e-3;
-  opt.shed_fraction = 1.0;
-  opt.adapt = true;
-  opt.adapt_window_s = 0.01;
-  opt.adapt_controller.target_p99_us = 1e-3;  // nothing real is this fast
-  opt.adapt_controller.settle_windows = 2;
-  serve::SolverService<double> svc(opt);
-
-  const auto A = testbed_matrix("west0497-s");
-  const auto b = rhs_for(A);
-  svc.warm(A);
-  bool trimmed = false;
-  for (int round = 0; round < 400 && !trimmed; ++round) {
-    const auto r = svc.solve(A, b);
-    ASSERT_EQ(r.x.size(), b.size());
-    trimmed = svc.adapt_stats().trims > 0;
-  }
-  EXPECT_TRUE(trimmed);
-  const auto k = svc.effective_knobs();
-  EXPECT_GE(k.max_batch, 4);  // batch harder than configured...
-  EXPECT_LT(k.batch_linger_s, 1e-3);  // ...and stop lingering
-  EXPECT_GE(k.shed_fraction, opt.adapt_controller.min_shed);
-  EXPECT_GT(svc.adapt_stats().windows, 0);
-  svc.stop();
 }
 
 TEST(HistogramQuantile, InterpolatesWithinMinMax) {

@@ -13,8 +13,10 @@
 //   --write-workload=FILE save the generated workload and continue
 //   --clients=N           concurrent client threads replaying (default 4)
 //   --workers=N           service executor threads (default 2)
-//   --max-batch=N         RHS coalescing width (default 8; 1 = no batching)
-//   --linger-us=N         batch linger in microseconds (default 200)
+//   --max-batch=N         RHS coalescing width (default 8; 1 = no batching):
+//                         a worker batches the same-matrix requests already
+//                         queued behind the one it takes, and never waits
+//                         for more
 //   --max-queue=N         admission bound (default 64)
 //   --cache-entries=N     factorization cache entry budget (default 16)
 //   --cache-mb=N          factorization cache byte budget (default 256)
@@ -24,18 +26,11 @@
 //   --no-shed             keep iterative refinement even under load
 //   --warm                pre-factor every distinct pattern (value set 0)
 //                         before replay starts
-//   --adapt               enable the adaptive serving controller: walks the
-//                         effective max-batch / linger / shed knobs toward
-//                         the latency target from windowed arrival-rate and
-//                         latency measurements (dist: tightens the gateway
-//                         admission bound instead)
-//   --target-p99-ms=X     adaptive latency target (default 50 ms)
-//   --adapt-window-ms=X   controller sampling window (default 250 ms)
 //   --backend=serial|threaded|dist, --threads=N
 //                         service engine (default serial). dist runs the
 //                         sharded multi-rank tier: requests route to the
 //                         rank owning their pattern key. --workers,
-//                         --max-batch, --linger-us, --per-column and
+//                         --max-batch, --per-column and
 //                         --no-shed are single-node knobs and a usage
 //                         error under dist; --threads > 1 is a usage
 //                         error under serial
@@ -85,10 +80,9 @@ using namespace gesp;
                "[--valuesets=N] [--requests=N]\n"
                "       [--seed=N] [--write-workload=FILE] [--clients=N] "
                "[--workers=N] [--max-batch=N]\n"
-               "       [--linger-us=N] [--max-queue=N] [--cache-entries=N] "
-               "[--cache-mb=N] [--per-column]\n"
-               "       [--deadline-ms=X] [--no-shed] [--warm] [--adapt]\n"
-               "       [--target-p99-ms=X] [--adapt-window-ms=X] "
+               "       [--max-queue=N] [--cache-entries=N] [--cache-mb=N] "
+               "[--per-column]\n"
+               "       [--deadline-ms=X] [--no-shed] [--warm] "
                "[--backend=serial|threaded|dist] [--threads=N]\n"
                "       [--grid=PxQ] [--replication=N] [--shard-entries=N] "
                "[--shard-mb=N]\n"
@@ -161,9 +155,6 @@ int main(int argc, char** argv) {
     } else if (const char* v7 = value_of(a, "--max-batch")) {
       sopt.max_batch = static_cast<index_t>(std::atoi(v7));
       single_node_flag = "--max-batch";
-    } else if (const char* v8 = value_of(a, "--linger-us")) {
-      sopt.batch_linger_s = std::atof(v8) * 1e-6;
-      single_node_flag = "--linger-us";
     } else if (const char* v9 = value_of(a, "--max-queue")) {
       sopt.max_queue = static_cast<std::size_t>(std::atoll(v9));
     } else if (const char* v10 = value_of(a, "--cache-entries")) {
@@ -172,15 +163,6 @@ int main(int argc, char** argv) {
       sopt.cache_max_bytes = static_cast<std::size_t>(std::atoll(v11)) << 20;
     } else if (const char* v12 = value_of(a, "--deadline-ms")) {
       deadline_ms = std::atof(v12);
-    } else if (const char* vtp = value_of(a, "--target-p99-ms")) {
-      sopt.adapt_controller.target_p99_us = std::atof(vtp) * 1e3;
-      if (sopt.adapt_controller.target_p99_us <= 0)
-        usage("--target-p99-ms must be > 0");
-    } else if (const char* vaw = value_of(a, "--adapt-window-ms")) {
-      sopt.adapt_window_s = std::atof(vaw) * 1e-3;
-      if (sopt.adapt_window_s <= 0) usage("--adapt-window-ms must be > 0");
-    } else if (std::strcmp(a, "--adapt") == 0) {
-      sopt.adapt = true;
     } else if (const char* v13 = value_of(a, "--threads")) {
       sopt.solver.num_threads = std::atoi(v13);
     } else if (const char* v14 = value_of(a, "--backend")) {
@@ -289,12 +271,12 @@ int main(int argc, char** argv) {
     std::printf("workload    %zu requests, %zu patterns, %zu problems\n",
                 w.items.size(), bases.size(), storage.size());
     std::printf(
-        "service     %d workers, queue %zu, batch %d (%s, linger %.0f us), "
+        "service     %d workers, queue %zu, batch %d (%s), "
         "cache %zu entries / %zu MB, backend %s x%d\n",
         sopt.num_workers, sopt.max_queue, static_cast<int>(sopt.max_batch),
         sopt.batch_mode == serve::BatchMode::blocked ? "blocked"
                                                      : "per-column",
-        sopt.batch_linger_s * 1e6, sopt.cache_max_entries,
+        sopt.cache_max_entries,
         sopt.cache_max_bytes >> 20, backend_name(sopt.backend),
         sopt.solver.num_threads);
 
@@ -389,28 +371,6 @@ int main(int argc, char** argv) {
                 "%lld retries after eviction, %lld recovered\n",
                 shed.load(), cval("serve.deadline_expired"),
                 cval("serve.retries"), recovered.load());
-    if (sopt.adapt) {
-      const auto as = svc.adapt_stats();
-      const auto gval = [&](const char* name) -> long long {
-        const auto* g = reg.find_gauge(name);
-        return g ? static_cast<long long>(g->value()) : 0;
-      };
-      if (const auto* tier = svc.tier()) {
-        std::printf("adaptive    admit bound %zu of %zu after %lld windows "
-                    "(%lld trims, %lld relaxes)\n",
-                    tier->effective_admit(), sopt.max_queue,
-                    gval("serve.tune.windows"), gval("serve.tune.trims"),
-                    gval("serve.tune.relaxes"));
-      } else {
-        const auto k = svc.effective_knobs();
-        std::printf("adaptive    effective batch %d, linger %.0f us, shed "
-                    "%.2f after %lld windows (%lld trims, %lld relaxes)\n",
-                    static_cast<int>(k.max_batch), k.batch_linger_s * 1e6,
-                    k.shed_fraction, static_cast<long long>(as.windows),
-                    static_cast<long long>(as.trims),
-                    static_cast<long long>(as.relaxes));
-      }
-    }
     if (const auto* tier = svc.tier()) {
       std::printf("sharding    %lld shard requests, %lld replica hits "
                   "(%lld client-visible), %lld collective episodes\n",
