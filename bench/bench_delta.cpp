@@ -4,9 +4,13 @@
 // fraction of its columns per time step (device stamps in a circuit
 // transient). Each step is refactorized twice from the same predecessor
 // state — once with refactorize() (full) and once with
-// refactorize_delta() (noop/SMW/partial routing) — and the wall times are
+// refactorize_delta() (noop/partial/full routing) — and the wall times are
 // compared. Matrices are the TWOTONE/circuit class the delta path targets,
 // plus a device-class contrast; changed-column fractions sweep 1%, 5%, 25%.
+//
+// After every step (outside the timed region) the two solvers' L and U
+// stores must be byte-equal: every delta route is a full refactorization.
+// A mismatch is reported and the run exits 1.
 //
 // --quick shrinks the matrices and the step count for CI smoke runs.
 #include <algorithm>
@@ -39,7 +43,7 @@ struct Row {
   double delta_ms = 0;    ///< mean refactorize_delta() wall per step
   double speedup = 0;     ///< full / delta
   double dirty_frac = 0;  ///< mean closed dirty set / nsup (partial steps)
-  count_t smw = 0, partial = 0, full_route = 0;  ///< route counts
+  count_t partial = 0, full_route = 0;  ///< route counts
 };
 
 /// The two drift shapes: a contiguous column window (localized switching
@@ -52,6 +56,23 @@ sparse::CscMatrix<double> drift(const sparse::CscMatrix<double>& A,
   return model == "window"
              ? sparse::perturb_column_window(A, frac, 0.2, seed)
              : sparse::perturb_columns(A, frac, 0.2, seed);
+}
+
+/// Byte equality of the two solvers' L and U stores, supernode by
+/// supernode.
+bool same_factors(const Solver<double>& a, const Solver<double>& b) {
+  const auto same = [](const std::vector<double>& x,
+                       const std::vector<double>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+  };
+  const numeric::LUFactors<double>& fa = a.factors();
+  const numeric::LUFactors<double>& fb = b.factors();
+  for (index_t K = 0; K < a.stats().nsup; ++K)
+    if (!same(fa.l_store(K), fb.l_store(K)) ||
+        !same(fa.u_store(K), fb.u_store(K)))
+      return false;
+  return true;
 }
 
 }  // namespace
@@ -83,9 +104,10 @@ int main(int argc, char** argv) {
   const double fracs[] = {0.01, 0.05, 0.25};
   const char* models[] = {"window", "scattered"};
 
-  std::printf("%-14s %-10s %6s %9s %6s %10s %10s %8s %7s %14s\n", "matrix",
+  int mismatches = 0;
+  std::printf("%-14s %-10s %6s %9s %6s %10s %10s %8s %7s %12s\n", "matrix",
               "model", "n", "nnz", "frac", "full ms", "delta ms", "speedup",
-              "dirty", "routes s/p/f");
+              "dirty", "routes p/f");
   for (const auto& c : cases) {
     const auto A0 = c.make();
     for (const char* model : models) {
@@ -112,8 +134,14 @@ int main(int argc, char** argv) {
           t.reset();
           delta.refactorize_delta(A);
           r.delta_ms += t.seconds() * 1e3;
+          if (!same_factors(full, delta)) {
+            std::fprintf(stderr,
+                         "bench_delta: %s %s %.0f%% step %d: delta factors "
+                         "differ from the full refactorization\n",
+                         c.name.c_str(), model, frac * 100, s);
+            ++mismatches;
+          }
           const DeltaStats& d = delta.stats().delta;
-          r.smw += d.smw - before.smw;
           r.partial += d.partial - before.partial;
           r.full_route += d.full - before.full;
           if (d.partial > before.partial) {
@@ -127,16 +155,15 @@ int main(int argc, char** argv) {
         r.speedup = r.delta_ms > 0 ? r.full_ms / r.delta_ms : 0;
         r.dirty_frac = dirty_steps > 0 ? dirty_sum / dirty_steps : 0;
         std::printf("%-14s %-10s %6d %9lld %5.0f%% %10.2f %10.2f %7.2fx "
-                    "%6.1f%% %4lld/%lld/%lld\n",
+                    "%6.1f%% %9lld/%lld\n",
                     r.matrix.c_str(), r.model.c_str(), r.n,
                     static_cast<long long>(r.nnz), frac * 100, r.full_ms,
                     r.delta_ms, r.speedup, r.dirty_frac * 100,
-                    static_cast<long long>(r.smw),
                     static_cast<long long>(r.partial),
                     static_cast<long long>(r.full_route));
       }
     }
   }
 
-  return 0;
+  return mismatches > 0 ? 1 : 0;
 }

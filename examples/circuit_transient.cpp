@@ -9,8 +9,8 @@
 // time step perturbs a small fraction of the device values and calls
 // refactorize_delta(), which reuses every static decision (scalings,
 // permutations, symbolic structure) AND every supernode the value change
-// cannot reach — re-eliminating only the dirty subset, or absorbing a
-// handful of changed entries with an SMW correction.
+// cannot reach — re-eliminating only the dirty subset, bitwise identical to
+// a full refactorize().
 #include <cstdio>
 #include <vector>
 
@@ -63,8 +63,7 @@ int main() {
     const double dt_solve = t.seconds();
     solve_total += dt_solve;
     const DeltaStats& d = solver.stats().delta;
-    const char* route = d.smw > before.smw           ? "smw"
-                        : d.partial > before.partial ? "partial"
+    const char* route = d.partial > before.partial ? "partial"
                         : d.noop > before.noop       ? "noop"
                                                      : "full";
     std::printf("step %2d: refactor %.3f s (%s, %lld changed entries, "

@@ -113,15 +113,12 @@ void SolveStats::export_metrics(metrics::Registry& reg) const {
       .set(static_cast<double>(promotions));
   reg.gauge("solver.delta.calls").set(static_cast<double>(delta.calls));
   reg.gauge("solver.delta.noop").set(static_cast<double>(delta.noop));
-  reg.gauge("solver.delta.smw").set(static_cast<double>(delta.smw));
   reg.gauge("solver.delta.partial").set(static_cast<double>(delta.partial));
   reg.gauge("solver.delta.full").set(static_cast<double>(delta.full));
   reg.gauge("solver.delta.changed_entries")
       .set(static_cast<double>(delta.changed_entries));
   reg.gauge("solver.delta.dirty_supernodes")
       .set(static_cast<double>(delta.dirty_supernodes));
-  reg.gauge("solver.delta.smw_rank")
-      .set(static_cast<double>(delta.smw_rank));
   for (const auto& [phase, seconds] : times.all())
     reg.gauge("solver.time." + phase).set(seconds);
   for (const auto& [phase, seconds] : times.all_totals())
@@ -197,16 +194,14 @@ Solver<T>::Solver(const sparse::CscMatrix<T>& A, const SolverOptions& opt)
   }
   n_ = A.ncols;
   pattern_ = sparse::pattern_key(A);
-  if (opt_.recovery.enabled) A_keep_ = A;
   transform(A);
-  if (!opt_.recovery.enabled) {
-    factor();
-    return;
-  }
   // A non-default start rung (serve's hostile fast path) skips the rungs
   // a repeat offender is known to burn through.
-  rung_ = opt_.recovery.start_rung;
-  factor_ladder();
+  restart_ladder(A);
+  if (opt_.recovery.enabled)
+    factor_ladder();
+  else
+    factor();
 }
 
 template <class T>
@@ -584,9 +579,6 @@ void Solver<T>::factor() {
   {
     GESP_TRACE_SPAN("solver", "factor");
     smw_.reset();  // holds a reference into factors_: drop it first
-    delta_smw_.reset();  // any low-rank correction is against old factors
-    smw_base_values_.clear();
-    stats_.delta.smw_rank = 0;
     factors_f_.reset();
     factors_.reset();
     if constexpr (std::is_same_v<T, double>) {
@@ -634,9 +626,7 @@ void Solver<T>::apply_solver(std::span<T> x) const {
       return;
     }
   }
-  if (delta_smw_)
-    delta_smw_->solve(x);  // factors_ hold the base; correct to the target
-  else if (smw_)
+  if (smw_)
     smw_->solve(x);
   else
     factors_->solve(x);
@@ -655,16 +645,6 @@ void Solver<T>::apply_solver_multi(std::span<T> X, index_t nrhs) const {
       return;
     }
   }
-  if (delta_smw_) {
-    // Unlike the tiny-pivot smw_ (whose correction refinement recovers),
-    // the delta correction can be arbitrarily large — refinement against
-    // uncorrected factors need not converge, so each column gets the exact
-    // corrected solve.
-    for (index_t c = 0; c < nrhs; ++c)
-      delta_smw_->solve(X.subspan(c * static_cast<std::size_t>(n_),
-                                  static_cast<std::size_t>(n_)));
-    return;
-  }
   factors_->solve_multi(X, nrhs);
 }
 
@@ -681,10 +661,7 @@ void Solver<T>::apply_solver_transposed(std::span<T> x) const {
       return;
     }
   }
-  if (delta_smw_)
-    delta_smw_->solve_transposed(x);
-  else
-    factors_->solve_transposed(x);
+  factors_->solve_transposed(x);
 }
 
 template <class T>
@@ -981,7 +958,8 @@ void Solver<T>::solve_multi(std::span<const T> B, std::span<T> X,
     Timer t;
     apply_solver_multi(std::span<T>(Xhat), nrhs);
     stats_.times.add("solve", t.seconds());
-    // Per-column refinement (and the SMW correction path when active).
+    // Per-column refinement (through the tiny-pivot SMW correction when
+    // active).
     t.reset();
     worst_berr = 0.0;
     const refine::RefineOptions ropt = effective_refine(refine_override);
@@ -1039,17 +1017,20 @@ template <class T>
 void Solver<T>::factor_refilled(sparse::CscMatrix<T>&& At_new,
                                 const sparse::CscMatrix<T>& A_new) {
   At_ = std::move(At_new);
-  if (!opt_.recovery.enabled) {
+  restart_ladder(A_new);
+  if (opt_.recovery.enabled)
+    factor_ladder();
+  else
     factor();
-    return;
-  }
-  // New values restart the ladder (the escalated *configuration* persists:
-  // an unscaled transform stays unscaled) from the policy's start rung.
+}
+
+template <class T>
+void Solver<T>::restart_ladder(const sparse::CscMatrix<T>& A_new) {
+  if (!opt_.recovery.enabled) return;
   A_keep_ = A_new;
   stats_.recovery = {};
   gepp_.reset();
   rung_ = opt_.recovery.start_rung;
-  factor_ladder();
 }
 
 template <class T>
@@ -1073,7 +1054,6 @@ void Solver<T>::refactorize_delta(const sparse::CscMatrix<T>& A_new) {
   const auto fall_back_to_full = [&] {
     ++stats_.delta.full;
     metrics::global().counter("solver.delta.full_events").inc();
-    stats_.delta.smw_rank = 0;
     factor_refilled(std::move(At_new), A_new);
   };
   // An escalated ladder or the GEPP fallback means the static factors no
@@ -1085,87 +1065,34 @@ void Solver<T>::refactorize_delta(const sparse::CscMatrix<T>& A_new) {
     return;
   }
 
-  // Diff against the values the current factors CONSUMED — with an active
-  // low-rank correction that is the stashed base, not At_ (which already
-  // holds the previous target). memcmp, not ==: matches the serve layer's
-  // value-hash semantics (distinguishes ±0.0, treats identical NaNs equal).
-  const std::vector<T>& base = delta_smw_ ? smw_base_values_ : At_.values;
-  std::vector<index_t> changed_pos, changed_col;
-  for (index_t j = 0; j < n_; ++j)
-    for (index_t p = At_.colptr[j]; p < At_.colptr[j + 1]; ++p)
-      if (std::memcmp(&base[p], &At_new.values[p], sizeof(T)) != 0) {
-        changed_pos.push_back(p);
-        changed_col.push_back(j);
-      }
-  stats_.delta.changed_entries = changed_pos.size();
-  stats_.delta.dirty_supernodes = 0;
-
-  if (changed_pos.empty()) {
-    ++stats_.delta.noop;
-    metrics::global().counter("solver.delta.noop_events").inc();
-    if (delta_smw_) {
-      // A_new IS the base the factors consumed: retire the correction.
-      delta_smw_.reset();
-      smw_base_values_.clear();
-      stats_.delta.smw_rank = 0;
-      At_ = std::move(At_new);
-    }
-    if (opt_.recovery.enabled) {
-      A_keep_ = A_new;
-      stats_.recovery = {};
-    }
-    return;
-  }
-
-  // Route 1: a handful of changed entries — exact SMW correction over the
-  // unchanged factors, no refactorization. Excluded while the tiny-pivot
-  // smw_ correction is active (stacking corrections would compound) and on
-  // the float path (the correction solves in T).
-  if (opt_.delta.smw_max_rank > 0 &&
-      static_cast<index_t>(changed_pos.size()) <= opt_.delta.smw_max_rank &&
-      factors_ && !factors_f_ && !smw_) {
-    Timer t;
-    std::vector<typename refine::SmwSolver<T>::Update> ups;
-    ups.reserve(changed_pos.size());
-    for (std::size_t k = 0; k < changed_pos.size(); ++k) {
-      const index_t p = changed_pos[k];
-      ups.push_back(
-          {At_.rowind[p], changed_col[k], At_new.values[p] - base[p]});
-    }
-    try {
-      auto corr = std::make_unique<refine::SmwSolver<T>>(factors_, ups);
-      if (!delta_smw_) smw_base_values_ = At_.values;
-      delta_smw_ = std::move(corr);
-      At_ = std::move(At_new);  // refinement and residuals target A_new
-      stats_.delta.smw_rank = static_cast<index_t>(ups.size());
-      ++stats_.delta.smw;
-      stats_.times.add("factor", t.seconds());
-      metrics::global().counter("solver.delta.smw_events").inc();
-      if (opt_.recovery.enabled) {
-        A_keep_ = A_new;
-        stats_.recovery = {};
-      }
-      return;
-    } catch (const Error& e) {
-      if (!recoverable(e.code())) throw;
-      // Singular capacitance: the update is not absorbable as a low-rank
-      // correction of this base. State untouched — fall through and
-      // refactorize instead.
-    }
-  }
-
-  // Route 2: partial re-elimination. Mark the owner supernode of every
-  // changed entry dirty, close under the update dependencies, and redo only
-  // those — bitwise identical to a full refactorize. The double diff is
-  // computed before any float rounding, so on the float path it can only
+  // Diff against the values the current factors consumed (At_), marking
+  // the owner supernode of every changed entry dirty as the scan meets it.
+  // memcmp, not ==: matches the serve layer's value-hash semantics
+  // (distinguishes ±0.0, treats identical NaNs equal). The double diff is
+  // taken before any float rounding, so on the float path it can only
   // over-mark (a superset of the float diff): still correct.
   const symbolic::SymbolicLU& S = *sym_;
   std::vector<char> dirty(static_cast<std::size_t>(S.nsup), 0);
-  for (std::size_t k = 0; k < changed_pos.size(); ++k) {
-    const index_t i = At_.rowind[changed_pos[k]];
-    const index_t j = changed_col[k];
-    dirty[std::min(S.col_to_sn[i], S.col_to_sn[j])] = 1;
+  count_t changed = 0;
+  for (index_t j = 0; j < n_; ++j)
+    for (index_t p = At_.colptr[j]; p < At_.colptr[j + 1]; ++p)
+      if (std::memcmp(&At_.values[p], &At_new.values[p], sizeof(T)) != 0) {
+        ++changed;
+        dirty[std::min(S.col_to_sn[At_.rowind[p]], S.col_to_sn[j])] = 1;
+      }
+  stats_.delta.changed_entries = changed;
+  stats_.delta.dirty_supernodes = 0;
+
+  if (changed == 0) {
+    ++stats_.delta.noop;
+    metrics::global().counter("solver.delta.noop_events").inc();
+    restart_ladder(A_new);
+    return;
   }
+
+  // Partial re-elimination: close the dirty set under the update
+  // dependencies and redo only those supernodes — bitwise identical to a
+  // full refactorize.
   symbolic::close_update_reachable(S, dirty);
   index_t ndirty = 0;
   for (char d : dirty) ndirty += d;
@@ -1178,13 +1105,12 @@ void Solver<T>::refactorize_delta(const sparse::CscMatrix<T>& A_new) {
 
   Timer t;
   GESP_TRACE_SPAN("solver", "factor_partial");
-  // Corrections reference the pre-update factors: drop them before the
-  // in-place rewrite (smw_ is rebuilt below from the fresh replacements).
-  delta_smw_.reset();
-  smw_base_values_.clear();
-  stats_.delta.smw_rank = 0;
+  // The tiny-pivot correction references the pre-update factors: drop it
+  // before the in-place rewrite (record_factorization rebuilds it from the
+  // fresh replacements).
   smw_.reset();
   At_ = std::move(At_new);
+  restart_ladder(A_new);
   try {
     if (factors_f_) {
       if constexpr (std::is_same_v<T, double>)
@@ -1197,11 +1123,8 @@ void Solver<T>::refactorize_delta(const sparse::CscMatrix<T>& A_new) {
     if (!opt_.recovery.enabled || !recoverable(e.code())) throw;
     // The partial step is bitwise-equal to a full factorization of the
     // same values, so a full retry at this rung would fail identically:
-    // restart the ladder exactly as refactorize() would, with the failed
-    // gesp attempt on record, and escalate.
-    A_keep_ = A_new;
-    stats_.recovery = {};
-    gepp_.reset();
+    // continue the restarted ladder exactly as refactorize() would, with
+    // the failed gesp attempt on record, and escalate.
     RecoveryAttempt a;
     a.rung = rung_;
     a.trigger = trigger_for(e.code());
@@ -1218,10 +1141,6 @@ void Solver<T>::refactorize_delta(const sparse::CscMatrix<T>& A_new) {
   record_factorization();
   ++stats_.delta.partial;
   metrics::global().counter("solver.delta.partial_events").inc();
-  if (opt_.recovery.enabled) {
-    A_keep_ = A_new;
-    stats_.recovery = {};
-  }
 }
 
 template <class T>

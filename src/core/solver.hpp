@@ -182,10 +182,6 @@ struct DistBackendOptions {
 /// Routing policy for Solver::refactorize_delta(): how a same-pattern
 /// value update is absorbed, cheapest route first.
 struct DeltaPolicy {
-  /// Value diffs of at most this many changed entries route to the
-  /// Sherman–Morrison–Woodbury low-rank correction — no refactorization at
-  /// all, just rank-r extra triangular solves. 0 disables the SMW route.
-  index_t smw_max_rank = 16;
   /// Partial re-elimination only pays while the closed dirty set stays a
   /// fraction of the supernodes; above this share, a full refactorization
   /// is cheaper than the bookkeeping.
@@ -247,13 +243,14 @@ struct SolverOptions {
 struct DeltaStats {
   count_t calls = 0;    ///< refactorize_delta() invocations
   count_t noop = 0;     ///< values bitwise identical to the factored base
-  count_t smw = 0;      ///< absorbed by the SMW low-rank correction
+  /// Always 0 (no route answers through a low-rank correction); kept only
+  /// because the repository benchmark still reads it.
+  count_t smw = 0;
   count_t partial = 0;  ///< partial supernode re-elimination
   count_t full = 0;     ///< fell back to a full refactorization
   count_t changed_entries = 0;   ///< last call: size of the value diff
   index_t dirty_supernodes = 0;  ///< last call: closed dirty set size (0
                                  ///< when the diff never reached routing)
-  index_t smw_rank = 0;  ///< rank of the ACTIVE SMW correction (0 = none)
 };
 
 struct SolveStats {
@@ -415,22 +412,19 @@ class Solver {
   /// structure. Throws Errc::invalid_argument on a pattern() mismatch.
   void refactorize(const sparse::CscMatrix<T>& A_new);
 
-  /// Like refactorize(), but diff the new values against the ones the
-  /// current factors consumed and absorb only the change — the transient
-  /// workload (circuit time stepping, Newton sweeps) where most columns are
-  /// unchanged between steps. Three routes, cheapest first, governed by
-  /// SolverOptions::delta:
+  /// Same result as refactorize(A_new), but diff the new values against the
+  /// ones the current factors consumed and redo only what the change
+  /// reaches — the transient workload (circuit time stepping, Newton
+  /// sweeps) where most columns are unchanged between steps. Three routes,
+  /// cheapest first, governed by SolverOptions::delta; each leaves factors
+  /// and answers bitwise identical to refactorize(A_new):
   ///
   ///   noop     values bitwise identical: keep everything.
-  ///   smw      at most delta.smw_max_rank changed entries: wrap the
-  ///            existing factors in an exact Sherman–Morrison–Woodbury
-  ///            correction (no refactorization).
   ///   partial  mark the supernodes owning changed entries dirty, close the
-  ///            set under the update dependencies, re-eliminate only those
-  ///            — bitwise identical to a full refactorize(A_new).
-  ///   full     large diffs, or an escalated/GEPP configuration where the
-  ///            static factors no longer produce the answer: plain
-  ///            refactorize(A_new).
+  ///            set under the update dependencies, re-eliminate only those.
+  ///   full     a closed dirty set above delta.max_dirty_fraction, or an
+  ///            escalated/GEPP configuration where the static factors no
+  ///            longer produce the answer: the refactorize(A_new) body.
   ///
   /// stats().delta records the route taken; the partial route refreshes
   /// the factorization fields of stats() exactly as refactorize() does.
@@ -461,6 +455,10 @@ class Solver {
   /// full route both end here.
   void factor_refilled(sparse::CscMatrix<T>&& At_new,
                        const sparse::CscMatrix<T>& A_new);
+  /// New values restart the recovery ladder from the policy's start rung
+  /// (the escalated *configuration* persists: an unscaled transform stays
+  /// unscaled). Nothing to do with the ladder off.
+  void restart_ladder(const sparse::CscMatrix<T>& A_new);
   /// Make stats_ describe the static factors now producing answers
   /// (structure, precision, replaced pivots, growth), count the
   /// factorization, and rebuild the aggressive-SMW correction from their
@@ -509,19 +507,14 @@ class Solver {
   std::vector<index_t> at_pos_;  ///< At_ position of each entry of A
   double at_norm_ = 0.0;  ///< ||Â||_max pinned at transform() time
   std::shared_ptr<const symbolic::SymbolicLU> sym_;
-  /// shared_ptr so SMW corrections (tiny-pivot recovery, delta updates) tie
-  /// the factors' lifetime to their own instead of dangling on a rebuild.
+  /// shared_ptr so the tiny-pivot SMW correction ties the factors' lifetime
+  /// to its own instead of dangling on a rebuild.
   std::shared_ptr<numeric::LUFactors<T>> factors_;
   /// Single-precision factors (Precision::single/mixed); exactly one of
   /// factors_ / factors_f_ is live outside the gepp rung.
   std::unique_ptr<numeric::LUFactors<float>> factors_f_;
   bool promoted_ = false;  ///< mixed mode fell back to double for good
   std::unique_ptr<refine::SmwSolver<T>> smw_;
-  /// Active low-rank delta correction (refactorize_delta's smw route):
-  /// factors_ describe the BASE values in smw_base_values_, At_ holds the
-  /// TARGET values, and delta_smw_ solves the target exactly.
-  std::unique_ptr<refine::SmwSolver<T>> delta_smw_;
-  std::vector<T> smw_base_values_;  ///< Â values factors_ consumed
   // Recovery state (inert unless opt_.recovery.enabled).
   sparse::CscMatrix<T> A_keep_;  ///< original A for re-transform / GEPP
   std::unique_ptr<numeric::GeppLU<T>> gepp_;  ///< active at the gepp rung

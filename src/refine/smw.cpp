@@ -1,7 +1,5 @@
 #include "refine/smw.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "dense/kernels.hpp"
 
@@ -11,46 +9,21 @@ template <class T>
 SmwSolver<T>::SmwSolver(std::shared_ptr<const numeric::LUFactors<T>> factors)
     : f_(std::move(factors)) {
   GESP_CHECK(f_ != nullptr, Errc::invalid_argument, "null factors handle");
-  // The factorization computed Ã = A + Σ δ_k e_k e_kᵀ; the target is the
-  // original A, i.e. the diagonal updates with the deltas negated.
+  // The factorization computed Ã = A + Σ δ_k e_k e_kᵀ, so the target is
+  // A = Ã − V·Wᵀ with V column k = δ_k e_k and W column k = e_k.
   const auto& repl = f_->replacements();
-  std::vector<Update> ups;
-  ups.reserve(repl.size());
-  for (const auto& [col, delta] : repl) ups.push_back({col, col, -delta});
-  build(ups);
-}
-
-template <class T>
-SmwSolver<T>::SmwSolver(std::shared_ptr<const numeric::LUFactors<T>> factors,
-                        const std::vector<Update>& updates)
-    : f_(std::move(factors)) {
-  GESP_CHECK(f_ != nullptr, Errc::invalid_argument, "null factors handle");
-  build(updates);
-}
-
-template <class T>
-void SmwSolver<T>::build(const std::vector<Update>& updates) {
+  cols_.reserve(repl.size());
+  for (const auto& rp : repl) cols_.push_back(rp.first);
   const index_t n = f_->sym().n;
-  const index_t r = static_cast<index_t>(updates.size());
-  scatter_.reserve(updates.size());
-  gather_.reserve(updates.size());
-  for (const auto& u : updates) {
-    GESP_CHECK(u.row >= 0 && u.row < n && u.col >= 0 && u.col < n,
-               Errc::invalid_argument, "SMW update position out of range");
-    scatter_.push_back(u.row);
-    gather_.push_back(u.col);
-  }
+  const index_t r = rank();
   if (r == 0) return;
 
-  // Z = Ã^{-1} V, where column k of V is −δ_k e_{i_k} (the target is
-  // Ã + Σ δ_k e_{i_k} e_{j_k}ᵀ = Ã − V·Wᵀ with W column k = e_{j_k}).
+  // Z = Ã^{-1} V.
   z_.assign(static_cast<std::size_t>(n) * r, T{});
-  vscale_.resize(static_cast<std::size_t>(r));
   for (index_t k = 0; k < r; ++k) {
-    vscale_[k] = -updates[k].delta;
     std::span<T> col(z_.data() + static_cast<std::size_t>(k) * n,
                      static_cast<std::size_t>(n));
-    col[scatter_[k]] = vscale_[k];
+    col[cols_[k]] = repl[k].second;
     f_->solve(col);
   }
   // Capacitance C = I − Wᵀ Z (r×r), factored with in-block pivoting.
@@ -59,7 +32,7 @@ void SmwSolver<T>::build(const std::vector<Update>& updates) {
     for (index_t i = 0; i < r; ++i)
       cap_[i + static_cast<std::size_t>(j) * r] =
           T{i == j ? 1.0 : 0.0} -
-          z_[gather_[i] + static_cast<std::size_t>(j) * n];
+          z_[cols_[i] + static_cast<std::size_t>(j) * n];
   cap_perm_.assign(static_cast<std::size_t>(r), 0);
   dense::PivotPolicy policy;
   policy.pivot_in_block = true;
@@ -78,7 +51,7 @@ void SmwSolver<T>::solve(std::span<T> x) const {
   if (r == 0) return;
   // α = C^{-1} (Wᵀ y): gather, permute, two triangular solves.
   std::vector<T> rhs(static_cast<std::size_t>(r));
-  for (index_t k = 0; k < r; ++k) rhs[k] = x[gather_[k]];
+  for (index_t k = 0; k < r; ++k) rhs[k] = x[cols_[k]];
   std::vector<T> alpha(static_cast<std::size_t>(r));
   for (index_t k = 0; k < r; ++k) alpha[k] = rhs[cap_perm_[k]];
   dense::trsv_lower_unit(cap_.data(), r, r, alpha.data());
@@ -90,28 +63,6 @@ void SmwSolver<T>::solve(std::span<T> x) const {
     const T* zk = z_.data() + static_cast<std::size_t>(k) * n;
     for (index_t i = 0; i < n; ++i) x[i] += zk[i] * ak;
   }
-}
-
-template <class T>
-void SmwSolver<T>::solve_transposed(std::span<T> x) const {
-  const index_t n = f_->sym().n;
-  GESP_CHECK(x.size() == static_cast<std::size_t>(n), Errc::invalid_argument,
-             "SMW solve size mismatch");
-  // A^{-T} = Ã^{-T} + Ã^{-T} W C^{-T} Vᵀ Ã^{-T}.
-  f_->solve_transposed(x);  // y = Ã^{-T} b
-  const index_t r = rank();
-  if (r == 0) return;
-  // rhs = Vᵀ y (V column k is vscale_[k]·e_{i_k}).
-  std::vector<T> rhs(static_cast<std::size_t>(r));
-  for (index_t k = 0; k < r; ++k) rhs[k] = vscale_[k] * x[scatter_[k]];
-  // β = C^{-T} rhs. The forward path solves C = Pᵀ·L·U as U⁻¹L⁻¹P; the
-  // transpose Cᵀ = Uᵀ·Lᵀ·P therefore solves as Pᵀ·L⁻ᵀ·U⁻ᵀ.
-  dense::trsv_upper_trans(cap_.data(), r, r, rhs.data());
-  dense::trsv_lower_unit_trans(cap_.data(), r, r, rhs.data());
-  std::vector<T> beta(static_cast<std::size_t>(r));
-  for (index_t k = 0; k < r; ++k) beta[cap_perm_[k]] = rhs[k];
-  // x = y + W β: W column k is e_{j_k}.
-  for (index_t k = 0; k < r; ++k) x[gather_[k]] += beta[k];
 }
 
 template class SmwSolver<double>;

@@ -1,16 +1,9 @@
-// Sherman–Morrison–Woodbury corrections over a static factorization.
+// Sherman–Morrison–Woodbury correction over a static factorization: the
+// paper's §4 tiny-pivot recovery ("aggressive pivot size control").
 //
-// Two users share the machinery:
-//
-//  1. Tiny-pivot recovery (the paper's §4 "aggressive pivot size control"):
-//     the factorization actually computed is of Ã = A + Σ_k δ_k e_k e_kᵀ
-//     (each replaced pivot is a rank-1 diagonal perturbation), and solves
-//     with the ORIGINAL A are recovered exactly.
-//  2. Low-rank delta refactorization: the factors describe a BASE matrix Ã
-//     and the target is A = Ã + Σ_k δ_k e_{i_k} e_{j_k}ᵀ — a handful of
-//     changed entries in a transient sweep, solved without refactorizing.
-//
-// Both are the same identity. With A = Ã − V·Wᵀ,
+// The factorization actually computed is of Ã = A + Σ_k δ_k e_k e_kᵀ (each
+// replaced pivot is a rank-1 diagonal perturbation), and solves with the
+// ORIGINAL A are recovered exactly. With A = Ã − V·Wᵀ,
 //   A^{-1} = Ã^{-1} + Ã^{-1} V (I − Wᵀ Ã^{-1} V)^{-1} Wᵀ Ã^{-1},
 // so r extra triangular solves at construction and one r×r solve per
 // application recover the exact inverse — no matter how large the
@@ -27,30 +20,17 @@
 
 namespace gesp::refine {
 
-/// Wraps LU factors of a base matrix Ã together with a rank-r entrywise
-/// update, exposing exact solves with the updated matrix. The factors are
-/// held by shared_ptr so a correction in flight keeps them alive even when
-/// the owner (a cache entry, a solver mid-rebuild) lets go.
+/// Wraps the LU factors of Ã together with the rank-r diagonal correction
+/// their pivot replacements call for, exposing exact solves with A. The
+/// factors are held by shared_ptr so a correction in flight keeps them
+/// alive even when the owner (a cache entry, a solver mid-rebuild) lets go.
 template <class T>
 class SmwSolver {
  public:
-  /// One rank-1 term: the solve target is Ã + delta·e_row·e_colᵀ summed
-  /// over all updates (duplicate (row, col) positions are allowed — the
-  /// deltas simply add).
-  struct Update {
-    index_t row, col;
-    T delta;
-  };
-
-  /// Tiny-pivot recovery: `factors` must have been built with
-  /// record_replacements = true; solves target the original matrix (every
-  /// recorded diagonal perturbation is subtracted back out).
+  /// `factors` must have been built with record_replacements = true; solves
+  /// target the original matrix (every recorded diagonal perturbation is
+  /// subtracted back out).
   explicit SmwSolver(std::shared_ptr<const numeric::LUFactors<T>> factors);
-
-  /// Low-rank delta: solves target Ã + Σ updates[k].delta·e_row·e_colᵀ,
-  /// where Ã is the matrix `factors` factored.
-  SmwSolver(std::shared_ptr<const numeric::LUFactors<T>> factors,
-            const std::vector<Update>& updates);
 
   /// Non-owning convenience for stack-held factors (tests, benches): the
   /// caller guarantees `factors` outlives this solver.
@@ -59,23 +39,16 @@ class SmwSolver {
             std::shared_ptr<const void>{}, &factors)) {}
 
   /// Rank of the correction (0 means plain solves).
-  index_t rank() const { return static_cast<index_t>(gather_.size()); }
+  index_t rank() const { return static_cast<index_t>(cols_.size()); }
 
   /// x <- A^{-1}·x (exact up to roundoff, SMW-corrected).
   void solve(std::span<T> x) const;
-  /// x <- A^{-T}·x — the transposed solves the Hager–Higham condition /
-  /// forward-error estimators need.
-  void solve_transposed(std::span<T> x) const;
 
  private:
-  void build(const std::vector<Update>& updates);
-
   std::shared_ptr<const numeric::LUFactors<T>> f_;
-  std::vector<index_t> scatter_;  ///< row i_k (V's nonzero position)
-  std::vector<index_t> gather_;   ///< column j_k (Wᵀ gathers here)
-  std::vector<T> vscale_;         ///< −δ_k (V column k's nonzero value)
-  std::vector<T> z_;          ///< Z = Ã^{-1}V, n-by-r column major
-  std::vector<T> cap_;        ///< factored capacitance C = I − WᵀZ (r×r)
+  std::vector<index_t> cols_;  ///< replaced pivot k (V's and W's position)
+  std::vector<T> z_;           ///< Z = Ã^{-1}V, n-by-r column major
+  std::vector<T> cap_;         ///< factored capacitance C = I − WᵀZ (r×r)
   std::vector<index_t> cap_perm_;  ///< partial-pivot permutation of C
 };
 

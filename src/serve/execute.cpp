@@ -122,10 +122,11 @@ Response<T> EntryExecutor<T>::execute(const sparse::CscMatrix<T>& A0,
           reg_.counter("serve.cache.value_hash_collisions").inc();
         GESP_TRACE_SPAN("serve", "refactorize");
         reg_.counter("serve.cache.pattern_hit").inc();
-        // Near-values hit: the solver diffs the values and absorbs the
-        // change with the cheapest route (noop / SMW / partial); it falls
-        // back to the full refactorization on its own for large drifts or
-        // an escalated configuration.
+        // Near-values hit: the solver diffs the values and redoes only
+        // what changed (noop / partial); it falls back to the full
+        // refactorization on its own for large drifts or an escalated
+        // configuration. Every route leaves the factors bitwise equal to
+        // refactorize(A).
         const count_t full_before = e->solver->stats().delta.full;
         e->solver->refactorize_delta(A);
         tmpl.value_delta = e->solver->stats().delta.full == full_before;

@@ -278,6 +278,10 @@ void SolverService<T>::execute_batch_impl(Batch& batch) {
   std::vector<GroupRhs<T>> group;
   group.reserve(live.size());
   for (PendingPtr* sp : live) group.push_back({(*sp)->A, (*sp)->b});
+  // Counted at dispatch, so a batch that fails below is counted too.
+  metrics::global().counter("serve.batches").inc();
+  metrics::global().histogram("serve.batch_width").record(
+      static_cast<double>(live.size()));
   const Pending& head = **live.front();
   const Response<T> done = core_->execute(
       *head.A, head.key, head.vhash, group, shed ? &shed_refine : nullptr,
@@ -286,9 +290,6 @@ void SolverService<T>::execute_batch_impl(Batch& batch) {
         r.shed = shed;
         fulfill(*live[j], std::move(r));
       });
-  metrics::global().counter("serve.batches").inc();
-  metrics::global().histogram("serve.batch_width").record(
-      static_cast<double>(done.batch_width));
   if (shed)
     metrics::global().counter("serve.shed_solves").inc(
         static_cast<count_t>(done.batch_width));

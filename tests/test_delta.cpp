@@ -1,14 +1,15 @@
-// Delta-refactorization tests: the tentpole guarantee (refactorize_delta is
+// Delta-refactorization tests: the central guarantee (refactorize_delta is
 // bitwise identical to a full refactorize on every schedule, whichever route
-// absorbs the change), the SMW low-rank route's accuracy parity, the stats
-// contract of the partial route, the float-path variant, and the validation
-// and fallback edges. Runs under ASan/UBSan and TSan in CI, so matrices are
-// kept small and every assertion is deterministic.
+// absorbs the change), the stats contract of the partial route, the
+// float-path variant, and the validation and fallback edges. Runs under
+// ASan/UBSan and TSan in CI, so matrices are kept small and every
+// assertion is deterministic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -54,13 +55,12 @@ void expect_factors_bitwise(const numeric::LUFactors<T>& Fa,
 }
 
 /// Walk a drift sequence with two solvers sharing one analysis
-/// configuration — one full refactorize, one through the delta router with
-/// the SMW route disabled (so value changes exercise the partial
+/// configuration — one full refactorize, one through the delta router that
+/// never bails to full (so value changes exercise the partial
 /// re-elimination) — and require bitwise-equal factors after every step.
 void expect_delta_bitwise(const sparse::CscMatrix<double>& A0,
                           SolverOptions opt, const std::string& what) {
-  opt.delta.smw_max_rank = 0;        // route changes to partial...
-  opt.delta.max_dirty_fraction = 1.0;  // ...and never bail to full
+  opt.delta.max_dirty_fraction = 1.0;
   Solver<double> full(A0, opt);
   Solver<double> delta(A0, opt);
   auto A = A0;
@@ -165,7 +165,6 @@ TEST(DeltaBitwise, AdversarialEntries) {
     opt.recovery.enabled = true;
     if (e.natural_order) opt.col_order = ColOrderOption::natural;
     if (e.max_block > 0) opt.symbolic.max_block = e.max_block;
-    opt.delta.smw_max_rank = 0;
     opt.delta.max_dirty_fraction = 1.0;
     const auto A0 = e.make();
     Solver<double> full(A0, opt);
@@ -233,7 +232,6 @@ TEST(DeltaBitwise, CleanSourceFeedsDirtyOwnerThroughBothParts) {
 TEST(DeltaBitwise, FloatPathPartialEqualsFull) {
   SolverOptions opt;
   opt.precision = Precision::single;
-  opt.delta.smw_max_rank = 0;
   opt.delta.max_dirty_fraction = 1.0;
   const auto A0 = sparse::circuit_like(1000, 5, 10, 13);
   Solver<double> full(A0, opt);
@@ -251,71 +249,64 @@ TEST(DeltaBitwise, FloatPathPartialEqualsFull) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// SMW route: tiny-rank changes absorbed without refactorization.
-
-TEST(DeltaSmw, TinyRankMatchesFullRefactorizeAccuracy) {
-  const auto A0 = sparse::circuit_like(900, 5, 10, 21);
-  SolverOptions opt;
-  opt.estimate_ferr = true;  // exercises the transposed correction solve
-  Solver<double> full(A0, opt);
-  Solver<double> delta(A0, opt);
-  // Change three existing entries (pattern untouched, rank 3 <= 16).
-  auto A = A0;
-  A.values[0] *= 1.5;
-  A.values[A.values.size() / 3] *= 0.8;
-  A.values[A.values.size() / 2] *= 1.2;
-  full.refactorize(A);
-  delta.refactorize_delta(A);
-  EXPECT_EQ(delta.stats().delta.smw, 1);
-  EXPECT_EQ(delta.stats().delta.changed_entries, 3);
-  EXPECT_EQ(delta.stats().delta.smw_rank, 3);
-
-  const auto b = rhs_for(A);
-  std::vector<double> xf(b.size()), xd(b.size());
-  const std::vector<double> ones(b.size(), 1.0);
-  full.solve(b, xf);
-  delta.solve(b, xd);
-  // Parity, not bitwise: the SMW route answers through a different (exact)
-  // formula, so it must match the full refactorize in *converged* quality.
-  EXPECT_LT(sparse::relative_error_inf<double>(ones, xf), 1e-8);
-  EXPECT_LT(sparse::relative_error_inf<double>(ones, xd), 1e-8);
-  EXPECT_LT(full.stats().berr, 1e-13);
-  EXPECT_LT(delta.stats().berr, 1e-13);
+/// Bitwise equality of the factors each solver answers with: the float
+/// ones on the single-precision path, the double ones otherwise.
+void expect_active_factors_bitwise(const Solver<double>& a,
+                                   const Solver<double>& b,
+                                   const std::string& what) {
+  ASSERT_EQ(a.active_precision(), b.active_precision()) << what;
+  if (a.factors_single())
+    expect_factors_bitwise(*a.factors_single(), *b.factors_single(),
+                           a.stats().nsup, what);
+  else
+    expect_factors_bitwise(a.factors(), b.factors(), a.stats().nsup, what);
 }
 
-TEST(DeltaSmw, ChainsAgainstTheFactoredBaseAndRetiresOnNoop) {
-  const auto A0 = sparse::circuit_like(800, 4, 8, 33);
-  Solver<double> delta(A0, {});
-  auto A = A0;
-  A.values[5] *= 1.3;
-  delta.refactorize_delta(A);
-  EXPECT_EQ(delta.stats().delta.smw, 1);
-  // Second drift on top of the first: the diff is against the values the
-  // factors CONSUMED (A0), so the correction re-absorbs both changes.
-  A.values[11] *= 0.7;
-  delta.refactorize_delta(A);
-  EXPECT_EQ(delta.stats().delta.smw, 2);
-  EXPECT_EQ(delta.stats().delta.smw_rank, 2);
-  const auto b = rhs_for(A);
-  std::vector<double> x(b.size());
-  const std::vector<double> ones(b.size(), 1.0);
-  delta.solve(b, x);
-  EXPECT_LT(sparse::relative_error_inf<double>(ones, x), 1e-8);
-
-  // The diff is always against the values the factors consumed, so
-  // resubmitting the current target re-absorbs the same rank-2 change
-  // (not a noop) and resubmitting the BASE is the noop that retires the
-  // correction outright.
-  delta.refactorize_delta(A);
-  EXPECT_EQ(delta.stats().delta.smw, 3);
-  EXPECT_EQ(delta.stats().delta.smw_rank, 2);
-  delta.refactorize_delta(A0);
-  EXPECT_EQ(delta.stats().delta.noop, 1);
-  EXPECT_EQ(delta.stats().delta.smw_rank, 0);
-  const auto b0 = rhs_for(A0);
-  delta.solve(b0, x);
-  EXPECT_LT(sparse::relative_error_inf<double>(ones, x), 1e-8);
+TEST(DeltaBitwise, EveryRouteEqualsFullRefactorize) {
+  // Under the default delta policy, whatever route refactorize_delta takes
+  // (noop, partial or full), its factors and answers are those of
+  // refactorize(A_new): a handful of changed entries, a column window and
+  // identical values alike, at every thread count and on the float path.
+  const auto A0 = sparse::circuit_like(900, 5, 10, 21);
+  SolverOptions single;
+  single.precision = Precision::single;
+  const std::pair<const char*, SolverOptions> configs[] = {
+      {"double/1 thread", thread_opts(1)},
+      {"double/4 threads", thread_opts(4)},
+      {"single", single}};
+  for (const auto& [name, opt] : configs) {
+    const auto step = [&](Solver<double>& full, Solver<double>& delta,
+                          const sparse::CscMatrix<double>& A,
+                          const std::string& what) {
+      full.refactorize(A);
+      delta.refactorize_delta(A);
+      expect_active_factors_bitwise(full, delta, what);
+      const auto b = rhs_for(A);
+      std::vector<double> xf(b.size()), xd(b.size());
+      full.solve(b, xf);
+      delta.solve(b, xd);
+      EXPECT_TRUE(gesp::testing::same_bytes(xf, xd))
+          << what << ": solutions differ";
+    };
+    for (const std::size_t k : {1u, 3u, 16u, 17u}) {
+      // Fresh twins per size, so the diff is exactly these k entries,
+      // spread over the whole matrix.
+      Solver<double> full(A0, opt);
+      Solver<double> delta(A0, opt);
+      auto A = A0;
+      const std::size_t stride = A.values.size() / k;
+      for (std::size_t e = 0; e < k; ++e) A.values[e * stride + k] *= 1.25;
+      step(full, delta, A,
+           std::string(name) + ", " + std::to_string(k) + " entries");
+      EXPECT_EQ(delta.stats().delta.changed_entries, k) << name;
+    }
+    Solver<double> full(A0, opt);
+    Solver<double> delta(A0, opt);
+    const auto A = sparse::perturb_column_window(A0, 0.03, 0.2, 77);
+    step(full, delta, A, std::string(name) + ", 3% column window");
+    step(full, delta, A, std::string(name) + ", identical values");
+    EXPECT_EQ(delta.stats().delta.noop, 1) << name;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -325,7 +316,6 @@ TEST(DeltaSmw, ChainsAgainstTheFactoredBaseAndRetiresOnNoop) {
 TEST(DeltaStatsContract, PartialRefreshesStatsLikeFull) {
   const auto A0 = sparse::circuit_like(1000, 5, 10, 17);
   SolverOptions opt;
-  opt.delta.smw_max_rank = 0;
   opt.delta.max_dirty_fraction = 1.0;
   Solver<double> full(A0, opt);
   Solver<double> delta(A0, opt);
@@ -372,7 +362,6 @@ TEST(DeltaRouting, IdenticalValuesAreANoop) {
 TEST(DeltaRouting, DirtyFractionZeroForcesFullAndStaysBitwise) {
   const auto A0 = sparse::circuit_like(900, 5, 10, 37);
   SolverOptions opt;
-  opt.delta.smw_max_rank = 0;
   opt.delta.max_dirty_fraction = 0.0;  // any nonzero diff bails to full
   Solver<double> full(A0, opt);
   Solver<double> delta(A0, opt);

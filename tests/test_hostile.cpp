@@ -183,8 +183,8 @@ TEST(FaultInjection, LadderAbsorbsValueCorruption) {
 
 TEST(FaultInjection, ServeRefactorizesFaultedValuesOnTheCachedPattern) {
   // The faulted matrix keeps the clean pattern, so the serve layer routes
-  // it onto the cached analysis. With the delta policy's SMW and partial
-  // routes off, that is a full refactorization — which reuses the CLEAN
+  // it onto the cached analysis. With the delta policy's partial route
+  // off, that is a full refactorization — which reuses the CLEAN
   // values' equilibration and mc64 scalings on entries now 1e14 off. The
   // static factorization that falls out stalls refinement (pivot growth
   // the stale scalings can no longer damp — 40 faults at this magnitude;
@@ -196,7 +196,6 @@ TEST(FaultInjection, ServeRefactorizesFaultedValuesOnTheCachedPattern) {
   serve::ServiceOptions sopt;
   sopt.backend = Backend::serial;
   sopt.solver.recovery.enabled = true;
-  sopt.solver.delta.smw_max_rank = 0;
   sopt.solver.delta.max_dirty_fraction = 0;
   serve::SolverService<double> svc(sopt);
   const auto A = sparse::convdiff2d(20, 20, 1.0, 0.5);
@@ -218,13 +217,11 @@ TEST(FaultInjection, ServeRefactorizesFaultedValuesOnTheCachedPattern) {
 }
 
 TEST(FaultInjection, ValuesDeltaAbsorbsFaultsExactlyWithoutEscalation) {
-  // With the default delta policy, the same 10-entry faults never
-  // reach the stale-scalings trap: the delta router absorbs them as an
-  // exact rank-10 SMW correction over the clean factors, so the service
-  // answers at machine-level berr with no ladder escalation at all —
-  // strictly cheaper AND strictly more accurate than the refactorize path
-  // above. This pins the interplay between fault injection and the delta
-  // route: an exact correction is a *better* recovery than the ladder.
+  // With the default delta policy, 10-entry faults of 1e9 never reach
+  // the stale-scalings trap: the delta router re-eliminates only the
+  // supernodes the faults reach (the partial route), and the service
+  // answers at berr <= sqrt(eps) with no ladder escalation at all. This
+  // pins the interplay between fault injection and the delta route.
   serve::ServiceOptions sopt;
   sopt.backend = Backend::serial;
   sopt.solver.recovery.enabled = true;

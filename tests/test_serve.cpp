@@ -20,6 +20,7 @@
 #include "serve/cache.hpp"
 #include "serve/service.hpp"
 #include "serve/workload.hpp"
+#include "sparse/generators.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/testbed.hpp"
 #include "test_helpers.hpp"
@@ -598,6 +599,9 @@ TEST(SolverService, FailingCoalescedBatchResolvesEveryClientExactlyOnce) {
   opt.batch_mode = serve::BatchMode::per_column;
   opt.num_workers = 1;              // one executor, so requests coalesce
   serve::SolverService<double> svc(opt);
+  metrics::Histogram& widths =
+      metrics::global().histogram("serve.batch_width");
+  widths.reset();
 
   // The clients queue behind a larger factorization and batch from that
   // backlog.
@@ -626,6 +630,9 @@ TEST(SolverService, FailingCoalescedBatchResolvesEveryClientExactlyOnce) {
   for (auto& c : clients) c.join();
   busy.join();
   EXPECT_EQ(outcomes.load(), kClients);
+  // The failed batch is counted at dispatch like any other: all four
+  // clients coalesced into it.
+  EXPECT_EQ(widths.max(), static_cast<double>(kClients));
 
   // The worker survived: the service still serves good traffic.
   const auto A = testbed_matrix("west0497-s");
@@ -695,7 +702,7 @@ TEST(SolverService, ValuesDeltaAbsorbsDriftOnPatternHits) {
   const count_t delta0 = counter_value("serve.cache.value_delta");
   const auto cold = svc.solve(A, rhs_for(A));
   EXPECT_FALSE(cold.value_delta);
-  // A handful of changed entries: the SMW or partial route absorbs it.
+  // A handful of changed entries: the partial route absorbs it.
   auto B = A;
   B.values[0] *= 1.4;
   B.values[B.values.size() / 2] *= 0.9;
@@ -711,10 +718,9 @@ TEST(SolverService, ValuesDeltaAbsorbsDriftOnPatternHits) {
   EXPECT_TRUE(again.value_hit);
   EXPECT_FALSE(again.value_delta);
 
-  // With the SMW and partial routes off, a pattern hit takes the full
+  // With the partial route off, a pattern hit takes the full
   // refactorization route.
   serve::ServiceOptions full_route = opt;
-  full_route.solver.delta.smw_max_rank = 0;
   full_route.solver.delta.max_dirty_fraction = 0;
   serve::SolverService<double> svc2(full_route);
   (void)svc2.solve(A, rhs_for(A));
@@ -724,23 +730,25 @@ TEST(SolverService, ValuesDeltaAbsorbsDriftOnPatternHits) {
 }
 
 TEST(FactorizationCache, EvictedEntryWithLiveSmwCorrectionStillSolves) {
-  // Lifetime satellite: entries are shared_ptr and the SMW correction
+  // Lifetime: entries are shared_ptr and the tiny-pivot SMW correction
   // holds the factors through a shared_ptr of its own, so evicting an
   // entry mid-flight — unlinking it while a holder still references it —
-  // must leave an active delta correction fully usable. (ASan in CI turns
-  // any dangling factor reference here into a hard failure.)
+  // must leave an active correction fully usable. (ASan in CI turns any
+  // dangling factor reference here into a hard failure.)
   serve::FactorizationCache<double> cache(/*max_entries=*/1,
                                           /*max_bytes=*/0);
-  const auto A = testbed_matrix("west0497-s");
+  const auto A = sparse::cancellation_matrix(400, 100, 31);
   bool hit = false;
   auto e = cache.acquire(A, &hit);
-  e->solver = std::make_unique<Solver<double>>(A, SolverOptions{});
-  // Activate a rank-2 SMW correction over the cached factors.
-  auto B = A;
-  B.values[3] *= 1.5;
-  B.values[B.values.size() / 3] *= 0.8;
-  e->solver->refactorize_delta(B);
-  ASSERT_EQ(e->solver->stats().delta.smw, 1u);
+  // GespSolver.AggressiveSmwRecovery's options: the cancelling pivot order
+  // is kept, so aggressive replacement fires and the correction is live.
+  SolverOptions so;
+  so.tiny_pivot = TinyPivotOption::aggressive_smw;
+  so.row_perm = RowPermOption::none;
+  so.equilibrate = false;
+  so.col_order = ColOrderOption::natural;
+  e->solver = std::make_unique<Solver<double>>(A, so);
+  ASSERT_GE(e->solver->stats().pivots_replaced, 1);
 
   // Evict mid-flight: unlink our entry, then churn the one-slot cache so
   // other patterns occupy and re-evict the map position.
@@ -751,7 +759,7 @@ TEST(FactorizationCache, EvictedEntryWithLiveSmwCorrectionStillSolves) {
 
   // Our reference — the "batch still executing" of the cache contract —
   // solves through the correction as if nothing happened.
-  const auto b = rhs_for(B);
+  const auto b = rhs_for(A);
   std::vector<double> x(b.size());
   const std::vector<double> ones(b.size(), 1.0);
   e->solver->solve(b, x);

@@ -253,8 +253,7 @@ TEST(SmpLU, GrowthAbortReportsTheSameErrorOnEveryThreadCount) {
   for (const int threads : {1, 4}) {
     SCOPED_TRACE(threads);
     SolverOptions opt = growth_abort_options(threads);
-    opt.delta.smw_max_rank = 0;          // route changes to partial...
-    opt.delta.max_dirty_fraction = 1.0;  // ...and never bail to full
+    opt.delta.max_dirty_fraction = 1.0;  // never bail to full
     Solver<double> s(A0, opt);
     EXPECT_EQ(growth_abort_message([&] { s.refactorize_delta(A); }), serial);
     EXPECT_EQ(s.stats().delta.full, 0);

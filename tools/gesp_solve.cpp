@@ -43,7 +43,7 @@
 //                         steps: perturb a contiguous window of ~FRAC·n
 //                         columns (default 0.05, values only) and
 //                         refactorize through the delta router
-//                         (noop/SMW/partial/full), printing the route and
+//                         (noop/partial/full), printing the route and
 //                         per-step cost (in-process backends only)
 //   --dist=P              shorthand for --backend=dist with P simulated
 //                         MiniMPI ranks (near-square grid); comm spans and
@@ -414,8 +414,7 @@ int main(int argc, char** argv) {
           const double refactor_s = td.seconds();
           solver.solve(b, x);
           const DeltaStats& d = solver.stats().delta;
-          const char* route = d.smw > before.smw           ? "smw"
-                              : d.partial > before.partial ? "partial"
+          const char* route = d.partial > before.partial ? "partial"
                               : d.noop > before.noop       ? "noop"
                                                            : "full";
           std::printf("delta step %d: %s route, %lld changed entries, "
