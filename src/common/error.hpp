@@ -7,6 +7,7 @@
 // release builds and guards internal invariants.
 #pragma once
 
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -36,6 +37,11 @@ class Error : public std::runtime_error {
         code_(code) {}
 
   Errc code() const noexcept { return code_; }
+  /// what() without its "<category>: " prefix; Error(code(), message())
+  /// rebuilds what(), so a failure crossing a thread or rank carries this.
+  const char* message() const noexcept {
+    return what() + std::strlen(errc_name(code_)) + 2;
+  }
 
  private:
   Errc code_;

@@ -21,12 +21,6 @@
 namespace gesp {
 namespace {
 
-/// Factorization failures the ladder may absorb; anything else (bad input,
-/// broken invariant) propagates immediately.
-bool recoverable(Errc c) {
-  return c == Errc::numerically_singular || c == Errc::unstable;
-}
-
 std::string format_sci(const char* what, double value, double limit) {
   char buf[128];
   std::snprintf(buf, sizeof buf, "%s %.3e above limit %.3e", what, value,
@@ -56,6 +50,17 @@ sparse::CscMatrix<float> to_single(const sparse::CscMatrix<double>& A) {
   for (std::size_t i = 0; i < A.values.size(); ++i)
     B.values[i] = static_cast<float>(A.values[i]);
   return B;
+}
+
+/// Run the float triangular solve `solve_f` on a float copy of x: the
+/// solves run in single precision, while the caller (refinement) carries
+/// the residual and accumulates corrections in double.
+template <class SolveF>
+void through_float(std::span<double> x, SolveF&& solve_f) {
+  std::vector<float> xf(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) xf[i] = static_cast<float>(x[i]);
+  solve_f(std::span<float>(xf));
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = static_cast<double>(xf[i]);
 }
 
 }  // namespace
@@ -125,6 +130,35 @@ void SolveStats::export_metrics(metrics::Registry& reg) const {
     reg.gauge("solver.time_total." + phase).set(seconds);
 }
 
+template <class T>
+void validate(const SolverOptions& opt) {
+  const bool smw = opt.tiny_pivot == TinyPivotOption::aggressive_smw;
+  const bool in_block = opt.panel_pivot != dense::PanelPivot::static_;
+  if (opt.precision != Precision::double_) {
+    GESP_CHECK((std::is_same_v<T, double>), Errc::invalid_argument,
+               "single/mixed precision requires a real double solver");
+    GESP_CHECK(!smw, Errc::invalid_argument,
+               "aggressive_smw pivoting is incompatible with single/mixed "
+               "precision (the SMW correction is double-typed)");
+    GESP_CHECK(!opt.refine.compensated_residual, Errc::invalid_argument,
+               "compensated residuals are pointless below double precision");
+  }
+  GESP_CHECK(!smw || !in_block, Errc::invalid_argument,
+             "aggressive_smw needs panel_pivot == static_ (the SMW "
+             "correction assumes the unpivoted factorization)");
+  if (opt.backend != Backend::dist) return;
+  const char* unsupported =
+      smw                                       ? "aggressive_smw"
+      : opt.estimate_ferr || opt.estimate_rcond ? "the ferr/rcond estimates"
+      : opt.refine.compensated_residual         ? "compensated residuals"
+      : opt.precision != Precision::double_     ? "single/mixed precision"
+      : in_block ? "in-block pivoting (panel_pivot)"
+      : opt.growth_abort > 0.0 ? "the in-flight growth abort (growth_abort > 0)"
+                               : nullptr;
+  GESP_CHECK(unsupported == nullptr, Errc::invalid_argument,
+             std::string("the dist backend does not run ") + unsupported);
+}
+
 const char* backend_name(Backend b) noexcept {
   switch (b) {
     case Backend::serial:
@@ -181,27 +215,15 @@ Solver<T>::Solver(const sparse::CscMatrix<T>& A, const SolverOptions& opt)
   GESP_CHECK(opt_.backend != Backend::dist, Errc::invalid_argument,
              "Backend::dist is driven by gesp::dist::solve or "
              "dist::DistSolver, not core::Solver");
+  validate<T>(opt_);
   if (opt_.backend == Backend::serial) opt_.num_threads = 1;
-  if (opt_.precision != Precision::double_) {
-    GESP_CHECK((std::is_same_v<T, double>), Errc::invalid_argument,
-               "single/mixed precision requires a real double solver");
-    GESP_CHECK(opt_.tiny_pivot != TinyPivotOption::aggressive_smw,
-               Errc::invalid_argument,
-               "aggressive_smw pivoting is incompatible with single/mixed "
-               "precision (the SMW correction is double-typed)");
-    GESP_CHECK(!opt_.refine.compensated_residual, Errc::invalid_argument,
-               "compensated residuals are pointless below double precision");
-  }
   n_ = A.ncols;
   pattern_ = sparse::pattern_key(A);
   transform(A);
   // A non-default start rung (serve's hostile fast path) skips the rungs
   // a repeat offender is known to burn through.
   restart_ladder(A);
-  if (opt_.recovery.enabled)
-    factor_ladder();
-  else
-    factor();
+  factor_ladder();
 }
 
 template <class T>
@@ -211,15 +233,20 @@ void Solver<T>::factor_ladder() {
       apply_rung();
       return;
     } catch (const Error& e) {
-      if (!recoverable(e.code())) throw;
-      RecoveryAttempt a;
-      a.rung = rung_;
-      a.trigger = trigger_for(e.code());
-      a.detail = e.what();
-      stats_.recovery.attempts.push_back(std::move(a));
-      if (!advance_rung()) throw;
+      if (!escalate(e)) throw;
     }
   }
+}
+
+template <class T>
+bool Solver<T>::escalate(const Error& e) {
+  if (!opt_.recovery.enabled || !recoverable(e.code())) return false;
+  RecoveryAttempt a;
+  a.rung = rung_;
+  a.trigger = trigger_for(e.code());
+  a.detail = e.what();
+  stats_.recovery.attempts.push_back(std::move(a));
+  return advance_rung();
 }
 
 template <class T>
@@ -334,19 +361,6 @@ void Solver<T>::apply_rung() {
       break;
     }
   }
-}
-
-template <class T>
-double Solver<T>::berr_threshold() const {
-  if (opt_.recovery.max_berr > 0) return opt_.recovery.max_berr;
-  // The acceptable berr follows the *requested* precision: single promises
-  // float-quality answers, so sqrt(eps_f); mixed promises double-quality
-  // answers (that is what promotion enforces), so sqrt(eps_d).
-  const double eps =
-      opt_.precision == Precision::single
-          ? static_cast<double>(std::numeric_limits<float>::epsilon())
-          : std::numeric_limits<double>::epsilon();
-  return std::sqrt(eps);
 }
 
 template <class T>
@@ -544,7 +558,7 @@ numeric::NumericOptions Solver<T>::numeric_options(bool use_single) const {
   if (opt_.growth_abort > 0.0)
     nopt.growth_abort = opt_.growth_abort;
   else if (opt_.growth_abort == 0.0 && opt_.recovery.enabled)
-    nopt.growth_abort = opt_.recovery.max_pivot_growth;
+    nopt.growth_abort = RecoveryPolicy::max_pivot_growth;
   if (opt_.tiny_pivot != TinyPivotOption::fail) {
     // Tiny-pivot threshold at the compute precision's sqrt(eps) scale: a
     // double-scale threshold would leave pivots the float kernels cannot
@@ -612,55 +626,28 @@ void Solver<T>::record_factorization() {
 
 template <class T>
 void Solver<T>::apply_solver(std::span<T> x) const {
-  if constexpr (std::is_same_v<T, double>) {
-    if (factors_f_) {
-      // Round-trip through float: the triangular solves run entirely in
-      // single precision; the caller (refinement) carries the residual and
-      // accumulates corrections in double.
-      std::vector<float> xf(x.size());
-      for (std::size_t i = 0; i < x.size(); ++i)
-        xf[i] = static_cast<float>(x[i]);
-      factors_f_->solve(xf);
-      for (std::size_t i = 0; i < x.size(); ++i)
-        x[i] = static_cast<double>(xf[i]);
-      return;
-    }
-  }
-  if (smw_)
-    smw_->solve(x);
-  else
-    factors_->solve(x);
+  if constexpr (std::is_same_v<T, double>)
+    if (factors_f_)
+      return through_float(x,
+                           [&](std::span<float> v) { factors_f_->solve(v); });
+  smw_ ? smw_->solve(x) : factors_->solve(x);
 }
 
 template <class T>
 void Solver<T>::apply_solver_multi(std::span<T> X, index_t nrhs) const {
-  if constexpr (std::is_same_v<T, double>) {
-    if (factors_f_) {
-      std::vector<float> Xf(X.size());
-      for (std::size_t i = 0; i < X.size(); ++i)
-        Xf[i] = static_cast<float>(X[i]);
-      factors_f_->solve_multi(Xf, nrhs);
-      for (std::size_t i = 0; i < X.size(); ++i)
-        X[i] = static_cast<double>(Xf[i]);
-      return;
-    }
-  }
+  if constexpr (std::is_same_v<T, double>)
+    if (factors_f_)
+      return through_float(
+          X, [&](std::span<float> V) { factors_f_->solve_multi(V, nrhs); });
   factors_->solve_multi(X, nrhs);
 }
 
 template <class T>
 void Solver<T>::apply_solver_transposed(std::span<T> x) const {
-  if constexpr (std::is_same_v<T, double>) {
-    if (factors_f_) {
-      std::vector<float> xf(x.size());
-      for (std::size_t i = 0; i < x.size(); ++i)
-        xf[i] = static_cast<float>(x[i]);
-      factors_f_->solve_transposed(xf);
-      for (std::size_t i = 0; i < x.size(); ++i)
-        x[i] = static_cast<double>(xf[i]);
-      return;
-    }
-  }
+  if constexpr (std::is_same_v<T, double>)
+    if (factors_f_)
+      return through_float(
+          x, [&](std::span<float> v) { factors_f_->solve_transposed(v); });
   factors_->solve_transposed(x);
 }
 
@@ -688,7 +675,7 @@ bool Solver<T>::needs_promotion() const {
 // refinement over float factors normally converges to O(eps_d), so a berr
 // stalled two orders of magnitude above the refinement target means the
 // float factorization itself is the bottleneck — refactorize in double.
-// Deliberately much tighter than berr_threshold() (the sqrt(eps)
+// Deliberately much tighter than RecoveryPolicy::max_berr (the sqrt(eps)
 // acceptability gate of the recovery ladder): a solve can be "acceptable"
 // there yet still miss the accuracy mixed mode promises.
 template <class T>
@@ -742,7 +729,7 @@ void Solver<T>::solve(std::span<const T> b, std::span<T> x,
     return;
   }
   RecoveryTrail& trail = stats_.recovery;
-  const double threshold = berr_threshold();
+  const double threshold = RecoveryPolicy::max_berr(opt_.precision);
   bool have_solution = false;
   while (true) {
     RecoveryAttempt a;
@@ -767,7 +754,7 @@ void Solver<T>::solve(std::span<const T> b, std::span<T> x,
         a.pivot_growth = stats_.pivot_growth;
         const bool berr_ok = a.berr <= threshold;
         const bool growth_ok =
-            a.pivot_growth <= opt_.recovery.max_pivot_growth;
+            a.pivot_growth <= RecoveryPolicy::max_pivot_growth;
         a.success = berr_ok && growth_ok;
         if (!berr_ok) {
           a.trigger = RecoveryTrigger::berr_stall;
@@ -775,7 +762,7 @@ void Solver<T>::solve(std::span<const T> b, std::span<T> x,
         } else if (!growth_ok) {
           a.trigger = RecoveryTrigger::pivot_growth;
           a.detail = format_sci("pivot growth", a.pivot_growth,
-                                opt_.recovery.max_pivot_growth);
+                                RecoveryPolicy::max_pivot_growth);
         }
       }
     } catch (const Error& e) {
@@ -791,21 +778,13 @@ void Solver<T>::solve(std::span<const T> b, std::span<T> x,
       finish_solve(wall);
       return;
     }
-    // Escalate: find the next rung whose factorization succeeds.
-    bool advanced = false;
-    while (advance_rung()) {
-      try {
-        apply_rung();
-        advanced = true;
-        break;
-      } catch (const Error& e) {
-        if (!recoverable(e.code())) throw;
-        RecoveryAttempt failed;
-        failed.rung = rung_;
-        failed.trigger = trigger_for(e.code());
-        failed.detail = e.what();
-        trail.attempts.push_back(std::move(failed));
-      }
+    // Escalate: factor the next rung that succeeds.
+    bool advanced = advance_rung();
+    try {
+      if (advanced) factor_ladder();
+    } catch (const Error& e) {
+      if (!recoverable(e.code())) throw;
+      advanced = false;  // every remaining rung failed to factor
     }
     if (!advanced) {
       // Ladder exhausted: keep the best-effort answer if any rung produced
@@ -1018,10 +997,7 @@ void Solver<T>::factor_refilled(sparse::CscMatrix<T>&& At_new,
                                 const sparse::CscMatrix<T>& A_new) {
   At_ = std::move(At_new);
   restart_ladder(A_new);
-  if (opt_.recovery.enabled)
-    factor_ladder();
-  else
-    factor();
+  factor_ladder();
 }
 
 template <class T>
@@ -1120,17 +1096,11 @@ void Solver<T>::refactorize_delta(const sparse::CscMatrix<T>& A_new) {
       factors_->refactorize_partial(At_, dirty, numeric_options(false));
     }
   } catch (const Error& e) {
-    if (!opt_.recovery.enabled || !recoverable(e.code())) throw;
     // The partial step is bitwise-equal to a full factorization of the
     // same values, so a full retry at this rung would fail identically:
     // continue the restarted ladder exactly as refactorize() would, with
     // the failed gesp attempt on record, and escalate.
-    RecoveryAttempt a;
-    a.rung = rung_;
-    a.trigger = trigger_for(e.code());
-    a.detail = e.what();
-    stats_.recovery.attempts.push_back(std::move(a));
-    if (!advance_rung()) throw;
+    if (!escalate(e)) throw;
     factor_ladder();
     ++stats_.delta.full;
     metrics::global().counter("solver.delta.full_events").inc();
@@ -1153,6 +1123,8 @@ std::vector<T> solve(const sparse::CscMatrix<T>& A, std::span<const T> b,
   return x;
 }
 
+template void validate<double>(const SolverOptions&);
+template void validate<Complex>(const SolverOptions&);
 template struct TransformResult<double>;
 template struct TransformResult<Complex>;
 template TransformResult<double> compute_transform(

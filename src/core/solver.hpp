@@ -11,19 +11,23 @@
 //       than sqrt(eps)·||A|| (or failing, or aggressively promoting them
 //       for SMW recovery — every knob the paper describes is exposed,
 //       because "we provide a flexible interface so the user is able to
-//       turn on or off any of these options").
+//       turn on or off any of these options"; validate() holds the rules
+//       on which of them combine).
 //   (4) Iterative refinement until berr <= eps or stagnation.
 //
 // Optional diagnostics: forward error bound and condition estimate (the
 // expensive extra triangular solves the paper only runs on demand).
 #pragma once
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/timer.hpp"
 #include "common/types.hpp"
@@ -112,18 +116,30 @@ enum class RecoveryTrigger {
 
 const char* recovery_trigger_name(RecoveryTrigger t) noexcept;
 
+/// Failures the recovery ladder (and the serve layer's evict-and-retry)
+/// may absorb; anything else — bad input, a broken invariant — propagates.
+inline bool recoverable(Errc c) noexcept {
+  return c == Errc::numerically_singular || c == Errc::unstable;
+}
+
 /// When and how solve() is allowed to escalate down the ladder. Escalation
-/// triggers on: berr above max_berr after refinement, pivot growth above
+/// triggers on: berr above max_berr() after refinement, pivot growth above
 /// max_pivot_growth, an in-flight growth abort, or a numerically_singular /
-/// unstable factorization.
+/// unstable factorization. Both limits are fixed.
 struct RecoveryPolicy {
-  bool enabled = false;
-  /// Acceptable backward error after refinement; <= 0 means sqrt(eps).
-  double max_berr = 0.0;
+  /// Acceptable backward error after refinement: sqrt(eps) of the
+  /// *requested* precision (mixed promises double-quality answers).
+  static double max_berr(Precision requested) noexcept {
+    return std::sqrt(requested == Precision::single
+                         ? double{std::numeric_limits<float>::epsilon()}
+                         : std::numeric_limits<double>::epsilon());
+  }
   /// Pivot growth beyond this marks the static factorization unreliable.
   /// Doubles as the default in-flight growth-abort threshold (see
   /// SolverOptions::growth_abort).
-  double max_pivot_growth = 1e10;
+  static constexpr double max_pivot_growth = 1e10;
+
+  bool enabled = false;
   /// Float→double promotion rung; only offered under Precision::mixed
   /// while the single-precision factorization is (or would be) active.
   bool try_precision_promote = true;
@@ -204,22 +220,19 @@ struct SolverOptions {
   /// Diagonal-block pivot strategy for the static factorization. The
   /// default (static_) is the paper's pipeline, bitwise identical to the
   /// pre-portfolio solver; the recovery ladder escalates through the
-  /// stronger strategies on its own. Exclusive with
-  /// TinyPivotOption::aggressive_smw (SMW assumes unpivoted factors).
+  /// stronger strategies on its own.
   dense::PanelPivot panel_pivot = dense::PanelPivot::static_;
   /// Tau for PanelPivot::threshold (see dense::PivotPolicy).
   double pivot_threshold_tau = 0.1;
   /// In-flight element-growth abort threshold for the factorization:
-  /// > 0 uses that value; 0 (default) inherits recovery.max_pivot_growth
-  /// whenever the recovery ladder is enabled (fail fast instead of
-  /// finishing a garbage factorization); < 0 disables the abort even with
-  /// recovery on.
+  /// > 0 uses that value; 0 (default) inherits
+  /// RecoveryPolicy::max_pivot_growth whenever the recovery ladder is
+  /// enabled (fail fast instead of finishing a garbage factorization);
+  /// < 0 disables the abort even with recovery on.
   double growth_abort = 0.0;
   /// Compute precision of the numeric phase (factorization + triangular
-  /// solves). single/mixed require Solver<double>; mixed promotes to a
-  /// double refactorization when double-target refinement stalls. Exclusive
-  /// with TinyPivotOption::aggressive_smw (the SMW correction is
-  /// double-typed) and compensated residuals (already double-double).
+  /// solves); mixed promotes to a double refactorization when
+  /// double-target refinement stalls.
   Precision precision = Precision::double_;
   symbolic::SymbolicOptions symbolic;
   refine::RefineOptions refine;
@@ -237,6 +250,15 @@ struct SolverOptions {
   /// Delta-refactorization routing (see refactorize_delta()).
   DeltaPolicy delta;
 };
+
+/// The options contract: every rule tying one SolverOptions field to
+/// another, for a solver over T on opt.backend (INTERNALS.md §9 "Options
+/// contract" lists them). Throws Errc::invalid_argument naming the first
+/// rule broken. Every solver entry point calls it at construction, so a
+/// combination no engine honours fails there instead of being dropped or
+/// failing late.
+template <class T>
+void validate(const SolverOptions& opt);
 
 /// Accounting of refactorize_delta() routing. Counters are cumulative over
 /// the solver's lifetime; the per-call fields describe the last call.
@@ -480,18 +502,22 @@ class Solver {
   /// target after refinement — time for the double refactorization.
   bool needs_promotion() const;
   /// Accuracy the mixed path must deliver to keep its float factors —
-  /// ~100x the double refinement target (tighter than berr_threshold()).
+  /// ~100x the double refinement target (tighter than
+  /// RecoveryPolicy::max_berr).
   double promotion_target() const;
   void promote_to_double();  ///< precision_promote rung body
   // Recovery ladder plumbing.
-  void factor_ladder();  ///< factor via apply_rung, escalating on throw
+  /// Factor via apply_rung, escalating past each failure escalate() takes.
+  void factor_ladder();
+  /// The one escalation step: with the ladder on, record the recoverable
+  /// failure `e` at the current rung and advance_rung(); false = rethrow.
+  bool escalate(const Error& e);
   bool advance_rung();   ///< move to the next policy-enabled rung
   void apply_rung();     ///< reconfigure + refactor for the current rung
   void solve_once(std::span<const T> b, std::span<T> x,
                   const refine::RefineOptions* ov);       ///< static path
   void solve_gepp(std::span<const T> b, std::span<T> x);  ///< rung (c) path
   void finish_solve(const Timer& wall);  ///< wall latency + metrics export
-  double berr_threshold() const;
 
   SolverOptions opt_;
   SolveStats stats_;

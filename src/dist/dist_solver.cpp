@@ -36,6 +36,17 @@ double allreduce_sum(minimpi::Comm& comm, int base_tag, double v) {
 
 }  // namespace
 
+void throw_root_cause(const std::vector<minimpi::RankReport>& reports) {
+  const minimpi::RankReport* cause = nullptr;
+  for (const auto& r : reports)
+    if (r.failed() && (!cause || (cause->error_code() == Errc::comm &&
+                                  r.error_code() != Errc::comm)))
+      cause = &r;
+  if (cause)
+    throw_error(cause->error_code(),
+                "dist backend: " + cause->error_message());
+}
+
 ProcessGrid grid_from(const DistBackendOptions& opt) {
   if (opt.pr > 0 && opt.pc > 0) return ProcessGrid{opt.pr, opt.pc};
   return ProcessGrid::near_square(opt.nprocs);
@@ -65,16 +76,8 @@ DistSolver<T>::DistSolver(minimpi::Comm& comm, const sparse::CscMatrix<T>& A,
     : opt_(opt) {
   GESP_CHECK(A.nrows == A.ncols, Errc::invalid_argument,
              "GESP needs a square matrix");
-  GESP_CHECK(opt_.tiny_pivot != TinyPivotOption::aggressive_smw,
-             Errc::invalid_argument,
-             "aggressive_smw is not available on the dist backend");
-  GESP_CHECK(!opt_.estimate_ferr && !opt_.estimate_rcond,
-             Errc::invalid_argument,
-             "error estimates are not available on the dist backend");
-  GESP_CHECK(!opt_.refine.compensated_residual, Errc::invalid_argument,
-             "compensated residuals are not available on the dist backend");
-  GESP_CHECK(opt_.precision == Precision::double_, Errc::invalid_argument,
-             "single/mixed precision is not available on the dist backend");
+  opt_.backend = Backend::dist;  // whatever backend the caller named
+  validate<T>(opt_);
   n_ = A.ncols;
   pattern_ = sparse::pattern_key(A);
   grid_ = grid_from(opt_.dist);
@@ -291,7 +294,7 @@ void DistSolver<T>::solve(minimpi::Comm& comm, std::span<const T> b,
   double prev = std::numeric_limits<double>::infinity();
   while (iterations < opt_.refine.max_iters &&
          berr > opt_.refine.target_berr &&
-         berr <= prev * opt_.refine.stall_ratio) {
+         berr <= prev * refine::kStallRatio) {
     prev = berr;
     BlockVector dxb = rb;
     lu_->solve_lower_dist(comm, dxb);
@@ -342,6 +345,11 @@ void DistSolver<T>::solve_multi(minimpi::Comm& comm, std::span<const T> B,
 template <class T>
 std::vector<T> solve(const sparse::CscMatrix<T>& A, std::span<const T> b,
                      const SolverOptions& opt, SolveStats* stats_out) {
+  // Up front, not inside the world: a rank's rejection would read as a
+  // failed solve, which the recovery fallback below would absorb.
+  SolverOptions dopt = opt;
+  dopt.backend = Backend::dist;
+  validate<T>(dopt);
   const ProcessGrid grid = grid_from(opt.dist);
   minimpi::WorldOptions wopt;
   wopt.recv_timeout_s = opt.dist.recv_timeout_s;
@@ -359,22 +367,8 @@ std::vector<T> solve(const sparse::CscMatrix<T>& A, std::span<const T> b,
     }
   });
 
-  // Root-cause any rank failure: a rank that died poisons its peers with
-  // Errc::comm, so prefer the non-comm code when one exists.
-  bool failed = false;
-  Errc code = Errc::comm;
-  std::string msg;
-  for (const auto& r : reports) {
-    if (!r.failed()) continue;
-    failed = true;
-    if (msg.empty() || (code == Errc::comm && r.error_code() != Errc::comm)) {
-      code = r.error_code();
-      msg = r.error_message();
-    }
-  }
-
   if (!opt.recovery.enabled) {
-    if (failed) throw_error(code, "dist backend: " + msg);
+    throw_root_cause(reports);
     if (stats_out) *stats_out = st;
     return x;
   }
@@ -382,20 +376,18 @@ std::vector<T> solve(const sparse::CscMatrix<T>& A, std::span<const T> b,
   // Recovery: judge the distributed answer by the same policy thresholds
   // the in-process ladder uses; fall back to it when the grid fails or
   // the answer is out of policy.
-  const double threshold =
-      opt.recovery.max_berr > 0
-          ? opt.recovery.max_berr
-          : std::sqrt(std::numeric_limits<double>::epsilon());
+  const double threshold = RecoveryPolicy::max_berr(opt.precision);
   RecoveryAttempt attempt;
   attempt.rung = RecoveryRung::gesp;
-  if (failed) {
-    attempt.detail = "dist backend: " + msg;
-  } else {
+  try {
+    throw_root_cause(reports);
     attempt.berr = st.berr;
     attempt.pivot_growth = st.pivot_growth;
     attempt.success = st.berr <= threshold &&
-                      st.pivot_growth <= opt.recovery.max_pivot_growth;
+                      st.pivot_growth <= RecoveryPolicy::max_pivot_growth;
     if (!attempt.success) attempt.detail = "dist backend: out of policy";
+  } catch (const Error& e) {
+    attempt.detail = e.message();
   }
   if (attempt.success) {
     st.recovery.attempts.push_back(std::move(attempt));

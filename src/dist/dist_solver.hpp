@@ -28,6 +28,12 @@
 
 namespace gesp::dist {
 
+/// Throw the root cause of a failed World::run_report as
+/// Error(code, "dist backend: <message>"): a rank that died poisons its
+/// peers with Errc::comm, so the first non-comm failure wins. Returns when
+/// every rank finished.
+void throw_root_cause(const std::vector<minimpi::RankReport>& reports);
+
 /// Grid shape for the backend options: explicit pr×pc when both are set,
 /// else the paper's near-square layout for nprocs.
 ProcessGrid grid_from(const DistBackendOptions& opt);

@@ -75,6 +75,8 @@ std::string RankReport::error_message() const {
   if (!error) return {};
   try {
     std::rethrow_exception(error);
+  } catch (const Error& e) {
+    return e.message();  // error_code() carries the category
   } catch (const std::exception& e) {
     return e.what();
   } catch (...) {

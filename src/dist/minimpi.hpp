@@ -192,7 +192,9 @@ struct RankReport {
   /// Errc carried by `error` if it is a gesp::Error; Errc::internal for
   /// foreign exceptions; meaningless when !failed().
   Errc error_code() const;
-  std::string error_message() const;  ///< empty when !failed()
+  /// What the rank threw, without a gesp::Error's category prefix; empty
+  /// when !failed().
+  std::string error_message() const;
 };
 
 /// The collection of mailboxes; World::run spawns one thread per rank.

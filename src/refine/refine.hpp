@@ -18,6 +18,10 @@
 
 namespace gesp::refine {
 
+/// Stagnation guard: refinement keeps iterating only while
+/// berr <= kStallRatio·prev — the paper's "fails to halve" rule.
+inline constexpr double kStallRatio = 0.5;
+
 struct RefineOptions {
   int max_iters = 10;
   /// Use the compensated (twice-working-precision) residual — the paper's
@@ -28,12 +32,6 @@ struct RefineOptions {
   /// when refining a single-precision factorization toward full accuracy,
   /// float epsilon when the solve stays entirely in single.
   double target_berr = std::numeric_limits<double>::epsilon();
-  /// Stagnation guard: keep iterating only while berr <= stall_ratio·prev
-  /// (the paper's "fails to halve" rule at the default 0.5). Previously a
-  /// hardcoded /2.0 inside the loop; hoisted so callers and tests can pin
-  /// it — a looser ratio lets single-precision corrections, whose per-step
-  /// contraction is weaker, keep making progress.
-  double stall_ratio = 0.5;
 };
 
 struct RefineResult {
@@ -70,7 +68,7 @@ RefineResult iterative_refinement(const sparse::CscMatrix<T>& A,
   trace::instant_value("refine", "berr", berr, res.iterations);
   double prev = std::numeric_limits<double>::infinity();
   while (res.iterations < opt.max_iters && berr > opt.target_berr &&
-         berr <= prev * opt.stall_ratio) {
+         berr <= prev * kStallRatio) {
     prev = berr;
     std::copy(r.begin(), r.end(), dx.begin());
     solver(std::span<T>(dx));  // dx ~= A^{-1} r

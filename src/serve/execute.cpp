@@ -9,11 +9,9 @@
 namespace gesp::serve {
 namespace {
 
-/// Failures the recovery ladder can do something about; everything else
-/// (bad input, library bug) goes back to the client as-is.
-bool recoverable(Errc c) noexcept {
-  return c == Errc::numerically_singular || c == Errc::unstable;
-}
+/// Failed armed-ladder recoveries of one pattern before it is marked
+/// hostile.
+constexpr int kHostileThreshold = 2;
 
 /// Footprint estimate for one cache entry: the factors (stored supernodal
 /// values + structure), the retained transformed copy of A, the entry's
@@ -48,8 +46,8 @@ EntryExecutor<T>::EntryExecutor(const ServiceOptions& opt,
 template <class T>
 bool EntryExecutor<T>::is_hostile(const sparse::PatternKey& key) const {
   std::lock_guard lk(hostile_mu_);
-  auto it = hostile_.find(key);
-  return it != hostile_.end() && it->second.hostile;
+  auto it = failed_recoveries_.find(key);
+  return it != failed_recoveries_.end() && it->second >= kHostileThreshold;
 }
 
 template <class T>
@@ -67,11 +65,8 @@ Response<T> EntryExecutor<T>::execute(const sparse::CscMatrix<T>& A0,
   // An armed-ladder execution failed: bump the pattern's failure count and
   // mark it hostile at the threshold.
   const auto failed_recovery = [&] {
-    if (opt_.hostile_threshold <= 0) return;
     std::lock_guard lk(hostile_mu_);
-    HostileState& st = hostile_[key];
-    if (++st.failed_recoveries >= opt_.hostile_threshold && !st.hostile) {
-      st.hostile = true;
+    if (++failed_recoveries_[key] == kHostileThreshold) {
       reg_.counter("serve.recovery.hostile_marked").inc();
       trace::instant("serve", "hostile_marked");
     }
@@ -194,9 +189,9 @@ Response<T> EntryExecutor<T>::execute(const sparse::CscMatrix<T>& A0,
           // A successful recovery gives a not-yet-hostile pattern its
           // failure count back (hostile marks are not forgiven).
           std::lock_guard lk(hostile_mu_);
-          auto it = hostile_.find(key);
-          if (it != hostile_.end() && !it->second.hostile)
-            it->second.failed_recoveries = 0;
+          auto it = failed_recoveries_.find(key);
+          if (it != failed_recoveries_.end() && it->second < kHostileThreshold)
+            it->second = 0;
         }
       }
       return tmpl;
@@ -209,17 +204,15 @@ Response<T> EntryExecutor<T>::execute(const sparse::CscMatrix<T>& A0,
         // reputation; enough of them and the pattern goes hostile.
         if (attempt > 0 || hostile) failed_recovery();
       }
-      if (opt_.evict_on_failure) {
-        // A failed factorization (or solve) must not be served again. The
-        // entry mutex is released first not for deadlock safety — the
-        // established nesting is entry-then-cache — but simply because
-        // erase() has no use for it.
-        elk.unlock();
-        cache_.erase(e);
-      }
+      // A failed factorization (or solve) must not be served again. The
+      // entry mutex is released first not for deadlock safety — the
+      // established nesting is entry-then-cache — but simply because
+      // erase() has no use for it.
+      elk.unlock();
+      cache_.erase(e);
       // Every request was answered before the failure: none left to retry.
       if (!group.empty() && done == group.size()) return tmpl;
-      if (attempt > 0 || hostile || !rec || !opt_.evict_on_failure) throw;
+      if (attempt > 0 || hostile || !rec) throw;
       // Recovery wiring: a poisoned cached factorization (values drifted
       // numerically singular/unstable since analysis) was evicted above;
       // the unanswered remainder retries once on a cold rebuild with the

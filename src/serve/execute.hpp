@@ -13,11 +13,10 @@
 //   * the entry's bytes are accounted before the solves and re-accounted
 //     after the solve that promotes it, before that answer is delivered,
 //     so a mixed-precision promotion is charged;
-//   * on any gesp::Error the entry is erased (evict_on_failure); a
-//     recoverable failure gets one cold retry with the recovery ladder
-//     armed;
-//   * the per-pattern hostile reputation (hostile_threshold) caps that
-//     retry spend.
+//   * on any gesp::Error the entry is erased; a recoverable failure gets
+//     one cold retry with the recovery ladder armed;
+//   * the per-pattern hostile reputation (two failed armed recoveries)
+//     caps that retry spend.
 //
 // Counters go to a caller-given metrics::Registry: metrics::global() on a
 // single node, the rank-local registry on a shard (aggregated at stop()).
@@ -75,20 +74,17 @@ class EntryExecutor {
   bool is_hostile(const sparse::PatternKey& key) const;
 
  private:
-  /// Per-pattern recovery reputation. Lives beside (not inside) the cache
-  /// entries on purpose: the failure path evicts the poisoned entry, and
-  /// the whole point of the hostile mark is to outlive that eviction.
-  struct HostileState {
-    int failed_recoveries = 0;  ///< consecutive armed-ladder failures
-    bool hostile = false;
-  };
-
   ServiceOptions opt_;
   FactorizationCache<T> cache_;
   metrics::Registry& reg_;
   mutable std::mutex hostile_mu_;  ///< leaf lock; never held across others
-  std::unordered_map<sparse::PatternKey, HostileState, sparse::PatternKeyHash>
-      hostile_;
+  /// Per-pattern recovery reputation: consecutive failed armed-ladder
+  /// recoveries, hostile from kHostileThreshold on. Lives beside (not
+  /// inside) the cache entries on purpose: the failure path evicts the
+  /// poisoned entry, and the whole point of the hostile mark is to outlive
+  /// that eviction.
+  std::unordered_map<sparse::PatternKey, int, sparse::PatternKeyHash>
+      failed_recoveries_;
 };
 
 /// Typed admission rejection shared by both front ends: counts

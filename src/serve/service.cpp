@@ -10,6 +10,9 @@
 #include "serve/shard.hpp"
 
 namespace gesp::serve {
+namespace {
+
+/// True when any dist-only knob differs from its default.
 bool shard_options_set(const ShardOptions& s) noexcept {
   const ShardOptions d;
   return s.pr != d.pr || s.pc != d.pc || s.replication != d.replication ||
@@ -21,9 +24,42 @@ bool shard_options_set(const ShardOptions& s) noexcept {
          s.recv_timeout_s != d.recv_timeout_s || s.fault.armed();
 }
 
+}  // namespace
+
+template <class T>
+void validate(const ServiceOptions& opt) {
+  const bool dist = opt.backend == Backend::dist;
+  GESP_CHECK(dist || !shard_options_set(opt.shard), Errc::invalid_argument,
+             "SolverService: ShardOptions (grid/replication/shard budgets/"
+             "promotion/fall-through/timeouts/fault injection) require "
+             "ServiceOptions::backend == Backend::dist; a single-node "
+             "backend would silently ignore them");
+  const ServiceOptions d;
+  const char* knob = !dist                            ? nullptr
+                     : opt.num_workers != d.num_workers ? "num_workers"
+                     : opt.max_batch != d.max_batch     ? "max_batch"
+                     : opt.batch_mode != d.batch_mode   ? "batch_mode"
+                     : opt.shed_refinement != d.shed_refinement
+                         ? "shed_refinement"
+                         : nullptr;
+  GESP_CHECK(knob == nullptr, Errc::invalid_argument,
+             std::string("SolverService: ") + knob +
+                 " is a single-node worker-pool knob; the shards ignore it "
+                 "under Backend::dist");
+  // Under dist the shards factor in process, and with fall-through on
+  // DistSolver may factor any pattern too (the dist rules include the
+  // in-process ones).
+  SolverOptions solver = opt.solver;
+  solver.backend = !dist                       ? opt.backend
+                   : opt.shard.dist_fallthrough ? Backend::dist
+                                                : Backend::threaded;
+  gesp::validate<T>(solver);
+}
+
 template <class T>
 SolverService<T>::SolverService(const ServiceOptions& opt)
     : opt_(opt) {
+  validate<T>(opt_);
   // ServiceOptions::backend is THE selector; the per-solver field is
   // derived from it so a caller-set solver.backend can never smuggle an
   // engine past the service (the old implicit-split failure mode).
@@ -35,11 +71,6 @@ SolverService<T>::SolverService(const ServiceOptions& opt)
     tier_ = std::make_unique<ShardedTier<T>>(opt_);
     return;  // the tier IS the service
   }
-  GESP_CHECK(!shard_options_set(opt_.shard), Errc::invalid_argument,
-             "SolverService: ShardOptions (grid/replication/shard budgets/"
-             "promotion/fall-through/timeouts/fault injection) require "
-             "ServiceOptions::backend == Backend::dist; a single-node "
-             "backend would silently ignore them");
   core_ = std::make_unique<EntryExecutor<T>>(opt_, opt_.cache_max_entries,
                                              opt_.cache_max_bytes,
                                              metrics::global());
@@ -212,7 +243,7 @@ void SolverService<T>::execute_batch(Batch& batch) {
   try {
     execute_batch_impl(batch);
   } catch (const Error& err) {
-    fail_unfulfilled(batch, err.code(), err.what());
+    fail_unfulfilled(batch, err.code(), err.message());
   } catch (const std::exception& ex) {
     fail_unfulfilled(batch, Errc::internal, ex.what());
   } catch (...) {
@@ -259,14 +290,11 @@ void SolverService<T>::execute_batch_impl(Batch& batch) {
   }
   if (live.empty()) return;
 
-  // Graceful degradation: with the queue mostly full, skip iterative
-  // refinement — one static-pivot triangular solve per request is the
-  // cheapest answer GESP can give, and berr is still measured once.
+  // Graceful degradation: with the queue at least 3/4 full, skip
+  // iterative refinement — one static-pivot triangular solve per request
+  // is the cheapest answer GESP can give, and berr is still measured once.
   const bool shed =
-      opt_.shed_refinement &&
-      queue_depth() >= static_cast<std::size_t>(
-                           opt_.shed_fraction *
-                           static_cast<double>(opt_.max_queue));
+      opt_.shed_refinement && queue_depth() >= opt_.max_queue * 3 / 4;
   refine::RefineOptions shed_refine = opt_.solver.refine;
   shed_refine.max_iters = 0;
 
@@ -308,6 +336,8 @@ void SolverService<T>::fulfill(PendingPtr& p, Response<T>&& r) {
   p.reset();
 }
 
+template void validate<double>(const ServiceOptions&);
+template void validate<Complex>(const ServiceOptions&);
 template class SolverService<double>;
 template class SolverService<Complex>;
 

@@ -70,9 +70,9 @@ enum class BatchMode {
 };
 
 /// Backend::dist sharding knobs. Meaningful only with
-/// ServiceOptions::backend == Backend::dist; single-node backends REJECT a
-/// non-default ShardOptions with Errc::invalid_argument rather than
-/// silently ignoring it (the old failure mode this redesign removes).
+/// ServiceOptions::backend == Backend::dist; validate() rejects a
+/// non-default ShardOptions on a single-node backend rather than letting
+/// it be silently ignored.
 struct ShardOptions {
   /// Process grid for the rank fleet; 0x0 derives the near-square grid
   /// from solver.dist.nprocs (default 4 -> 2x2). Rank 0 is both the
@@ -92,7 +92,8 @@ struct ShardOptions {
   int promote_hits = 3;
   /// Matrices whose pre-factorization byte estimate exceeds the per-shard
   /// byte budget fall through to a cooperative DistSolver factorization
-  /// over the whole grid instead of crowding one shard.
+  /// over the whole grid instead of crowding one shard. With it on, the
+  /// solver options must also meet the dist rules (see validate()).
   bool dist_fallthrough = true;
   /// Gateway watchdog: seconds an in-flight request may wait on its owner
   /// rank before the client gets Errc::comm; <= 0 disables (not
@@ -104,10 +105,6 @@ struct ShardOptions {
   /// Chaos hook forwarded to the rank world (see dist/fault.hpp).
   minimpi::FaultInjector fault;
 };
-
-/// True when any dist-only knob differs from its default — the
-/// single-node-backend validation predicate.
-bool shard_options_set(const ShardOptions& s) noexcept;
 
 struct ServiceOptions {
   /// Execution engine behind the service — THE backend selector (the
@@ -127,22 +124,19 @@ struct ServiceOptions {
   std::size_t cache_max_bytes = std::size_t{256} << 20;
   index_t max_batch = 8;        ///< RHS coalescing width (1 = no batching)
   BatchMode batch_mode = BatchMode::blocked;
-  /// Shed mode: when the queue is more than this full at execution time,
+  /// Shed mode: when the queue is at least 3/4 full at execution time,
   /// solves skip iterative refinement (berr is still measured once).
   bool shed_refinement = true;
-  double shed_fraction = 0.75;
-  /// Recovery wiring: evict a recoverably-failed cached factorization and
-  /// retry once cold with the recovery ladder armed.
-  bool evict_on_failure = true;
-  /// Hostile-pattern cap on evict-and-retry: after this many *failed*
-  /// armed-ladder recoveries for one pattern, the pattern is marked
-  /// hostile. Hostile requests skip the per-request ladder climb — the
-  /// factorization is rebuilt with recovery armed at the strongest rung
-  /// (GEPP) directly, and no further evict-and-retry is spent on the
-  /// pattern. A successful recovery resets a not-yet-hostile pattern's
-  /// failure count. <= 0 disables marking.
-  int hostile_threshold = 2;
 };
+
+/// The service half of the options contract: a single-node backend takes
+/// no ShardOptions; Backend::dist takes the worker-pool knobs (num_workers,
+/// max_batch, batch_mode, shed_refinement) at their defaults only; and
+/// `solver` meets core validate<T>() on every engine that may factor it
+/// (the dist rules too while shard.dist_fallthrough is on). Throws
+/// Errc::invalid_argument; SolverService calls it at construction.
+template <class T>
+void validate(const ServiceOptions& opt);
 
 struct RequestOptions {
   /// Max seconds from admission to execution start; an expired request is

@@ -481,7 +481,6 @@ ShardedTier<T>::Impl::Impl(const ServiceOptions& opt) : opt_(opt) {
                            : opt_.cache_max_entries;
   shard_max_bytes_ = opt_.shard.shard_max_bytes ? opt_.shard.shard_max_bytes
                                                 : opt_.cache_max_bytes;
-  opt_.max_queue = std::max<std::size_t>(1, opt_.max_queue);
   // Per-shard numerics: serial or threaded per num_threads; the sharding
   // IS the dist parallelism on the routed path.
   ServiceOptions core_opt = opt_;
@@ -633,7 +632,7 @@ Outcome<T> ShardedTier<T>::Impl::serve_request(ShardState& st,
               ++st.hits[key] == promote_hits_;
   } catch (const Error& err) {
     st.reg.counter("serve.shard.solve_failures").inc();
-    o = Outcome<T>{{}, false, err.code(), err.what()};
+    o = Outcome<T>{{}, false, err.code(), err.message()};
   }
   st.reg.histogram("serve.shard.solve_us")
       .record(std::chrono::duration<double>(Clock::now() - t0).count() * 1e6);
@@ -768,7 +767,7 @@ void ShardedTier<T>::Impl::gateway_body(minimpi::Comm& comm) {
   try {
     gateway_loop(comm);
   } catch (const Error& e) {
-    fail_everything(e.code(), e.what());
+    fail_everything(e.code(), e.message());
     throw;
   } catch (...) {
     fail_everything(Errc::internal, "serving gateway died");
@@ -969,7 +968,7 @@ void ShardedTier<T>::Impl::run_collective(minimpi::Comm& comm, PendingPtr p) {
     shards_[0]->coll.reset();
     shards_[0]->coll_values.clear();
     shards_[0]->reg.counter("serve.shard.collective_aborts").inc();
-    fail(p, e.code(), e.what());
+    fail(p, e.code(), e.message());
     if (is_kill_error(e)) throw;  // the gateway's own kill fault
   }
 }

@@ -13,13 +13,12 @@
 // (execute.hpp), the execution core the single-node service uses: one
 // right-hand side per request, none for a warm or a replication. Cold /
 // value-hit / pattern-hit preparation, byte accounting, failure eviction
-// with the armed retry, and the hostile reputation (evict_on_failure,
-// hostile_threshold) are therefore the single-node rules, and the core's
-// factor_cold / refactorize / solve trace spans name the same work on
-// every backend. The shard itself keeps only routing, the replica flag,
-// promotion counting, the collective fall-through and the transport; the
-// response envelope carries the core's Response fields except the
-// recovery trail.
+// with the armed retry, and the hostile reputation are therefore the
+// single-node rules, and the core's factor_cold / refactorize / solve
+// trace spans name the same work on every backend. The shard itself keeps
+// only routing, the replica flag, promotion counting, the collective
+// fall-through and the transport; the response envelope carries the
+// core's Response fields, the recovery trail included.
 //
 // Routing is rendezvous (HRW) hashing over sparse::PatternKey: every rank
 // scores every (key, rank) pair with the same pure mix function, and the

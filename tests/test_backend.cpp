@@ -10,6 +10,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/solver.hpp"
@@ -282,6 +283,18 @@ TEST(Backend, DistFailsOnZeroPivotWhenReplacementOff) {
   });
   ASSERT_TRUE(reports[0].failed());
   EXPECT_EQ(reports[0].error_code(), Errc::numerically_singular);
+  // The report carries the bare message (the code carries the category),
+  // so the one-shot wrapper's rethrow names the category once.
+  const std::string msg = reports[0].error_message();
+  EXPECT_EQ(msg.find(errc_name(Errc::numerically_singular)), std::string::npos)
+      << msg;
+  try {
+    dist::solve<double>(A, std::vector<double>(4, 1.0), opt);
+    ADD_FAILURE() << "a zero pivot with replacement off was answered";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              std::string("numerically_singular: dist backend: ") + msg);
+  }
 }
 
 }  // namespace

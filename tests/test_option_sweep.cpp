@@ -2,12 +2,19 @@
 // x tiny-pivot policy combination must either solve the system accurately
 // or fail loudly (throw) — never return garbage silently. This is the
 // contract behind the paper's "flexible interface so the user is able to
-// turn on or off any of these options."
+// turn on or off any of these options." The OptionsContract tests pin the
+// other half: which options combine at all, on every entry point.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <optional>
+#include <string>
 #include <tuple>
 
+#include "common/error.hpp"
 #include "core/solver.hpp"
+#include "dist/dist_solver.hpp"
+#include "serve/service.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/ops.hpp"
 
@@ -103,6 +110,169 @@ INSTANTIATE_TEST_SUITE_P(
       name += eq ? "_equil" : "_noequil";
       return name;
     });
+
+// ---------------------------------------------------------------------------
+// The options contract (validate()): one table of option combinations,
+// checked on every entry point. A rejected combination throws
+// Errc::invalid_argument at construction — dist::solve before any rank
+// runs, so the recovery fallback cannot absorb it — and every other
+// combination constructs.
+
+enum EntryPoint {
+  kSolverDouble,
+  kSolverComplex,
+  kDistSolve,
+  kServiceSingle,
+  kServiceDist,
+  kNumEntryPoints
+};
+const char* const kEntryPointNames[kNumEntryPoints] = {
+    "Solver<double>", "Solver<Complex>", "dist::solve",
+    "SolverService(serial)", "SolverService(dist)"};
+
+struct ContractCase {
+  const char* name;
+  /// Applied to a default ServiceOptions; the core entry points take its
+  /// `solver` member.
+  void (*set)(serve::ServiceOptions&);
+  std::array<bool, kNumEntryPoints> rejected;
+};
+
+constexpr bool Y = true, N = false;
+
+const ContractCase kContract[] = {
+    // Defaults are accepted everywhere.
+    {"defaults", [](serve::ServiceOptions&) {}, {N, N, N, N, N}},
+    // Precision: real double solvers only, and no dist.
+    {"single", [](serve::ServiceOptions& o) {
+       o.solver.precision = Precision::single;
+     }, {N, Y, Y, N, Y}},
+    // A dist service with fall-through hands patterns to DistSolver.
+    {"mixed", [](serve::ServiceOptions& o) {
+       o.solver.precision = Precision::mixed;
+     }, {N, Y, Y, N, Y}},
+    {"mixed, no fall-through", [](serve::ServiceOptions& o) {
+       o.solver.precision = Precision::mixed;
+       o.shard.dist_fallthrough = false;  // a ShardOptions on single node
+     }, {N, Y, Y, Y, N}},
+    {"mixed + aggressive_smw", [](serve::ServiceOptions& o) {
+       o.solver.precision = Precision::mixed;
+       o.solver.tiny_pivot = TinyPivotOption::aggressive_smw;
+     }, {Y, Y, Y, Y, Y}},
+    {"single + compensated residual", [](serve::ServiceOptions& o) {
+       o.solver.precision = Precision::single;
+       o.solver.refine.compensated_residual = true;
+     }, {Y, Y, Y, Y, Y}},
+    // SMW assumes the unpivoted factorization.
+    {"aggressive_smw + threshold pivoting", [](serve::ServiceOptions& o) {
+       o.solver.tiny_pivot = TinyPivotOption::aggressive_smw;
+       o.solver.panel_pivot = dense::PanelPivot::threshold;
+     }, {Y, Y, Y, Y, Y}},
+    // What the dist engine does not run.
+    {"aggressive_smw", [](serve::ServiceOptions& o) {
+       o.solver.tiny_pivot = TinyPivotOption::aggressive_smw;
+     }, {N, N, Y, N, Y}},
+    {"ferr", [](serve::ServiceOptions& o) { o.solver.estimate_ferr = true; },
+     {N, N, Y, N, Y}},
+    {"ferr, ladder armed", [](serve::ServiceOptions& o) {
+       o.solver.estimate_ferr = true;
+       o.solver.recovery.enabled = true;
+     }, {N, N, Y, N, Y}},
+    {"rcond", [](serve::ServiceOptions& o) { o.solver.estimate_rcond = true; },
+     {N, N, Y, N, Y}},
+    {"compensated residual", [](serve::ServiceOptions& o) {
+       o.solver.refine.compensated_residual = true;
+     }, {N, N, Y, N, Y}},
+    {"panel_rrp", [](serve::ServiceOptions& o) {
+       o.solver.panel_pivot = dense::PanelPivot::panel_rrp;
+     }, {N, N, Y, N, Y}},
+    {"threshold pivoting", [](serve::ServiceOptions& o) {
+       o.solver.panel_pivot = dense::PanelPivot::threshold;
+     }, {N, N, Y, N, Y}},
+    {"growth_abort > 0", [](serve::ServiceOptions& o) {
+       o.solver.growth_abort = 10.0;
+     }, {N, N, Y, N, Y}},
+    {"growth_abort < 0", [](serve::ServiceOptions& o) {
+       o.solver.growth_abort = -1.0;
+     }, {N, N, N, N, N}},
+    // ShardOptions are dist-only; the worker-pool knobs single-node only.
+    {"shard replication", [](serve::ServiceOptions& o) {
+       o.shard.replication = 3;
+     }, {N, N, N, Y, N}},
+    {"num_workers", [](serve::ServiceOptions& o) { o.num_workers = 4; },
+     {N, N, N, N, Y}},
+    {"max_batch", [](serve::ServiceOptions& o) { o.max_batch = 1; },
+     {N, N, N, N, Y}},
+    {"per_column batches", [](serve::ServiceOptions& o) {
+       o.batch_mode = serve::BatchMode::per_column;
+     }, {N, N, N, N, Y}},
+    {"no shed", [](serve::ServiceOptions& o) { o.shed_refinement = false; },
+     {N, N, N, N, Y}},
+};
+
+/// Construct `entry` under `o`: the error code it throws, or nullopt.
+std::optional<Errc> construct(EntryPoint entry, serve::ServiceOptions o) {
+  const auto A = sparse::convdiff2d(8, 8, 1.0, 0.5);
+  const std::vector<double> b(static_cast<std::size_t>(A.ncols), 1.0);
+  try {
+    switch (entry) {
+      case kSolverDouble:
+        Solver<double>(A, o.solver);
+        break;
+      case kSolverComplex:
+        Solver<Complex>(sparse::randomize_phases(A, 7), o.solver);
+        break;
+      case kDistSolve:
+        o.solver.backend = Backend::dist;
+        dist::solve<double>(A, b, o.solver);
+        break;
+      case kServiceSingle:
+        o.backend = Backend::serial;
+        serve::SolverService<double>{o};
+        break;
+      case kServiceDist:
+        o.backend = Backend::dist;
+        serve::SolverService<double>{o};
+        break;
+      case kNumEntryPoints:
+        break;
+    }
+  } catch (const Error& e) {
+    return e.code();
+  }
+  return std::nullopt;
+}
+
+TEST(OptionsContract, EveryRuleOnEveryEntryPoint) {
+  for (const ContractCase& c : kContract) {
+    for (int d = 0; d < kNumEntryPoints; ++d) {
+      SCOPED_TRACE(std::string(c.name) + " on " + kEntryPointNames[d]);
+      serve::ServiceOptions o;
+      c.set(o);
+      const std::optional<Errc> got = construct(static_cast<EntryPoint>(d), o);
+      if (c.rejected[static_cast<std::size_t>(d)])
+        EXPECT_TRUE(got == Errc::invalid_argument)
+            << (got ? errc_name(*got) : "accepted");
+      else
+        EXPECT_FALSE(got.has_value()) << "rejected: " << errc_name(*got);
+    }
+  }
+}
+
+TEST(OptionsContract, DistSolverAnswersToTheDistRulesWhateverBackendItIsNamed) {
+  // DistSolver is the dist engine even when its options name another
+  // backend, so it rejects what the engine would otherwise drop.
+  const auto A = sparse::convdiff2d(6, 6, 1.0, 0.5);
+  SolverOptions opt;  // backend = threaded
+  opt.dist.pr = opt.dist.pc = 1;
+  opt.panel_pivot = dense::PanelPivot::panel_rrp;
+  minimpi::World world(1);
+  const auto reports = world.run_report([&](minimpi::Comm& comm) {
+    dist::DistSolver<double> ds(comm, A, opt);
+  });
+  ASSERT_TRUE(reports[0].failed());
+  EXPECT_EQ(reports[0].error_code(), Errc::invalid_argument);
+}
 
 }  // namespace
 }  // namespace gesp

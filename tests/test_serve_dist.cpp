@@ -76,7 +76,6 @@ serve::ServiceOptions hostile_options(serve::ServiceOptions opt) {
   opt.solver.recovery.try_unscaled_refactor = false;
   opt.solver.recovery.try_threshold = false;
   opt.solver.recovery.try_panel_rrp = false;
-  opt.hostile_threshold = 2;
   return opt;
 }
 
@@ -483,6 +482,8 @@ TEST(ServeDist, MixedPromotionIsChargedOnEveryBackend) {
     serve::ServiceOptions opt = opts[k];
     opt.solver.precision = Precision::mixed;
     opt.solver.num_threads = 1;
+    // DistSolver runs double only; this small matrix never falls through.
+    if (opt.backend == Backend::dist) opt.shard.dist_fallthrough = false;
     serve::SolverService<double> svc(opt);
     const auto r = svc.solve(A, b);
     EXPECT_EQ(r.precision, Precision::double_) << "backend " << k;
@@ -499,6 +500,7 @@ TEST(ServeDist, IntrospectionAnswersFromTheShards) {
     // Single-precision bytes: the fleet-wide sum over every shard.
     auto opt = dist_options();
     opt.solver.precision = Precision::mixed;
+    opt.shard.dist_fallthrough = false;  // DistSolver runs double only
     serve::SolverService<double> svc(opt);
     svc.warm(pattern(0));
     svc.warm(pattern(1));
@@ -513,7 +515,15 @@ TEST(ServeDist, IntrospectionAnswersFromTheShards) {
     const auto key = sparse::pattern_key(S);
     const auto b = rhs_for(S);
     for (int i = 0; i < 2; ++i) {
-      EXPECT_THROW(svc.solve(S, b), Error) << "request " << i;
+      try {
+        svc.solve(S, b);
+        ADD_FAILURE() << "request " << i << " was answered";
+      } catch (const Error& e) {
+        // One category prefix: the worker hands the client the bare message.
+        EXPECT_STREQ(e.what(),
+                     "numerically_singular: GEPP: column 1 is numerically zero")
+            << "request " << i;
+      }
       EXPECT_EQ(svc.is_hostile(key), i == 1) << "request " << i;
     }
     EXPECT_FALSE(svc.is_hostile(sparse::pattern_key(pattern(0))));

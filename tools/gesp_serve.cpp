@@ -29,11 +29,11 @@
 //   --backend=serial|threaded|dist, --threads=N
 //                         service engine (default serial). dist runs the
 //                         sharded multi-rank tier: requests route to the
-//                         rank owning their pattern key. --workers,
-//                         --max-batch, --per-column and
-//                         --no-shed are single-node knobs and a usage
-//                         error under dist; --threads > 1 is a usage
-//                         error under serial
+//                         rank owning their pattern key. A non-default
+//                         --workers, --max-batch, --per-column or --no-shed
+//                         is a usage error under dist, as are the dist
+//                         flags below without it and --threads > 1 under
+//                         serial
 //   --grid=PxQ            dist: process grid (default near-square over 4)
 //   --replication=N       dist: copies of a hot pattern (default 2)
 //   --shard-entries=N, --shard-mb=N
@@ -45,7 +45,8 @@
 //   --trace=FILE          chrome://tracing capture ("serve" category spans)
 //   --metrics-json=FILE   dump the metrics registry (serve.* tree included)
 //
-// Exit codes follow gesp_solve: 0 ok, 2 usage, 3 invalid argument, 4 io,
+// Exit codes follow gesp_solve: 0 ok, 2 usage (an option combination the
+// options contract rejects included), 3 invalid argument, 4 io,
 // 10 overloaded — but per-request overload rejections are *counted*, not
 // fatal (shedding is the service working as designed); 10 means the replay
 // could not run at all.
@@ -68,10 +69,12 @@
 #include "serve/shard.hpp"
 #include "serve/workload.hpp"
 #include "sparse/ops.hpp"
+#include "cli.hpp"
 
 namespace {
 
 using namespace gesp;
+using namespace gesp::cli;
 
 [[noreturn]] void usage(const char* msg = nullptr) {
   if (msg) std::fprintf(stderr, "error: %s\n\n", msg);
@@ -91,34 +94,6 @@ using namespace gesp;
   std::exit(2);
 }
 
-int exit_code_for(Errc c) {
-  switch (c) {
-    case Errc::invalid_argument:
-      return 3;
-    case Errc::io:
-      return 4;
-    case Errc::structurally_singular:
-      return 5;
-    case Errc::numerically_singular:
-      return 6;
-    case Errc::unstable:
-      return 7;
-    case Errc::comm:
-      return 8;
-    case Errc::internal:
-      return 9;
-    case Errc::overloaded:
-      return 10;
-  }
-  return 9;
-}
-
-const char* value_of(const char* arg, const char* flag) {
-  const std::size_t n = std::strlen(flag);
-  if (std::strncmp(arg, flag, n) == 0 && arg[n] == '=') return arg + n + 1;
-  return nullptr;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -132,8 +107,6 @@ int main(int argc, char** argv) {
   long long kill_at = 3;
   serve::ServiceOptions sopt;
   sopt.backend = Backend::serial;
-  // Worker-pool knobs; shards ignore them, so --backend=dist rejects them.
-  const char* single_node_flag = nullptr;
 
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
@@ -151,10 +124,8 @@ int main(int argc, char** argv) {
       clients = std::atoi(v5);
     } else if (const char* v6 = value_of(a, "--workers")) {
       sopt.num_workers = std::atoi(v6);
-      single_node_flag = "--workers";
     } else if (const char* v7 = value_of(a, "--max-batch")) {
       sopt.max_batch = static_cast<index_t>(std::atoi(v7));
-      single_node_flag = "--max-batch";
     } else if (const char* v9 = value_of(a, "--max-queue")) {
       sopt.max_queue = static_cast<std::size_t>(std::atoll(v9));
     } else if (const char* v10 = value_of(a, "--cache-entries")) {
@@ -199,10 +170,8 @@ int main(int argc, char** argv) {
       generate = true;
     } else if (std::strcmp(a, "--per-column") == 0) {
       sopt.batch_mode = serve::BatchMode::per_column;
-      single_node_flag = "--per-column";
     } else if (std::strcmp(a, "--no-shed") == 0) {
       sopt.shed_refinement = false;
-      single_node_flag = "--no-shed";
     } else if (std::strcmp(a, "--warm") == 0) {
       warm = true;
     } else if (a[0] == '-') {
@@ -214,14 +183,9 @@ int main(int argc, char** argv) {
     }
   }
   if (workload_path.empty()) generate = true;
-  if (single_node_flag && sopt.backend == Backend::dist)
-    usage((std::string(single_node_flag) +
-           " is a single-node worker-pool knob; shards ignore it under "
-           "--backend=dist")
-              .c_str());
-  if (sopt.backend == Backend::serial && sopt.solver.num_threads > 1)
-    usage("--threads > 1 needs --backend=threaded; the serial backend runs "
-          "one thread");
+  if (const char* e =
+          serial_threads_error(sopt.backend, sopt.solver.num_threads))
+    usage(e);
   if (kill_rank >= 0) {
     if (sopt.backend != Backend::dist)
       usage("--kill-rank is a dist chaos knob; add --backend=dist");
@@ -230,6 +194,11 @@ int main(int argc, char** argv) {
     kill.rank = kill_rank;
     kill.nth_send = static_cast<count_t>(kill_at);
     sopt.shard.fault.schedule(kill);
+  }
+  try {
+    serve::validate<double>(sopt);
+  } catch (const Error& e) {
+    usage(e.message());
   }
 
   if (!trace_path.empty()) trace::start();
@@ -401,24 +370,7 @@ int main(int argc, char** argv) {
     std::printf("max err     %.3e (against the all-ones solution)\n",
                 max_err.load());
 
-    if (!trace_path.empty()) {
-      trace::stop();
-      std::string extra;
-      if (metrics_path == trace_path)
-        extra = "\"metrics\":" + reg.to_json();
-      trace::write_chrome_json(trace_path, extra);
-      std::fprintf(stderr, "trace       %zu events -> %s\n",
-                   trace::event_count(), trace_path.c_str());
-    }
-    if (!metrics_path.empty() && metrics_path != trace_path) {
-      const std::string json = reg.to_json();
-      std::FILE* f = std::fopen(metrics_path.c_str(), "w");
-      GESP_CHECK(f != nullptr, Errc::io,
-                 "cannot open metrics file " + metrics_path);
-      std::fwrite(json.data(), 1, json.size(), f);
-      GESP_CHECK(std::fclose(f) == 0, Errc::io,
-                 "short write to metrics file " + metrics_path);
-    }
+    cli::write_captures(trace_path, metrics_path);
     return hard_failure.load();
   } catch (const Error& e) {
     std::fprintf(stderr, "gesp_serve: %s\n", e.what());

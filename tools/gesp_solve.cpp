@@ -25,8 +25,10 @@
 //                         refactorization when refinement stalls above it
 //   --max-block=N         supernode splitting width (default 24)
 //   --relax=N             supernode amalgamation size (default 8)
-//   --ferr                estimate the forward error bound (extra solves)
+//   --ferr                estimate the forward error bound (extra solves;
+//                         in-process backends only)
 //   --rcond               estimate the reciprocal condition number
+//                         (in-process backends only)
 //   --recover             arm the graceful-degradation ladder (GESP ->
 //                         aggressive SMW -> unscaled -> threshold ->
 //                         panel-RRP -> GEPP) and print the recovery trail
@@ -63,7 +65,9 @@
 // Exit codes map the library's failure categories so scripts can react
 // without parsing stderr:
 //   0 solved (static path, or recovered via a portfolio rung)
-//   2 usage error   3 invalid argument
+//   2 usage error, including option combinations gesp::validate rejects
+//     (e.g. --ferr with --dist), checked before the matrix loads
+//   3 invalid argument
 //   4 io error      5 structurally singular  6 numerically singular
 //   7 unstable (incl. --recover runs whose final answer missed the policy
 //     thresholds — the report prints the best-effort trail either way)
@@ -94,10 +98,12 @@
 #include "sparse/ops.hpp"
 #include "sparse/testbed.hpp"
 #include "symbolic/symbolic.hpp"
+#include "cli.hpp"
 
 namespace {
 
 using namespace gesp;
+using namespace gesp::cli;
 
 void print_usage(std::FILE* out) {
   std::fprintf(out,
@@ -112,7 +118,9 @@ void print_usage(std::FILE* out) {
                "[--repeat=N] [--delta[=FRAC]] [--dist=P] [--grid=RxC]\n"
                "       [--no-pipeline] [--no-edag] "
                "[--trace=FILE] [--metrics-json=FILE] [--list] [--help]\n"
-               "exit codes: 0 solved, 2 usage, 3 invalid argument, 4 io,\n"
+               "exit codes: 0 solved, 2 usage (incl. option combinations "
+               "the backend cannot run),\n"
+               "            3 invalid argument, 4 io,\n"
                "            5/6 structurally/numerically singular, "
                "7 unstable/not recovered, 8 comm, 9 internal,\n"
                "            10 overloaded (serve layer shed the request),\n"
@@ -124,29 +132,6 @@ void print_usage(std::FILE* out) {
   std::fprintf(stderr, "error: %s\n\n", msg);
   print_usage(stderr);
   std::exit(2);
-}
-
-/// Distinct exit code per failure category (documented in usage()).
-int exit_code_for(Errc c) {
-  switch (c) {
-    case Errc::invalid_argument:
-      return 3;
-    case Errc::io:
-      return 4;
-    case Errc::structurally_singular:
-      return 5;
-    case Errc::numerically_singular:
-      return 6;
-    case Errc::unstable:
-      return 7;
-    case Errc::comm:
-      return 8;
-    case Errc::overloaded:
-      return 10;
-    case Errc::internal:
-      return 9;
-  }
-  return 9;
 }
 
 /// Load MATRIX. An adv: entry also applies the symbolic frame its attack
@@ -172,12 +157,6 @@ sparse::CscMatrix<double> load_matrix(const std::string& path,
   } catch (const Error&) {
     return io::read_matrix_market(path);
   }
-}
-
-const char* value_of(const char* arg, const char* key) {
-  const std::size_t len = std::strlen(key);
-  if (std::strncmp(arg, key, len) == 0 && arg[len] == '=') return arg + len + 1;
-  return nullptr;
 }
 
 }  // namespace
@@ -315,13 +294,15 @@ int main(int argc, char** argv) {
     }
   }
   if (path.empty()) usage("no matrix given");
-  if (opt.backend == Backend::dist && opt.precision != Precision::double_)
-    usage("--precision=single|mixed is not available on the dist backend");
+  try {
+    validate<double>(opt);
+  } catch (const Error& e) {
+    usage(e.message());
+  }
   if (opt.backend == Backend::dist && delta_frac > 0.0)
     usage("--delta is not available on the dist backend");
-  if (opt.backend == Backend::serial && opt.num_threads > 1)
-    usage("--threads > 1 needs --backend=threaded; the serial backend runs "
-          "one thread");
+  if (const char* e = serial_threads_error(opt.backend, opt.num_threads))
+    usage(e);
 
   if (!trace_path.empty()) trace::start();
 
@@ -374,21 +355,7 @@ int main(int argc, char** argv) {
             s = solver.stats();
           }
         });
-        // Root-cause any rank failure: peers of a dead rank report
-        // Errc::comm, so surface the non-comm code when one exists.
-        Errc code = Errc::comm;
-        std::string msg;
-        bool failed = false;
-        for (const auto& rep : reports) {
-          if (!rep.failed()) continue;
-          failed = true;
-          if (msg.empty() ||
-              (code == Errc::comm && rep.error_code() != Errc::comm)) {
-            code = rep.error_code();
-            msg = rep.error_message();
-          }
-        }
-        if (failed) throw_error(code, "dist backend: " + msg);
+        dist::throw_root_cause(reports);
         for (const auto& rep : reports) {
           msgs += static_cast<long long>(rep.stats.messages_sent);
           bytes += static_cast<long long>(rep.stats.bytes_sent);
@@ -503,26 +470,7 @@ int main(int argc, char** argv) {
       std::printf("(cumulative over %d calls)\n", repeat);
     }
 
-    if (!trace_path.empty()) {
-      trace::stop();
-      // Same file for both flags → one combined JSON object; Chrome's
-      // viewer ignores the extra top-level "metrics" member.
-      std::string extra;
-      if (metrics_path == trace_path)
-        extra = "\"metrics\":" + metrics::global().to_json();
-      trace::write_chrome_json(trace_path, extra);
-      std::fprintf(stderr, "trace       %zu events -> %s\n",
-                   trace::event_count(), trace_path.c_str());
-    }
-    if (!metrics_path.empty() && metrics_path != trace_path) {
-      const std::string json = metrics::global().to_json();
-      std::FILE* f = std::fopen(metrics_path.c_str(), "w");
-      GESP_CHECK(f != nullptr, Errc::io,
-                 "cannot open metrics file " + metrics_path);
-      std::fwrite(json.data(), 1, json.size(), f);
-      GESP_CHECK(std::fclose(f) == 0, Errc::io,
-                 "short write to metrics file " + metrics_path);
-    }
+    cli::write_captures(trace_path, metrics_path);
     // A --recover run that exhausted the ladder still printed its best
     // effort above, but scripts must see the failure category. A run the
     // pivoting portfolio could not hold — only the GEPP fallback converged
