@@ -130,6 +130,21 @@ void SolveStats::export_metrics(metrics::Registry& reg) const {
     reg.gauge("solver.time_total." + phase).set(seconds);
 }
 
+void judge_attempt(RecoveryAttempt& a, Precision requested) {
+  const double max_berr = RecoveryPolicy::max_berr(requested);
+  const bool berr_ok = a.berr <= max_berr;
+  const bool growth_ok = a.pivot_growth <= RecoveryPolicy::max_pivot_growth;
+  a.success = berr_ok && growth_ok;
+  if (!berr_ok) {
+    a.trigger = RecoveryTrigger::berr_stall;
+    a.detail = format_sci("berr", a.berr, max_berr);
+  } else if (!growth_ok) {
+    a.trigger = RecoveryTrigger::pivot_growth;
+    a.detail = format_sci("pivot growth", a.pivot_growth,
+                          RecoveryPolicy::max_pivot_growth);
+  }
+}
+
 template <class T>
 void validate(const SolverOptions& opt) {
   const bool smw = opt.tiny_pivot == TinyPivotOption::aggressive_smw;
@@ -588,23 +603,52 @@ void Solver<T>::factor() {
   }
   const bool use_single = std::is_same_v<T, double> &&
                           opt_.precision != Precision::double_ && !promoted_;
-  const numeric::NumericOptions nopt = numeric_options(use_single);
   t.reset();
   {
     GESP_TRACE_SPAN("solver", "factor");
-    smw_.reset();  // holds a reference into factors_: drop it first
-    factors_f_.reset();
-    factors_.reset();
-    if constexpr (std::is_same_v<T, double>) {
-      if (use_single)
-        factors_f_ = std::make_unique<numeric::LUFactors<float>>(
-            sym_, to_single(At_), nopt);
-    }
-    if (!factors_f_)
-      factors_ = std::make_shared<numeric::LUFactors<T>>(sym_, At_, nopt);
+    eliminate(std::vector<char>(static_cast<std::size_t>(sym_->nsup), 1),
+              use_single);
   }
   stats_.times.add("factor", t.seconds());
   record_factorization();
+}
+
+template <class T>
+void Solver<T>::eliminate(const std::vector<char>& dirty, bool use_single) {
+  const numeric::NumericOptions nopt = numeric_options(use_single);
+  smw_.reset();  // holds a reference into factors_: drop it first
+  // Factors of this precision over this analysis are re-eliminated in
+  // place. Anything else (the first factorization, a new analysis, a
+  // precision change) lays out fresh ones; only factor() gets there, and
+  // it marks every supernode dirty.
+  const auto same_analysis = [&](const auto& f) {
+    return f != nullptr && &f->sym() == sym_.get();
+  };
+  try {
+    if constexpr (std::is_same_v<T, double>) {
+      if (use_single) {
+        factors_.reset();
+        const sparse::CscMatrix<float> Af = to_single(At_);
+        if (same_analysis(factors_f_))
+          factors_f_->refactorize_partial(Af, dirty, nopt);
+        else
+          factors_f_ =
+              std::make_unique<numeric::LUFactors<float>>(sym_, Af, nopt);
+        return;
+      }
+    }
+    factors_f_.reset();
+    if (same_analysis(factors_))
+      factors_->refactorize_partial(At_, dirty, nopt);
+    else
+      factors_ = std::make_shared<numeric::LUFactors<T>>(sym_, At_, nopt);
+  } catch (...) {
+    // A failed elimination leaves no factors to answer with: solve() then
+    // refuses until a later factorization succeeds.
+    factors_.reset();
+    factors_f_.reset();
+    throw;
+  }
 }
 
 template <class T>
@@ -708,6 +752,7 @@ void Solver<T>::solve(std::span<const T> b, std::span<T> x,
                       const refine::RefineOptions* refine_override) {
   GESP_CHECK(b.size() == static_cast<std::size_t>(n_) && x.size() == b.size(),
              Errc::invalid_argument, "solve dimension mismatch");
+  require_factors();
   // One public call == one timing epoch: get() then reports this call's
   // phase times while total() keeps the cumulative sums.
   stats_.times.new_epoch();
@@ -752,18 +797,7 @@ void Solver<T>::solve(std::span<const T> b, std::span<T> x,
         have_solution = true;
         a.berr = stats_.berr;
         a.pivot_growth = stats_.pivot_growth;
-        const bool berr_ok = a.berr <= threshold;
-        const bool growth_ok =
-            a.pivot_growth <= RecoveryPolicy::max_pivot_growth;
-        a.success = berr_ok && growth_ok;
-        if (!berr_ok) {
-          a.trigger = RecoveryTrigger::berr_stall;
-          a.detail = format_sci("berr", a.berr, threshold);
-        } else if (!growth_ok) {
-          a.trigger = RecoveryTrigger::pivot_growth;
-          a.detail = format_sci("pivot growth", a.pivot_growth,
-                                RecoveryPolicy::max_pivot_growth);
-        }
+        judge_attempt(a, opt_.precision);
       }
     } catch (const Error& e) {
       if (!recoverable(e.code())) throw;
@@ -797,6 +831,15 @@ void Solver<T>::solve(std::span<const T> b, std::span<T> x,
       return;
     }
   }
+}
+
+template <class T>
+void Solver<T>::require_factors() const {
+  const bool factored = rung_ == RecoveryRung::gepp
+                            ? gepp_ != nullptr
+                            : factors_ != nullptr || factors_f_ != nullptr;
+  GESP_CHECK(factored, Errc::invalid_argument,
+             "no valid factorization: the last (re)factorization failed");
 }
 
 template <class T>
@@ -905,6 +948,7 @@ void Solver<T>::solve_multi(std::span<const T> B, std::span<T> X,
                  B.size() == static_cast<std::size_t>(n_) * nrhs &&
                  X.size() == B.size(),
              Errc::invalid_argument, "solve_multi dimension mismatch");
+  require_factors();
   stats_.times.new_epoch();
   if (opt_.recovery.enabled) {
     // Route each column through the ladder; once escalated, later columns
@@ -1081,20 +1125,10 @@ void Solver<T>::refactorize_delta(const sparse::CscMatrix<T>& A_new) {
 
   Timer t;
   GESP_TRACE_SPAN("solver", "factor_partial");
-  // The tiny-pivot correction references the pre-update factors: drop it
-  // before the in-place rewrite (record_factorization rebuilds it from the
-  // fresh replacements).
-  smw_.reset();
   At_ = std::move(At_new);
   restart_ladder(A_new);
   try {
-    if (factors_f_) {
-      if constexpr (std::is_same_v<T, double>)
-        factors_f_->refactorize_partial(to_single(At_), dirty,
-                                        numeric_options(true));
-    } else {
-      factors_->refactorize_partial(At_, dirty, numeric_options(false));
-    }
+    eliminate(dirty, factors_f_ != nullptr);
   } catch (const Error& e) {
     // The partial step is bitwise-equal to a full factorization of the
     // same values, so a full retry at this rung would fail identically:

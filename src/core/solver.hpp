@@ -165,6 +165,13 @@ struct RecoveryAttempt {
   std::string detail;          ///< failure reason; empty on success
 };
 
+/// Judge an attempt of the static path from its berr and pivot_growth
+/// against RecoveryPolicy's limits for the `requested` precision: sets
+/// success and, on a miss, the trigger (berr_stall before pivot_growth) and
+/// a "<what> <value> above limit <limit>" detail. The in-process ladder and
+/// the dist backend's fallback both judge with it.
+void judge_attempt(RecoveryAttempt& a, Precision requested);
+
 /// The full trail of how the answer was obtained.
 struct RecoveryTrail {
   std::vector<RecoveryAttempt> attempts;
@@ -432,6 +439,14 @@ class Solver {
   /// which is exactly why the pattern is validated here: a same-size matrix
   /// with a different pattern would silently reuse a wrong symbolic
   /// structure. Throws Errc::invalid_argument on a pattern() mismatch.
+  ///
+  /// The numeric work re-eliminates the existing factor storage in place
+  /// (LUFactors::refactorize_partial with every supernode dirty), the same
+  /// path as every refactorize_delta() route and every recovery rung that
+  /// keeps the analysis; only the constructor, the unscaled rung, GEPP and
+  /// a precision promotion lay out fresh factors. A refactorization that
+  /// throws leaves no factors: solve() and solve_multi() then throw
+  /// Errc::invalid_argument until a later (re)factorization succeeds.
   void refactorize(const sparse::CscMatrix<T>& A_new);
 
   /// Same result as refactorize(A_new), but diff the new values against the
@@ -446,7 +461,8 @@ class Solver {
   ///            set under the update dependencies, re-eliminate only those.
   ///   full     a closed dirty set above delta.max_dirty_fraction, or an
   ///            escalated/GEPP configuration where the static factors no
-  ///            longer produce the answer: the refactorize(A_new) body.
+  ///            longer produce the answer: the refactorize(A_new) body,
+  ///            i.e. the partial sweep with every supernode dirty.
   ///
   /// stats().delta records the route taken; the partial route refreshes
   /// the factorization fields of stats() exactly as refactorize() does.
@@ -470,7 +486,17 @@ class Solver {
 
  private:
   void transform(const sparse::CscMatrix<T>& A);
+  /// Factor At_ at the current rung's configuration (analysing first when
+  /// sym_ is unset): eliminate() with every supernode dirty.
   void factor();
+  /// The one numeric entry: re-eliminate the `dirty` supernodes of the
+  /// factors of the requested precision in place when they exist over
+  /// sym_, else lay out fresh ones (every supernode must then be dirty).
+  /// A throw drops the factors.
+  void eliminate(const std::vector<char>& dirty, bool use_single);
+  /// Throws Errc::invalid_argument when no factorization can answer (the
+  /// last one failed).
+  void require_factors() const;
   /// The full refactorization of an already refilled Â (`At_new`, from
   /// refill_transformed of `A_new`): factor it, or restart the recovery
   /// ladder from its start rung. refactorize() and refactorize_delta()'s

@@ -376,16 +376,13 @@ std::vector<T> solve(const sparse::CscMatrix<T>& A, std::span<const T> b,
   // Recovery: judge the distributed answer by the same policy thresholds
   // the in-process ladder uses; fall back to it when the grid fails or
   // the answer is out of policy.
-  const double threshold = RecoveryPolicy::max_berr(opt.precision);
   RecoveryAttempt attempt;
   attempt.rung = RecoveryRung::gesp;
   try {
     throw_root_cause(reports);
     attempt.berr = st.berr;
     attempt.pivot_growth = st.pivot_growth;
-    attempt.success = st.berr <= threshold &&
-                      st.pivot_growth <= RecoveryPolicy::max_pivot_growth;
-    if (!attempt.success) attempt.detail = "dist backend: out of policy";
+    judge_attempt(attempt, opt.precision);
   } catch (const Error& e) {
     attempt.detail = e.message();
   }

@@ -38,52 +38,53 @@ LUFactors<T>::LUFactors(std::shared_ptr<const symbolic::SymbolicLU> sym,
                         const NumericOptions& opt)
     : sym_(std::move(sym)) {
   GESP_CHECK(sym_ != nullptr, Errc::invalid_argument, "null symbolic handle");
-  GESP_CHECK(A.ncols == sym_->n && A.nrows == sym_->n, Errc::invalid_argument,
-             "matrix does not match the symbolic structure");
-  scatter_initial(A);
-  eliminate(opt);
+  lay_out();
+  refactorize_partial(
+      A, std::vector<char>(static_cast<std::size_t>(sym_->nsup), 1), opt);
 }
 
 template <class T>
-void LUFactors<T>::scatter_initial(const sparse::CscMatrix<T>& A) {
-  using std::abs;
+void LUFactors<T>::lay_out() {
   const symbolic::SymbolicLU& S = *sym_;
-  const index_t N = S.nsup;
-  lnz_.resize(static_cast<std::size_t>(N));
-  unz_.resize(static_cast<std::size_t>(N));
-  l_off_.resize(static_cast<std::size_t>(N));
-  u_off_.resize(static_cast<std::size_t>(N));
-  for (index_t K = 0; K < N; ++K) {
+  const std::size_t N = static_cast<std::size_t>(S.nsup);
+  lnz_.resize(N);
+  unz_.resize(N);
+  l_off_.resize(N);
+  u_off_.resize(N);
+  for (std::size_t K = 0; K < N; ++K) {
     const std::size_t b = static_cast<std::size_t>(S.block_cols(K));
     std::size_t sz = b * b;
-    l_off_[K].reserve(S.L[K].size());
+    l_off_[K].reserve(S.L[K].size() + 1);
     for (const auto& blk : S.L[K]) {
       l_off_[K].push_back(sz);
       sz += blk.rows.size() * b;
     }
-    lnz_[K].assign(sz, T{});
+    l_off_[K].push_back(sz);
     sz = 0;
-    u_off_[K].reserve(S.U[K].size());
+    u_off_[K].reserve(S.U[K].size() + 1);
     for (const auto& blk : S.U[K]) {
       u_off_[K].push_back(sz);
       sz += b * blk.cols.size();
     }
-    unz_[K].assign(sz, T{});
+    u_off_[K].push_back(sz);
   }
-  scatter_values(A, nullptr);
+  rowperm_.resize(N);
+  umax_k_.resize(N);
+  stats_k_.resize(N);
+  repl_k_.resize(N);
 }
 
 template <class T>
 void LUFactors<T>::scatter_values(const sparse::CscMatrix<T>& A,
-                                  const std::vector<char>* dirty) {
+                                  const std::vector<char>& dirty) {
   using std::abs;
   const symbolic::SymbolicLU& S = *sym_;
   // Scatter A. Every entry (i, j) lives in the storage of its OWNER
   // supernode min(sn(i), sn(j)): the diagonal and L blocks of column
   // supernode J when sn(i) >= J, the U row of supernode I when sn(i) < J.
-  // In the partial pass only dirty owners' buffers were zeroed, so only
-  // their entries are (re)written; amax_ still covers the whole matrix —
-  // it must match a full factorization's value bit for bit.
+  // Only dirty owners' buffers were zeroed, so only their entries are
+  // (re)written; amax_ still covers the whole matrix — it must match a full
+  // factorization's value bit for bit.
   amax_ = 0.0;
   for (index_t j = 0; j < S.n; ++j) {
     const index_t J = S.col_to_sn[j];
@@ -94,7 +95,7 @@ void LUFactors<T>::scatter_values(const sparse::CscMatrix<T>& A,
       const T v = A.values[p];
       amax_ = std::max<double>(amax_, abs(v));
       const index_t I = S.col_to_sn[i];
-      if (dirty && !(*dirty)[std::min(I, J)]) continue;
+      if (!dirty[std::min(I, J)]) continue;
       if (I == J) {
         lnz_[J][(i - S.sn_start[J]) + cj * bj] = v;
       } else if (I > J) {
@@ -218,17 +219,6 @@ void LUFactors<T>::panel_upper(index_t K, index_t lo, index_t hi) {
 }
 
 template <class T>
-void LUFactors<T>::eliminate(const NumericOptions& opt) {
-  const dense::PivotPolicy policy = pivot_policy(opt);
-  const std::size_t N = static_cast<std::size_t>(sym_->nsup);
-  rowperm_.assign(N, {});
-  umax_k_.assign(N, 0.0);
-  stats_k_.assign(N, {});
-  repl_k_.assign(N, {});
-  sweep(opt, policy, nullptr);
-}
-
-template <class T>
 void LUFactors<T>::merge_pivot_stats() {
   const symbolic::SymbolicLU& S = *sym_;
   stats_ = {};
@@ -291,10 +281,10 @@ void LUFactors<T>::finish_elimination(bool aborted) {
 // distinct (I,J)). F(K) waits on the chain of owner K, so every diagonal
 // factor sees exactly the serial operand values.
 //
-// With `dirty` it is the partial sweep of refactorize_partial. Dirty
-// supernodes run every step (the closure makes every owner of a dirty K
-// dirty). Clean supernodes keep their blocks and only replay the owner
-// groups whose owner is dirty — a re-scattered destination needs the
+// Dirty supernodes run every step (the closure makes every owner of a
+// dirty K dirty); with every supernode dirty this is the full
+// factorization. Clean supernodes keep their blocks and only replay the
+// owner groups whose owner is dirty — a re-scattered destination needs the
 // contribution of EVERY source, clean or not, in ascending K — and those
 // replays wait on nothing but the owner chain.
 //
@@ -305,7 +295,7 @@ void LUFactors<T>::finish_elimination(bool aborted) {
 template <class T>
 void LUFactors<T>::sweep(const NumericOptions& opt,
                          const dense::PivotPolicy& policy,
-                         const std::vector<char>* dirty) {
+                         const std::vector<char>& dirty) {
   using TaskId = TaskGraph::TaskId;
   const symbolic::SymbolicLU& S = *sym_;
   const index_t N = S.nsup;
@@ -352,9 +342,9 @@ void LUFactors<T>::sweep(const NumericOptions& opt,
   std::vector<TaskId> panels;
   for (index_t K = 0; K < N; ++K) {
     detail::owner_groups(S, K, groups);
-    if (dirty != nullptr && !(*dirty)[K]) {
+    if (!dirty[K]) {
       for (const detail::OwnerGroup& g : groups)
-        if ((*dirty)[g.O]) update(K, g, -1);
+        if (dirty[g.O]) update(K, g, -1);
       continue;
     }
     // Pivot bookkeeping goes to the per-K sinks (merged in ascending K by
@@ -408,7 +398,14 @@ void LUFactors<T>::refactorize_partial(const sparse::CscMatrix<T>& A,
              Errc::invalid_argument,
              "dirty set size does not match the supernode count");
   const dense::PivotPolicy policy = pivot_policy(opt);
-  {
+  const bool all_dirty =
+      std::find(dirty.begin(), dirty.end(), 0) == dirty.end();
+  // Clean blocks are only reusable when the last sweep finished: one that
+  // threw left blocks half eliminated.
+  GESP_CHECK(valid_ || all_dirty, Errc::invalid_argument,
+             "no valid factorization to refactorize partially; the last "
+             "factorization failed, so every supernode must be dirty");
+  if (!all_dirty) {
     // A dirty set that is not closed would scatter-add updates into blocks
     // that were never reset — silent corruption. Verify instead of trusting.
     std::vector<char> closed(dirty.begin(), dirty.end());
@@ -417,18 +414,21 @@ void LUFactors<T>::refactorize_partial(const sparse::CscMatrix<T>& A,
                Errc::invalid_argument,
                "dirty set is not closed under update reachability");
   }
+  valid_ = false;
   const index_t N = sym_->nsup;
   for (index_t K = 0; K < N; ++K) {
     if (!dirty[K]) continue;
-    std::fill(lnz_[K].begin(), lnz_[K].end(), T{});
-    std::fill(unz_[K].begin(), unz_[K].end(), T{});
+    // Zero in place; the first sweep after lay_out() allocates here.
+    lnz_[K].assign(l_off_[K].back(), T{});
+    unz_[K].assign(u_off_[K].back(), T{});
     rowperm_[K].clear();
     umax_k_[K] = 0.0;
     stats_k_[K] = {};
     repl_k_[K].clear();
   }
-  scatter_values(A, &dirty);
-  sweep(opt, policy, &dirty);
+  scatter_values(A, dirty);
+  sweep(opt, policy, dirty);
+  valid_ = true;
 }
 
 template <class T>
@@ -522,6 +522,8 @@ void LUFactors<T>::finish_growth(bool aborted) {
 
 template <class T>
 void LUFactors<T>::solve_lower(std::span<T> x) const {
+  GESP_CHECK(valid_, Errc::invalid_argument,
+             "no valid factorization: the last factorization failed");
   const symbolic::SymbolicLU& S = *sym_;
   GESP_CHECK(x.size() == static_cast<std::size_t>(S.n),
              Errc::invalid_argument, "solve vector size mismatch");
@@ -554,6 +556,8 @@ void LUFactors<T>::solve_lower(std::span<T> x) const {
 
 template <class T>
 void LUFactors<T>::solve_upper(std::span<T> x) const {
+  GESP_CHECK(valid_, Errc::invalid_argument,
+             "no valid factorization: the last factorization failed");
   const symbolic::SymbolicLU& S = *sym_;
   GESP_CHECK(x.size() == static_cast<std::size_t>(S.n),
              Errc::invalid_argument, "solve vector size mismatch");
@@ -583,6 +587,8 @@ void LUFactors<T>::solve(std::span<T> x) const {
 
 template <class T>
 void LUFactors<T>::solve_multi(std::span<T> X, index_t nrhs) const {
+  GESP_CHECK(valid_, Errc::invalid_argument,
+             "no valid factorization: the last factorization failed");
   const symbolic::SymbolicLU& S = *sym_;
   GESP_CHECK(nrhs >= 1 &&
                  X.size() == static_cast<std::size_t>(S.n) * nrhs,
@@ -640,6 +646,8 @@ void LUFactors<T>::solve_multi(std::span<T> X, index_t nrhs) const {
 
 template <class T>
 void LUFactors<T>::solve_transposed(std::span<T> x) const {
+  GESP_CHECK(valid_, Errc::invalid_argument,
+             "no valid factorization: the last factorization failed");
   const symbolic::SymbolicLU& S = *sym_;
   GESP_CHECK(x.size() == static_cast<std::size_t>(S.n),
              Errc::invalid_argument, "solve vector size mismatch");

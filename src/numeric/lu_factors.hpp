@@ -2,6 +2,12 @@
 // Figure 7, plus the serial right-looking factorization (Figure 8 on a
 // single process) and the block triangular solves.
 //
+// Static pivoting fixes every block before the numerics, so the storage is
+// laid out once, at construction, and every later factorization over the
+// same analysis re-eliminates it in place. There is one elimination entry,
+// refactorize_partial's dirty-set sweep: the constructor and a full
+// refactorization run it with every supernode dirty.
+//
 // Storage per block column K of L: one contiguous buffer holding the full
 // b×b diagonal block (upper triangle carries U's diagonal block) followed by
 // every off-diagonal block, column-major, exactly the index[]/nzval[] pair
@@ -70,9 +76,10 @@ struct NumericOptions {
 template <class T>
 class LUFactors {
  public:
-  /// Factorize the (already permuted and scaled) matrix over the static
-  /// structure `sym`. Throws Errc::numerically_singular on a zero pivot
-  /// when replacement is disabled.
+  /// Lay out the block storage of `sym` and factorize the (already permuted
+  /// and scaled) matrix into it: refactorize_partial with every supernode
+  /// dirty. Throws Errc::numerically_singular on a zero pivot when
+  /// replacement is disabled.
   LUFactors(std::shared_ptr<const symbolic::SymbolicLU> sym,
             const sparse::CscMatrix<T>& A, const NumericOptions& opt);
 
@@ -127,38 +134,44 @@ class LUFactors {
   const std::vector<T>& l_store(index_t K) const { return lnz_[K]; }
   const std::vector<T>& u_store(index_t K) const { return unz_[K]; }
 
-  /// Partial refactorization for new values over the SAME pattern.
-  /// `dirty[K]` marks the supernodes whose inputs changed; the set must be
-  /// closed under the update dependencies (symbolic::close_update_reachable)
-  /// — a clean supernode's blocks then depend only on clean supernodes, so
-  /// they are reused in place, bitwise unchanged. Dirty supernodes are
-  /// re-scattered from `A` and re-eliminated, receiving the updates of
-  /// every source (clean sources replay their pairs from the retained
-  /// panels), in the serial ascending-K accumulation order — the result is
-  /// bitwise identical to constructing a fresh LUFactors from `A` at any
-  /// thread count. `opt` must describe the same pivoting configuration
-  /// (and in particular the same tiny_threshold) as the original
-  /// factorization, or the clean blocks would encode stale decisions.
+  /// Refactorize in place for new values over the SAME pattern — the one
+  /// elimination entry. `dirty[K]` marks the supernodes whose inputs
+  /// changed; the set must be closed under the update dependencies
+  /// (symbolic::close_update_reachable) — a clean supernode's blocks then
+  /// depend only on clean supernodes, so they are reused in place, bitwise
+  /// unchanged. Dirty supernodes are re-scattered from `A` and
+  /// re-eliminated, receiving the updates of every source (clean sources
+  /// replay their pairs from the retained panels), in the serial
+  /// ascending-K accumulation order — the result is bitwise identical to
+  /// constructing a fresh LUFactors from `A` at any thread count.
+  ///
+  /// With every supernode dirty this is the full refactorization: no
+  /// allocation, and `opt` may be any configuration (a recovery rung's).
+  /// With clean supernodes, `opt` must describe the same pivoting
+  /// configuration (and in particular the same tiny_threshold) as the
+  /// previous factorization, or the clean blocks would encode stale
+  /// decisions. A call that throws (zero pivot, growth abort) leaves no
+  /// valid factorization: the solves then throw Errc::invalid_argument,
+  /// and only a call with every supernode dirty is accepted.
   void refactorize_partial(const sparse::CscMatrix<T>& A,
                            const std::vector<char>& dirty,
                            const NumericOptions& opt);
 
  private:
-  void scatter_initial(const sparse::CscMatrix<T>& A);
-  /// Scatter A's values into the block storage; with `dirty`, only entries
-  /// owned by a dirty supernode are written (the rest keep their factored
-  /// values). Recomputes amax_ over ALL of A either way.
+  /// Block offsets and the per-supernode bookkeeping for sym_; the stores
+  /// themselves are sized by the first sweep that zeroes them.
+  void lay_out();
+  /// Scatter A's values into the block storage of the dirty supernodes
+  /// (the rest keep their factored values). Recomputes amax_ over ALL of A.
   void scatter_values(const sparse::CscMatrix<T>& A,
-                      const std::vector<char>* dirty);
-  void eliminate(const NumericOptions& opt);
+                      const std::vector<char>& dirty);
   /// The one elimination sweep of every shared-memory engine: states the
   /// F / panel / monitor / owner-group steps of each K with their
   /// dependencies, and runs them in that order on one thread or as a task
-  /// DAG on more. With `dirty` it is the partial sweep of
-  /// refactorize_partial: dirty supernodes run every step, clean ones only
-  /// replay their owner groups whose owner is dirty.
+  /// DAG on more. Dirty supernodes run every step, clean ones only replay
+  /// their owner groups whose owner is dirty.
   void sweep(const NumericOptions& opt, const dense::PivotPolicy& policy,
-             const std::vector<char>* dirty);
+             const std::vector<char>& dirty);
   /// pivoted_ scan + per-K stats merge + growth finish + metrics (the
   /// common tail of every sweep); `aborted` says the growth monitor
   /// stopped the sweep early.
@@ -203,8 +216,9 @@ class LUFactors {
   std::shared_ptr<const symbolic::SymbolicLU> sym_;
   std::vector<std::vector<T>> lnz_;  ///< per block column of L (+diag)
   std::vector<std::vector<T>> unz_;  ///< per block row of U
-  std::vector<std::vector<std::size_t>> l_off_;  ///< block offsets in lnz_
-  std::vector<std::vector<std::size_t>> u_off_;  ///< block offsets in unz_
+  /// Block offsets in lnz_ / unz_, one per block plus the store's end.
+  std::vector<std::vector<std::size_t>> l_off_;
+  std::vector<std::vector<std::size_t>> u_off_;
   std::vector<std::vector<index_t>> rowperm_;  ///< per-supernode local perm
   std::vector<double> umax_k_;                 ///< per-supernode max |U|
   /// Per-supernode pivot bookkeeping, kept after the factorization so a
@@ -218,6 +232,7 @@ class LUFactors {
   double amax_ = 0.0;
   double growth_abort_ = 0.0;
   bool pivoted_ = false;
+  bool valid_ = false;  ///< the last sweep finished (nothing threw)
 };
 
 extern template class LUFactors<double>;

@@ -107,6 +107,12 @@ std::vector<index_t> amd_order(const SymPattern& P, const AmdOptions& opt) {
 
   std::vector<index_t> lp;  // the pivot's element list Lp
   std::vector<std::pair<std::uint64_t, index_t>> hashes;  // (hash, j ∈ Lp)
+  // Hash buckets (hash mod n) over `hashes`: a head per bucket, valid while
+  // its stamp is the current epoch, and a next link per pair.
+  std::vector<index_t> bucket_head(static_cast<std::size_t>(n), -1);
+  std::vector<index_t> bucket_stamp(static_cast<std::size_t>(n), -1);
+  std::vector<index_t> bucket_next;
+  std::vector<std::pair<std::uint64_t, index_t>> groups;  // merge candidates
   index_t epoch = 0;
 
   while (true) {
@@ -200,7 +206,37 @@ std::vector<index_t> amd_order(const SymPattern& P, const AmdOptions& opt) {
       degree[j] = std::max<index_t>(degree[j], 0);
       hashes.emplace_back(h, j);
     }
-    std::sort(hashes.begin(), hashes.end());
+
+    // --- Find equal hashes without sorting all of Lp. Only equal hashes
+    // can merge, and an equal hash lands in the same bucket, so the
+    // members of every bucket with two or more of them, each bucket sorted
+    // by (hash, j) on its own, are the candidates; the runs below then
+    // merge in the order a sort of the whole list would give.
+    const auto bucket_of = [n](std::uint64_t h) {
+      return static_cast<std::size_t>(h % static_cast<std::uint64_t>(n));
+    };
+    bucket_next.resize(hashes.size());
+    for (std::size_t k = 0; k < hashes.size(); ++k) {
+      const std::size_t bk = bucket_of(hashes[k].first);
+      if (bucket_stamp[bk] != epoch) {
+        bucket_stamp[bk] = epoch;
+        bucket_head[bk] = -1;
+      }
+      bucket_next[k] = bucket_head[bk];
+      bucket_head[bk] = static_cast<index_t>(k);
+    }
+    groups.clear();
+    for (std::size_t k = 0; k < hashes.size(); ++k) {
+      const std::size_t bk = bucket_of(hashes[k].first);
+      const index_t head = bucket_head[bk];
+      if (head == -1 || bucket_next[head] == -1) continue;  // done, or alone
+      const std::size_t first = groups.size();
+      for (index_t m = head; m != -1; m = bucket_next[m])
+        groups.push_back(hashes[m]);
+      bucket_head[bk] = -1;
+      std::sort(groups.begin() + static_cast<std::ptrdiff_t>(first),
+                groups.end());
+    }
 
     // --- Merge indistinguishable variables (identical pruned adjacency).
     auto same_adjacency = [&](index_t a, index_t b) {
@@ -214,14 +250,14 @@ std::vector<index_t> amd_order(const SymPattern& P, const AmdOptions& opt) {
       sorted(elem_adj[b]);
       return var_adj[a] == var_adj[b] && elem_adj[a] == elem_adj[b];
     };
-    for (std::size_t s = 0; s < hashes.size();) {
+    for (std::size_t s = 0; s < groups.size();) {
       std::size_t t = s + 1;
-      while (t < hashes.size() && hashes[t].first == hashes[s].first) ++t;
+      while (t < groups.size() && groups[t].first == groups[s].first) ++t;
       for (std::size_t a = s; a < t; ++a) {
-        const index_t ja = hashes[a].second;
+        const index_t ja = groups[a].second;
         if (status[ja] != Status::kVar) continue;
         for (std::size_t b = a + 1; b < t; ++b) {
-          const index_t jb = hashes[b].second;
+          const index_t jb = groups[b].second;
           if (status[jb] != Status::kVar) continue;
           if (!same_adjacency(ja, jb)) continue;
           // jb joins supervariable ja.

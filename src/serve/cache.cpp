@@ -30,8 +30,8 @@ FactorizationCache<T>::FactorizationCache(std::size_t max_entries,
 
 template <class T>
 typename FactorizationCache<T>::EntryPtr FactorizationCache<T>::acquire(
-    const sparse::CscMatrix<T>& A, bool* pattern_matched) {
-  const sparse::PatternKey key = sparse::pattern_key(A);
+    const sparse::CscMatrix<T>& A, const sparse::PatternKey& key,
+    bool* pattern_matched) {
   std::lock_guard lk(mu_);
   ++tick_;
   auto it = map_.find(key);

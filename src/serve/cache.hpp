@@ -71,11 +71,13 @@ class FactorizationCache {
   FactorizationCache(std::size_t max_entries, std::size_t max_bytes);
 
   /// Find the entry for A's pattern, or insert a fresh (unfactored) one.
-  /// `pattern_matched` reports whether an existing entry was found — hash
-  /// AND exact index-array equality; a hash collision with different
+  /// `key` is sparse::pattern_key(A), fingerprinted once per request by the
+  /// caller. `pattern_matched` reports whether an existing entry was found
+  /// — key AND exact index-array equality; a hash collision with different
   /// arrays evicts the colliding incumbent and counts as a miss. Bumps the
   /// LRU tick either way.
-  EntryPtr acquire(const sparse::CscMatrix<T>& A, bool* pattern_matched);
+  EntryPtr acquire(const sparse::CscMatrix<T>& A,
+                   const sparse::PatternKey& key, bool* pattern_matched);
 
   /// Record the re-measured byte footprint of `e` (call after every
   /// factorization/refactorization) and the precision its factors are

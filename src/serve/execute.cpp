@@ -85,7 +85,7 @@ Response<T> EntryExecutor<T>::execute(const sparse::CscMatrix<T>& A0,
     tmpl.batch_width = static_cast<index_t>(rest.size());
 
     bool pattern_matched = false;
-    auto e = cache_.acquire(A, &pattern_matched);
+    auto e = cache_.acquire(A, key, &pattern_matched);
     std::unique_lock elk(e->mu);
     try {
       if (!e->solver) {

@@ -96,8 +96,9 @@ Response<T> SolverService<T>::solve(const sparse::CscMatrix<T>& A,
   if (tier_) return tier_->solve(A, b, ropt);
   auto p = std::make_unique<Pending>();
   p->A = &A;
-  // Routing cost, paid once per request on the client thread: one FNV pass
-  // over the pattern and one over the values.
+  // Routing cost, paid once per request on the client thread: one
+  // fingerprint pass over the pattern and one over the values. The worker
+  // reuses both (the cache lookup takes this key).
   p->key = sparse::pattern_key(A);
   p->vhash = sparse::value_hash(A);
   p->b = b;

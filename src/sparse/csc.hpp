@@ -187,13 +187,19 @@ CscMatrix<T> transpose(const CscMatrix<T>& A) {
   return B;
 }
 
-/// FNV-1a over a byte range, chained through `seed` so several ranges can
-/// be folded into one hash (pattern arrays, value arrays).
-std::uint64_t fnv1a_bytes(const void* data, std::size_t size,
-                          std::uint64_t seed = 14695981039346656037ull);
+/// 64-bit fingerprint of a byte range, chained through `seed` so several
+/// ranges fold into one hash (pattern arrays, value arrays). Word-wise over
+/// four independent multiply-rotate lanes, so it runs at memory speed
+/// rather than one byte per multiply, with a final avalanche that also
+/// mixes in the length. Every step is a bijection of its lane, so two
+/// ranges of equal length that differ in a single 8-byte word always hash
+/// differently. Not cryptographic: callers that must not be fooled compare
+/// the bytes as well.
+std::uint64_t hash_bytes(const void* data, std::size_t size,
+                         std::uint64_t seed = 0);
 
-/// Structural fingerprint of a sparse matrix: dimensions, nnz and an FNV-1a
-/// hash of the colptr/rowind arrays. Two matrices with equal keys almost
+/// Structural fingerprint of a sparse matrix: dimensions, nnz and a
+/// hash_bytes fingerprint of the colptr/rowind arrays. Two matrices with equal keys almost
 /// certainly share a sparsity pattern (the hash is 64-bit; collision-exact
 /// callers such as the serve-layer factorization cache additionally compare
 /// the index arrays byte for byte). Values do not enter the key — that is
@@ -221,20 +227,20 @@ PatternKey pattern_key(const CscMatrix<T>& A) {
   PatternKey k;
   k.n = A.ncols;
   k.nnz = A.nnz();
-  k.hash = fnv1a_bytes(&A.nrows, sizeof A.nrows);
-  k.hash = fnv1a_bytes(A.colptr.data(), A.colptr.size() * sizeof(index_t),
-                       k.hash);
-  k.hash = fnv1a_bytes(A.rowind.data(), A.rowind.size() * sizeof(index_t),
-                       k.hash);
+  k.hash = hash_bytes(&A.nrows, sizeof A.nrows);
+  k.hash = hash_bytes(A.colptr.data(), A.colptr.size() * sizeof(index_t),
+                      k.hash);
+  k.hash = hash_bytes(A.rowind.data(), A.rowind.size() * sizeof(index_t),
+                      k.hash);
   return k;
 }
 
-/// FNV-1a over the stored value bytes (bitwise: +0.0 and -0.0 differ).
+/// hash_bytes over the stored value bytes (bitwise: +0.0 and -0.0 differ).
 /// Combined with a PatternKey this identifies a (pattern, values) pair —
 /// the level at which triangular solves are reusable with no refactorize.
 template <class T>
 std::uint64_t value_hash(const CscMatrix<T>& A) {
-  return fnv1a_bytes(A.values.data(), A.values.size() * sizeof(T));
+  return hash_bytes(A.values.data(), A.values.size() * sizeof(T));
 }
 
 /// Inverse of a permutation given as a new-from-old map (p[old] = new).

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -307,6 +308,169 @@ TEST(DeltaBitwise, EveryRouteEqualsFullRefactorize) {
     step(full, delta, A, std::string(name) + ", identical values");
     EXPECT_EQ(delta.stats().delta.noop, 1) << name;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The in-place full route: refactorize_partial with every supernode dirty is
+// the one elimination entry of the constructor and of every refactorization
+// over an unchanged analysis, so its factors must be a fresh construction's.
+
+/// The same matrix with its values cast to float.
+sparse::CscMatrix<float> to_float(const sparse::CscMatrix<double>& A) {
+  sparse::CscMatrix<float> B;
+  B.nrows = A.nrows;
+  B.ncols = A.ncols;
+  B.colptr = A.colptr;
+  B.rowind = A.rowind;
+  B.values.assign(A.values.begin(), A.values.end());
+  return B;
+}
+
+/// Factor A0, refactorize in place for A1 with every supernode dirty, and
+/// require the factors, growth and replacement count of a fresh LUFactors
+/// built from A1.
+template <class T>
+void expect_in_place_equals_fresh(
+    const std::shared_ptr<const symbolic::SymbolicLU>& sym,
+    const sparse::CscMatrix<T>& A0, const sparse::CscMatrix<T>& A1,
+    int threads, const std::string& what) {
+  numeric::NumericOptions nopt;
+  nopt.num_threads = threads;
+  nopt.tiny_threshold = 1e-8 * sparse::norm_max(A0);
+  numeric::LUFactors<T> F(sym, A0, nopt);
+  F.refactorize_partial(
+      A1, std::vector<char>(static_cast<std::size_t>(sym->nsup), 1), nopt);
+  const numeric::LUFactors<T> G(sym, A1, nopt);
+  expect_factors_bitwise(F, G, sym->nsup, what);
+  EXPECT_EQ(F.pivot_growth(), G.pivot_growth()) << what;
+  EXPECT_EQ(F.pivots_replaced(), G.pivots_replaced()) << what;
+}
+
+TEST(InPlaceBitwise, FullRouteEqualsFreshFactors) {
+  const auto base = sparse::circuit_like(900, 5, 10, 23);
+  const auto A0 = compute_transform(base, SolverOptions{}).At;
+  const auto A1 = sparse::perturb_values(A0, 0.2, 5);
+  const auto Z = sparse::randomize_phases(A0, 7);
+  const auto Z1 = sparse::perturb_values(Z, 0.2, 5);
+  // The analysis depends on the pattern only: one serves every scalar.
+  const auto sym = std::make_shared<const symbolic::SymbolicLU>(
+      symbolic::analyze(A0, {}));
+  for (const int threads : {1, 4}) {
+    const std::string t = std::to_string(threads) + " thread(s)";
+    expect_in_place_equals_fresh(sym, A0, A1, threads, "double, " + t);
+    expect_in_place_equals_fresh(sym, to_float(A0), to_float(A1), threads,
+                                 "float, " + t);
+    expect_in_place_equals_fresh(sym, Z, Z1, threads, "complex, " + t);
+  }
+}
+
+TEST(InPlaceBitwise, FullRouteAfterAGrowthAbortEqualsFresh) {
+  // A sweep stopped by the growth monitor leaves blocks half eliminated;
+  // the next full in-place sweep must not see any of them.
+  const auto A = sparse::sparse_growth_adversary(300, 45, 9);
+  auto sym =
+      std::make_shared<const symbolic::SymbolicLU>(symbolic::analyze(A, {}));
+  const std::vector<char> all(static_cast<std::size_t>(sym->nsup), 1);
+  for (const int threads : {1, 4}) {
+    numeric::NumericOptions nopt;
+    nopt.num_threads = threads;
+    numeric::NumericOptions abort_opt = nopt;
+    abort_opt.growth_abort = 1e3;
+    const std::string what = std::to_string(threads) + " thread(s)";
+    numeric::LUFactors<double> F(sym, sparse::perturb_values(A, 0.05, 3),
+                                 nopt);
+    try {
+      F.refactorize_partial(A, all, abort_opt);
+      FAIL() << what << ": the growth monitor did not abort";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), Errc::unstable) << what;
+    }
+    // Nothing is left to answer with, nor to refactorize partially from.
+    std::vector<double> x(static_cast<std::size_t>(A.ncols), 1.0);
+    EXPECT_THROW(F.solve(x), Error) << what;
+    std::vector<char> some(all.size(), 0);
+    some.back() = 1;
+    EXPECT_THROW(F.refactorize_partial(A, some, nopt), Error) << what;
+
+    const auto A2 = sparse::perturb_values(A, 0.05, 11);
+    F.refactorize_partial(A2, all, nopt);
+    const numeric::LUFactors<double> G(sym, A2, nopt);
+    expect_factors_bitwise(F, G, sym->nsup, "after abort, " + what);
+    EXPECT_EQ(F.pivot_growth(), G.pivot_growth()) << what;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A failed refactorization leaves no factors: the next solve refuses loudly
+// instead of crashing or answering from half-eliminated blocks.
+
+/// sherman-s with column 0's values zeroed (pattern kept): under
+/// tiny_pivot = fail its factorization meets a zero pivot.
+sparse::CscMatrix<double> zero_first_column(sparse::CscMatrix<double> A) {
+  for (index_t p = A.colptr[0]; p < A.colptr[1]; ++p) A.values[p] = 0.0;
+  return A;
+}
+
+void expect_no_factorization(Solver<double>& s, const std::string& what) {
+  const std::vector<double> b(static_cast<std::size_t>(s.n()), 1.0);
+  std::vector<double> x(b.size());
+  for (int call = 0; call < 2; ++call) {
+    try {
+      if (call == 0)
+        s.solve(b, x);
+      else
+        s.solve_multi(b, x, 1);
+      ADD_FAILURE() << what << ": solve answered without factors";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), Errc::invalid_argument) << what;
+    }
+  }
+}
+
+void expect_numerically_singular(const std::function<void()>& f,
+                                  const std::string& what) {
+  try {
+    f();
+    ADD_FAILURE() << what << ": the zero pivot did not throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), Errc::numerically_singular) << what;
+  }
+}
+
+void expect_recovers(Solver<double>& s, const sparse::CscMatrix<double>& A) {
+  s.refactorize(A);
+  const auto b = rhs_for(A);
+  std::vector<double> x(b.size());
+  s.solve(b, x);
+  const std::vector<double> ones(b.size(), 1.0);
+  EXPECT_LT(sparse::relative_error_inf<double>(ones, x), 1e-8);
+}
+
+TEST(DeltaFailure, FailedRefactorizeLeavesNoFactors) {
+  const auto A = sparse::testbed_entry("sherman-s").make();
+  SolverOptions opt;
+  opt.tiny_pivot = TinyPivotOption::fail;
+  Solver<double> s(A, opt);
+  expect_numerically_singular([&] { s.refactorize(zero_first_column(A)); },
+                              "refactorize");
+  expect_no_factorization(s, "after refactorize");
+  expect_recovers(s, A);
+}
+
+TEST(DeltaFailure, FailedPartialRouteLeavesNoFactors) {
+  const auto A = sparse::testbed_entry("sherman-s").make();
+  SolverOptions opt;
+  opt.tiny_pivot = TinyPivotOption::fail;
+  Solver<double> s(A, opt);
+  expect_numerically_singular(
+      [&] { s.refactorize_delta(zero_first_column(A)); }, "refactorize_delta");
+  // The partial route threw: the closed dirty set was a part of the
+  // supernodes, and the full route never ran.
+  EXPECT_GT(s.stats().delta.dirty_supernodes, 0);
+  EXPECT_LT(s.stats().delta.dirty_supernodes, s.stats().nsup);
+  EXPECT_EQ(s.stats().delta.full, 0);
+  expect_no_factorization(s, "after refactorize_delta");
+  expect_recovers(s, A);
 }
 
 // ---------------------------------------------------------------------------

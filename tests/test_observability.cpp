@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <latch>
 #include <limits>
 #include <map>
 #include <memory>
@@ -196,7 +197,10 @@ bool json_valid(const std::string& s) { return JsonScanner(s).valid(); }
 /// The grid is ordered first (the solver's transform) and sized so the task
 /// DAG keeps several workers busy: in natural order its band amalgamates
 /// into one supernode chain, and a small ordered grid is drained by the
-/// first worker to wake.
+/// first worker to wake. How many workers the factorization wakes is up to
+/// the OS scheduler, so two traced tasks that meet at a latch follow: one
+/// thread cannot finish both, so two pool workers record spans by
+/// construction.
 void run_traced_workload() {
   const auto A =
       compute_transform(sparse::convdiff2d(48, 40, 1.0, 0.5), SolverOptions{})
@@ -206,6 +210,16 @@ void run_traced_workload() {
   numeric::NumericOptions nopt;
   nopt.num_threads = 4;
   numeric::LUFactors<double> F(sym, A, nopt);
+
+  ThreadPool pool(2);
+  TaskGraph meet;
+  std::latch both(2);
+  for (int t = 0; t < 2; ++t)
+    meet.add_task([&both] {
+      GESP_TRACE_SPAN("test", "meet");
+      both.arrive_and_wait();
+    });
+  meet.run(pool);
 
   minimpi::World world(4);
   world.run([](minimpi::Comm& comm) {

@@ -243,6 +243,22 @@ TEST(Recovery, DistBackendFallsBackToTheSameLadderAnswer) {
   EXPECT_EQ(std::memcmp(xs.data(), xd.data(), xs.size() * sizeof(double)), 0);
 }
 
+TEST(Recovery, DistTrailNamesTheMissedLimit) {
+  // The distributed attempt answers within berr but past the growth limit;
+  // the trail names that limit the way the in-process ladder does.
+  const auto& e = sparse::adversarial_entry("nsing-cascade-a");
+  RecoveryTrail td;
+  solve_adversarial(e, Backend::dist, 1, td);
+  ASSERT_FALSE(td.attempts.empty());
+  const RecoveryAttempt& first = td.attempts.front();
+  EXPECT_FALSE(first.success);
+  EXPECT_EQ(first.trigger, RecoveryTrigger::pivot_growth);
+  EXPECT_GT(first.pivot_growth, RecoveryPolicy::max_pivot_growth);
+  EXPECT_EQ(first.detail.rfind("pivot growth ", 0), 0u) << first.detail;
+  EXPECT_NE(first.detail.find(" above limit 1.000e+10"), std::string::npos)
+      << first.detail;
+}
+
 TEST(Recovery, RefactorizeRestartsTheLadder) {
   const auto A = sparse::sparse_growth_adversary(300, 45, 9);
   const index_t n = A.ncols;

@@ -159,23 +159,23 @@ TEST(FactorizationCache, HitMissAndLruEviction) {
   const auto C = testbed_matrix("goodwin-s");
 
   bool hit = true;
-  auto ea = cache.acquire(A, &hit);
+  auto ea = cache.acquire(A, sparse::pattern_key(A), &hit);
   EXPECT_FALSE(hit);
-  auto ea2 = cache.acquire(A, &hit);
+  auto ea2 = cache.acquire(A, sparse::pattern_key(A), &hit);
   EXPECT_TRUE(hit);
   EXPECT_EQ(ea.get(), ea2.get());
 
-  cache.acquire(B, &hit);
+  cache.acquire(B, sparse::pattern_key(B), &hit);
   EXPECT_FALSE(hit);
   EXPECT_EQ(cache.entries(), 2u);
 
   // A was used more recently than B (via ea2), so inserting C evicts B.
-  cache.acquire(A, &hit);
-  cache.acquire(C, &hit);
+  cache.acquire(A, sparse::pattern_key(A), &hit);
+  cache.acquire(C, sparse::pattern_key(C), &hit);
   EXPECT_EQ(cache.entries(), 2u);
-  cache.acquire(A, &hit);
+  cache.acquire(A, sparse::pattern_key(A), &hit);
   EXPECT_TRUE(hit);
-  cache.acquire(B, &hit);
+  cache.acquire(B, sparse::pattern_key(B), &hit);
   EXPECT_FALSE(hit) << "B should have been the LRU eviction victim";
 }
 
@@ -185,20 +185,20 @@ TEST(FactorizationCache, ByteBudgetEvictsButKeepsCurrent) {
   const auto A = testbed_matrix("west0497-s");
   const auto B = testbed_matrix("orsirr-s");
   bool hit = false;
-  auto ea = cache.acquire(A, &hit);
+  auto ea = cache.acquire(A, sparse::pattern_key(A), &hit);
   cache.update_bytes(ea, 800);
-  auto eb = cache.acquire(B, &hit);
+  auto eb = cache.acquire(B, sparse::pattern_key(B), &hit);
   cache.update_bytes(eb, 900);  // over budget: A (LRU) must go, B stays
   EXPECT_EQ(cache.entries(), 1u);
   EXPECT_EQ(cache.bytes(), 900u);
-  cache.acquire(B, &hit);
+  cache.acquire(B, sparse::pattern_key(B), &hit);
   EXPECT_TRUE(hit);
   // An entry the budget can never fit still serves (size > 1 guard): the
   // budget is a pressure valve, not a correctness gate.
-  auto ec = cache.acquire(A, &hit);
+  auto ec = cache.acquire(A, sparse::pattern_key(A), &hit);
   cache.update_bytes(ec, 5000);
   EXPECT_EQ(cache.entries(), 1u);
-  cache.acquire(A, &hit);
+  cache.acquire(A, sparse::pattern_key(A), &hit);
   EXPECT_TRUE(hit);
 }
 
@@ -206,11 +206,11 @@ TEST(FactorizationCache, EraseIsIdempotentAndUnlinks) {
   serve::FactorizationCache<double> cache(4, 0);
   const auto A = testbed_matrix("west0497-s");
   bool hit = false;
-  auto e = cache.acquire(A, &hit);
+  auto e = cache.acquire(A, sparse::pattern_key(A), &hit);
   cache.erase(e);
   EXPECT_EQ(cache.entries(), 0u);
   cache.erase(e);  // no-op
-  cache.acquire(A, &hit);
+  cache.acquire(A, sparse::pattern_key(A), &hit);
   EXPECT_FALSE(hit);
 }
 
@@ -746,7 +746,7 @@ TEST(FactorizationCache, EvictedEntryWithLiveSmwCorrectionStillSolves) {
                                           /*max_bytes=*/0);
   const auto A = sparse::cancellation_matrix(400, 100, 31);
   bool hit = false;
-  auto e = cache.acquire(A, &hit);
+  auto e = cache.acquire(A, sparse::pattern_key(A), &hit);
   // GespSolver.AggressiveSmwRecovery's options: the cancelling pivot order
   // is kept, so aggressive replacement fires and the correction is live.
   SolverOptions so;
@@ -760,8 +760,10 @@ TEST(FactorizationCache, EvictedEntryWithLiveSmwCorrectionStillSolves) {
   // Evict mid-flight: unlink our entry, then churn the one-slot cache so
   // other patterns occupy and re-evict the map position.
   cache.erase(e);
-  cache.acquire(testbed_matrix("orsirr-s"), &hit);
-  cache.acquire(testbed_matrix("goodwin-s"), &hit);
+  for (const char* name : {"orsirr-s", "goodwin-s"}) {
+    const auto other = testbed_matrix(name);
+    cache.acquire(other, sparse::pattern_key(other), &hit);
+  }
   EXPECT_EQ(cache.entries(), 1u);
 
   // Our reference — the "batch still executing" of the cache contract —

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -361,6 +362,64 @@ TEST(Generators, PerturbKeepsPattern) {
   for (std::size_t k = 0; k < A.values.size(); ++k)
     if (A.values[k] != B.values[k]) changed = true;
   EXPECT_TRUE(changed);
+}
+
+// ---------------------------------------------------------------------------
+// Fingerprints: hash_bytes behind pattern_key and value_hash.
+
+TEST(Fingerprint, EqualArraysHashEqual) {
+  const auto A = convdiff2d(9, 7, 1.0, 0.5);
+  const CscMatrix<double> B = A;  // separate storage, same bytes
+  EXPECT_EQ(pattern_key(A), pattern_key(B));
+  EXPECT_EQ(value_hash(A), value_hash(B));
+  std::vector<unsigned char> x(97), y(97);
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x[i] = y[i] = static_cast<unsigned char>(i * 37 + 11);
+  for (std::size_t len = 0; len <= x.size(); ++len)
+    EXPECT_EQ(hash_bytes(x.data(), len), hash_bytes(y.data(), len)) << len;
+}
+
+TEST(Fingerprint, TailBytesAndLengthCount) {
+  // Lengths on and off the 8-byte word and 32-byte lane-round boundaries:
+  // every byte of the tail counts, and so does the length itself (a
+  // trailing zero byte is not padding).
+  std::vector<unsigned char> x(80, 0x5A);
+  for (std::size_t len = 1; len < x.size(); ++len) {
+    const std::uint64_t h = hash_bytes(x.data(), len);
+    EXPECT_NE(h, hash_bytes(x.data(), len + 1)) << len;
+    for (const std::size_t at : {std::size_t{0}, len / 2, len - 1}) {
+      x[at] ^= 0x01;
+      EXPECT_NE(h, hash_bytes(x.data(), len)) << len << " @" << at;
+      x[at] ^= 0x01;
+    }
+  }
+  x.assign(x.size(), 0);
+  for (std::size_t len = 1; len < x.size(); ++len)
+    EXPECT_NE(hash_bytes(x.data(), len), hash_bytes(x.data(), len - 1)) << len;
+  // value_hash of arrays whose byte length is not a multiple of the lane
+  // round (nnz = 3n - 2 doubles): the last entry is in the tail.
+  for (index_t n = 1; n <= 9; ++n) {
+    const auto A = laplacian2d(n, 1);
+    auto B = A;
+    B.values.back() += 1.0;
+    EXPECT_NE(value_hash(A), value_hash(B)) << "nnz " << A.nnz();
+  }
+}
+
+TEST(Fingerprint, SignedZeroAndOneEntryChangesCount) {
+  const auto A = convdiff2d(9, 7, 1.0, 0.5);
+  const std::uint64_t h = value_hash(A);
+  const std::size_t nnz = A.values.size();
+  for (const std::size_t at : {std::size_t{0}, nnz / 2, nnz - 1}) {
+    auto B = A;
+    B.values[at] = std::nextafter(B.values[at], 1e300);
+    EXPECT_NE(value_hash(B), h) << "entry " << at;
+    auto Z = A;
+    Z.values[at] = 0.0;
+    auto N = A;
+    N.values[at] = -0.0;
+    EXPECT_NE(value_hash(Z), value_hash(N)) << "±0.0 at entry " << at;
+  }
 }
 
 }  // namespace
