@@ -81,11 +81,11 @@ void BM_GemmMinusNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmMinusNaive)->Arg(8)->Arg(16)->Arg(24)->Arg(32)->Arg(48);
 
-// The trailing update at the sizes the factorizations mostly run it at:
-// one gemm_minus_scatter call per (m, n, k) — the product kept in
-// registers and added through row/column positions into a larger
-// destination block, as update_owner does for a subset pair. Reported as
-// time per call.
+// The per-pair trailing update at the sizes the distributed engine mostly
+// runs it at: one gemm_minus_scatter call per (m, n, k) — the product kept
+// in registers and added through row/column positions into a larger
+// destination block, as exec_upd does for a subset pair. Reported as time
+// per call.
 void BM_GemmMinusScatterSmall(benchmark::State& state) {
   const index_t m = static_cast<index_t>(state.range(0));
   const index_t n = static_cast<index_t>(state.range(1));

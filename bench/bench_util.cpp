@@ -35,6 +35,7 @@ std::vector<std::string> matrices_arg(int argc, char** argv) {
 SolverOptions paper_options() {
   SolverOptions opt;
   opt.col_order = ColOrderOption::amd_ata;
+  opt.symbolic.max_block = 24;  // the paper's block size
   return opt;
 }
 

@@ -63,6 +63,13 @@ class PhaseTimes {
   /// Cumulative value per phase (safe to sum — no double counting).
   std::map<std::string, double> all_totals() const;
 
+  /// fn(name, latest-epoch value, cumulative value) for every phase, in
+  /// name order, without building a map.
+  template <class Fn>
+  void for_each(Fn&& fn) const {
+    for (const auto& [name, e] : times_) fn(name, e.last, e.total);
+  }
+
  private:
   struct Entry {
     double last = 0.0;   ///< sum within the latest recorded epoch

@@ -87,47 +87,63 @@ void SolveStats::record_structure(const symbolic::SymbolicLU& S) {
 }
 
 void SolveStats::export_metrics(metrics::Registry& reg) const {
-  reg.gauge("solver.nnz_l").set(static_cast<double>(nnz_l));
-  reg.gauge("solver.nnz_u").set(static_cast<double>(nnz_u));
-  reg.gauge("solver.stored_l").set(static_cast<double>(stored_l));
-  reg.gauge("solver.stored_u").set(static_cast<double>(stored_u));
-  reg.gauge("solver.flops").set(static_cast<double>(flops));
-  reg.gauge("solver.nsup").set(static_cast<double>(nsup));
-  reg.gauge("solver.pivots_replaced")
-      .set(static_cast<double>(pivots_replaced));
-  reg.gauge("solver.pivot_growth").set(pivot_growth);
-  reg.gauge("solver.refine_iterations")
-      .set(static_cast<double>(refine_iterations));
-  reg.gauge("solver.berr").set(berr);
-  if (ferr >= 0.0) reg.gauge("solver.ferr").set(ferr);
-  if (rcond >= 0.0) reg.gauge("solver.rcond").set(rcond);
-  reg.gauge("solver.recovery_attempts")
-      .set(static_cast<double>(recovery.attempts.size()));
-  reg.gauge("solver.recovery_final_rung")
-      .set(static_cast<double>(recovery.final_rung));
-  reg.gauge("solver.recovered").set(recovery.recovered ? 1.0 : 0.0);
-  if (!recovery.attempts.empty())
-    reg.gauge("solver.recovery_last_trigger")
-        .set(static_cast<double>(recovery.attempts.back().trigger));
-  reg.gauge("solver.solve_wall_seconds").set(solve_wall_seconds);
-  reg.gauge("solver.solve_wall_total_seconds").set(solve_wall_total_seconds);
-  reg.gauge("solver.solve_calls").set(static_cast<double>(solve_calls));
-  reg.gauge("solver.precision.factor_bits")
-      .set(factor_precision == Precision::single ? 32.0 : 64.0);
-  reg.gauge("solver.precision.promotions")
-      .set(static_cast<double>(promotions));
-  reg.gauge("solver.delta.calls").set(static_cast<double>(delta.calls));
-  reg.gauge("solver.delta.noop").set(static_cast<double>(delta.noop));
-  reg.gauge("solver.delta.partial").set(static_cast<double>(delta.partial));
-  reg.gauge("solver.delta.full").set(static_cast<double>(delta.full));
-  reg.gauge("solver.delta.changed_entries")
-      .set(static_cast<double>(delta.changed_entries));
-  reg.gauge("solver.delta.dirty_supernodes")
-      .set(static_cast<double>(delta.dirty_supernodes));
-  for (const auto& [phase, seconds] : times.all())
-    reg.gauge("solver.time." + phase).set(seconds);
-  for (const auto& [phase, seconds] : times.all_totals())
-    reg.gauge("solver.time_total." + phase).set(seconds);
+  StatsGauges(reg).publish(*this);
+}
+
+void StatsGauges::publish(const SolveStats& s) {
+  // Every call visits the names in the same order, so each name keeps its
+  // slot in fields_; a gauge is resolved on its first write.
+  std::size_t slot = 0;
+  const auto set = [&](bool when, const char* name, double v) {
+    if (slot == fields_.size()) fields_.push_back(nullptr);
+    metrics::Gauge*& g = fields_[slot++];
+    if (!when) return;
+    if (g == nullptr) g = &reg_.gauge(name);
+    g->set(v);
+  };
+  const auto count = [](auto v) { return static_cast<double>(v); };
+  const RecoveryTrail& r = s.recovery;
+  set(true, "solver.nnz_l", count(s.nnz_l));
+  set(true, "solver.nnz_u", count(s.nnz_u));
+  set(true, "solver.stored_l", count(s.stored_l));
+  set(true, "solver.stored_u", count(s.stored_u));
+  set(true, "solver.flops", count(s.flops));
+  set(true, "solver.nsup", count(s.nsup));
+  set(true, "solver.pivots_replaced", count(s.pivots_replaced));
+  set(true, "solver.pivot_growth", s.pivot_growth);
+  set(true, "solver.refine_iterations", count(s.refine_iterations));
+  set(true, "solver.berr", s.berr);
+  set(s.ferr >= 0.0, "solver.ferr", s.ferr);
+  set(s.rcond >= 0.0, "solver.rcond", s.rcond);
+  set(true, "solver.recovery_attempts", count(r.attempts.size()));
+  set(true, "solver.recovery_final_rung", count(r.final_rung));
+  set(true, "solver.recovered", r.recovered ? 1.0 : 0.0);
+  set(!r.attempts.empty(), "solver.recovery_last_trigger",
+      r.attempts.empty() ? 0.0 : count(r.attempts.back().trigger));
+  set(true, "solver.solve_wall_seconds", s.solve_wall_seconds);
+  set(true, "solver.solve_wall_total_seconds", s.solve_wall_total_seconds);
+  set(true, "solver.solve_calls", count(s.solve_calls));
+  set(true, "solver.precision.factor_bits",
+      s.factor_precision == Precision::single ? 32.0 : 64.0);
+  set(true, "solver.precision.promotions", count(s.promotions));
+  set(true, "solver.delta.calls", count(s.delta.calls));
+  set(true, "solver.delta.noop", count(s.delta.noop));
+  set(true, "solver.delta.partial", count(s.delta.partial));
+  set(true, "solver.delta.full", count(s.delta.full));
+  set(true, "solver.delta.changed_entries", count(s.delta.changed_entries));
+  set(true, "solver.delta.dirty_supernodes",
+      count(s.delta.dirty_supernodes));
+  s.times.for_each([&](const std::string& phase, double last, double total) {
+    auto it = phases_.find(phase);
+    if (it == phases_.end())
+      it = phases_
+               .emplace(phase,
+                        std::pair{&reg_.gauge("solver.time." + phase),
+                                  &reg_.gauge("solver.time_total." + phase)})
+               .first;
+    it->second.first->set(last);
+    it->second.second->set(total);
+  });
 }
 
 void judge_attempt(RecoveryAttempt& a, Precision requested) {
@@ -744,7 +760,8 @@ void Solver<T>::finish_solve(const Timer& wall) {
   stats_.solve_wall_seconds = wall.seconds();
   stats_.solve_wall_total_seconds += stats_.solve_wall_seconds;
   ++stats_.solve_calls;
-  stats_.export_metrics(metrics::global());
+  if (!gauges_) gauges_ = std::make_unique<StatsGauges>(metrics::global());
+  gauges_->publish(stats_);
 }
 
 template <class T>

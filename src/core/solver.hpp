@@ -21,6 +21,7 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -329,9 +330,29 @@ struct SolveStats {
   /// Publish every field into `reg` as typed metrics under "solver.*"
   /// (gauges for snapshots, "solver.time.<phase>" for the last call's
   /// phase seconds, "solver.time_total.<phase>" for the cumulative sums).
-  /// The solver calls this on the global registry after each solve; tools
-  /// can call it on a private registry to serialize a SolveStats as JSON.
+  /// The solver publishes through a StatsGauges it keeps for the global
+  /// registry after each solve; tools can call this on a private registry
+  /// to serialize a SolveStats as JSON.
   void export_metrics(metrics::Registry& reg) const;
+};
+
+/// SolveStats::export_metrics with the gauges looked up once per registry:
+/// each gauge name is built and resolved under the registry's lock the
+/// first time it is published, after which publish() only stores values.
+/// A gauge export_metrics writes conditionally (ferr, rcond, the last
+/// recovery trigger) is still created only when first written, so the
+/// registry holds exactly the names export_metrics would have created.
+/// The registry must outlive this object.
+class StatsGauges {
+ public:
+  explicit StatsGauges(metrics::Registry& reg) : reg_(reg) {}
+  void publish(const SolveStats& s);
+
+ private:
+  metrics::Registry& reg_;
+  std::vector<metrics::Gauge*> fields_;  ///< per stats field, lazily
+  /// "solver.time.<phase>" / "solver.time_total.<phase>" per phase.
+  std::map<std::string, std::pair<metrics::Gauge*, metrics::Gauge*>> phases_;
 };
 
 /// Result of GESP steps (1)-(2): the combined transforms and the fully
@@ -547,6 +568,8 @@ class Solver {
 
   SolverOptions opt_;
   SolveStats stats_;
+  /// stats_'s gauges in metrics::global(), resolved at the first solve.
+  std::unique_ptr<StatsGauges> gauges_;
   index_t n_ = 0;
   sparse::PatternKey pattern_;  ///< fingerprint of the analysed matrix
   // Combined transforms: x solves A·x = b via

@@ -46,10 +46,11 @@ inline T minus_product(T x, T a, T b) {
 // The small-shape arithmetic: acc[r] -= a(r,p)·b(p) for R consecutive rows,
 // in ascending p, skipping b(p) == 0 — the jki loop of a naive gemm. R is a
 // compile-time constant, so the rows stay in registers across the k loop.
-// gemm_minus, ref::gemm_minus and gemm_minus_scatter all run it.
+// gemm_minus and gemm_minus_scatter run it on real shapes below
+// gemm_is_small, and ref::gemm_minus on every shape.
 template <index_t R, class T>
-inline void column_chunk_body(index_t k, const T* a, index_t lda,
-                              const T* bj, T* acc) {
+inline void column_chunk(index_t k, const T* a, index_t lda, const T* bj,
+                         T* acc) {
   T x[R];
   for (index_t r = 0; r < R; ++r) x[r] = acc[r];
   for (index_t p = 0; p < k; ++p) {
@@ -59,29 +60,6 @@ inline void column_chunk_body(index_t k, const T* a, index_t lda,
     for (index_t r = 0; r < R; ++r) x[r] = minus_product(x[r], ap[r], bpj);
   }
   for (index_t r = 0; r < R; ++r) acc[r] = x[r];
-}
-
-// A complex multiply-subtract cannot be spelled out that way without
-// giving up std::complex's product (and its inf/nan recovery), and the
-// compiler may fuse either product of each component — two inlined copies
-// do round differently in an instrumented (-fsanitize=address) build. So
-// the complex chunk is one noinline copy shared by every caller.
-template <index_t R, class T>
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((noinline))
-#endif
-void column_chunk_shared(index_t k, const T* a, index_t lda, const T* bj,
-                         T* acc) {
-  column_chunk_body<R>(k, a, lda, bj, acc);
-}
-
-template <index_t R, class T>
-inline void column_chunk(index_t k, const T* a, index_t lda, const T* bj,
-                         T* acc) {
-  if constexpr (is_complex_v<T>)
-    column_chunk_shared<R>(k, a, lda, bj, acc);
-  else
-    column_chunk_body<R>(k, a, lda, bj, acc);
 }
 
 // Calls chunk(rows, i) over rows [0, m) in chunks of at most 8, `rows` a
@@ -476,6 +454,7 @@ constexpr index_t kMrD = 8, kNrD = 6;   // double microtile
 constexpr index_t kMrZ = 8, kNrZ = 4;   // complex microtile (split planes)
 constexpr index_t kMrF = 16, kNrF = 6;  // float microtile (twice the lanes)
 constexpr index_t kKc = 256;  // k-panel depth (packed B strip height)
+// (dense::kBandBound, the stacked-update band bound, is in kernels.hpp.)
 // A panel rows per pass (multiple of MR); per type so each precision packs
 // the same ~245 KiB strip (see MicroTile<T>::mc).
 constexpr index_t kMcD = 120, kMcZ = 120, kMcF = 240;
@@ -713,7 +692,13 @@ struct MicroTile<Complex> {
   static constexpr index_t pack_stride = 2;
 };
 
+// One out-of-line copy per type: every tiled product, whichever kernel
+// asks for it, runs the same compiled microkernel, so the compiler cannot
+// contract two inlined copies differently (INTERNALS §10).
 template <class T>
+#if defined(__GNUC__) || defined(__clang__)
+__attribute__((noinline))
+#endif
 void gemm_tiled(index_t m, index_t n, index_t k, const T* a, index_t lda,
                 const T* b, index_t ldb, T* c, index_t ldc) {
   using P = typename MicroTile<T>::pack_type;
@@ -763,8 +748,12 @@ void gemm_tiled(index_t m, index_t n, index_t k, const T* a, index_t lda,
 
 // Shapes where packing costs more than it saves run the naive loops. The
 // choice depends only on (m, n, k) so it is deterministic per shape.
+// Complex shapes always take the split-plane microkernel: the naive loop's
+// std::complex product rounds differently, and a product entry must not
+// depend on the shape it is computed in (see gemm_minus_scatter).
 template <class T>
 bool gemm_is_small(index_t m, index_t n, index_t k) {
+  if constexpr (is_complex_v<T>) return false;
   // The m cutoff is kMrD for every precision, not MicroTile<T>::mr: the
   // float microtile is 16 rows, but packing zero-pads partial tiles, so an
   // 8..15-row float update still runs 8 useful lanes through the tiled
@@ -816,13 +805,19 @@ void gemm_minus_scatter(index_t m, index_t n, index_t k, const T* a,
   thread_local std::vector<T> prod;
   prod.assign(static_cast<std::size_t>(m) * n, T{});
   gemm_tiled(m, n, k, a, lda, b, ldb, prod.data(), m);
+  scatter_add(m, n, prod.data(), m, d, ldd, rpos, cpos);
+}
+
+template <class T>
+void scatter_add(index_t m, index_t n, const T* v, index_t ldv, T* d,
+                 index_t ldd, const index_t* rpos, const index_t* cpos) {
   for (index_t j = 0; j < n; ++j) {
     T* dcol = d + (cpos ? cpos[j] : j) * static_cast<std::size_t>(ldd);
-    const T* pcol = prod.data() + j * static_cast<std::size_t>(m);
+    const T* vcol = v + j * static_cast<std::size_t>(ldv);
     if (rpos)
-      for (index_t i = 0; i < m; ++i) dcol[rpos[i]] += pcol[i];
+      for (index_t i = 0; i < m; ++i) dcol[rpos[i]] += vcol[i];
     else
-      for (index_t i = 0; i < m; ++i) dcol[i] += pcol[i];
+      for (index_t i = 0; i < m; ++i) dcol[i] += vcol[i];
   }
 }
 
@@ -1067,6 +1062,12 @@ template void gemm_minus_scatter(index_t, index_t, index_t, const float*,
 template void gemm_minus_scatter(index_t, index_t, index_t, const Complex*,
                                  index_t, const Complex*, index_t, Complex*,
                                  index_t, const index_t*, const index_t*);
+template void scatter_add(index_t, index_t, const double*, index_t, double*,
+                          index_t, const index_t*, const index_t*);
+template void scatter_add(index_t, index_t, const float*, index_t, float*,
+                          index_t, const index_t*, const index_t*);
+template void scatter_add(index_t, index_t, const Complex*, index_t, Complex*,
+                          index_t, const index_t*, const index_t*);
 template void gemv_minus(index_t, index_t, const double*, index_t,
                          const double*, double*);
 template void gemv_minus(index_t, index_t, const float*, index_t,

@@ -104,10 +104,11 @@ void trsm_right_upper(const T* u, index_t b, index_t lda, T* bmat,
                       index_t mrows, index_t ldb);
 
 /// C -= A·B, with A m-by-k (lda), B k-by-n (ldb), C m-by-n (ldc).
-/// Large shapes go through a packed, register-tiled microkernel; tiny ones
-/// through the reference loops. Dispatch depends only on (m, n, k), so for
-/// a fixed shape the result is identical on every engine — the property the
-/// serial/SMP/distributed bitwise-equality tests rely on.
+/// Large shapes go through a packed, register-tiled microkernel; tiny real
+/// ones through the reference loops. Dispatch depends only on (m, n, k), so
+/// for a fixed shape the result is identical on every engine; in a
+/// zero-filled C it does not even depend on the shape (see
+/// gemm_minus_scatter).
 template <class T>
 void gemm_minus(index_t m, index_t n, index_t k, const T* a, index_t lda,
                 const T* b, index_t ldb, T* c, index_t ldc);
@@ -119,16 +120,47 @@ void gemm_minus(index_t m, index_t n, index_t k, const T* a, index_t lda,
 /// columns of D, nullptr meaning the identity. Each product entry is formed
 /// exactly as gemm_minus would form it in a zero-filled C (same dispatch,
 /// same term order and zero-skip) and then added once into D, so the result
-/// is bitwise equal to "zero-fill, gemm_minus, add at each position" — on
-/// every engine, since they all call this one kernel. Small shapes keep the
-/// products in registers (no scratch); tiled shapes go through a per-thread
-/// buffer. B may point into the same array as D when the entries it reads
-/// are disjoint from the entries written (the multi-RHS forward solve).
+/// is bitwise equal to "zero-fill, gemm_minus, scatter_add". Small shapes
+/// keep the products in registers (no scratch); tiled shapes go through a
+/// per-thread buffer. B may point into the same array as D when the entries
+/// it reads are disjoint from the entries written (the multi-RHS forward
+/// solve).
+///
+/// Shape invariance: for finite operands, a product entry -(A·B)(i, j)
+/// formed in a zero-filled C does not depend on the GEMM shape it is
+/// computed in — the same (A row i, B column j) pair as a lone m×n product
+/// or as a sub-block of any larger stacked product gives the same bits.
+/// Both arithmetic paths accumulate each entry alone, from zero, over
+/// ascending k: the naive loop (real shapes below the small cutoff) with
+/// zero b(p) terms skipped, the microkernel over zero-padded tiles, and a
+/// skipped finite term and an added exact zero leave the same sum. Complex
+/// shapes always take the split-plane microkernel, so no complex entry sees
+/// the std::complex product. The shared-memory engines compute one stacked
+/// product per band of owner groups and the distributed engine one product
+/// per update pair; this invariant is what keeps their factors bitwise
+/// equal. (An inf or NaN operand breaks it: the tiled path multiplies what
+/// the naive path skips.)
 template <class T>
 void gemm_minus_scatter(index_t m, index_t n, index_t k, const T* a,
                         index_t lda, const T* b, index_t ldb, T* d,
                         index_t ldd, const index_t* rpos,
                         const index_t* cpos);
+
+/// Bound on one band of owner groups in the shared-memory factorization's
+/// stacked Schur-complement products (numeric/lu_factors): a band stops
+/// growing before its own row blocks or its own column blocks pass this
+/// many rows or columns, so a band's product buffer holds at most
+/// kBandBound · (rows + columns) of its source's L and U panels. Sits with
+/// the GEMM's blocking constants (the k-panel depth kKc is 256): 64 rows
+/// are eight double or four float microtiles.
+inline constexpr index_t kBandBound = 64;
+
+/// D(r(i), c(j)) += V(i, j) for i < m, j < n: the scatter half of
+/// gemm_minus_scatter, for a product V (leading dimension ldv) already
+/// formed by gemm_minus in a zero-filled buffer. rpos / cpos as above.
+template <class T>
+void scatter_add(index_t m, index_t n, const T* v, index_t ldv, T* d,
+                 index_t ldd, const index_t* rpos, const index_t* cpos);
 
 /// y -= A·x for a dense m-by-n block (used by the triangular solves).
 template <class T>
@@ -252,6 +284,15 @@ extern template void gemm_minus_scatter(index_t, index_t, index_t,
                                         const Complex*, index_t, Complex*,
                                         index_t, const index_t*,
                                         const index_t*);
+extern template void scatter_add(index_t, index_t, const double*, index_t,
+                                 double*, index_t, const index_t*,
+                                 const index_t*);
+extern template void scatter_add(index_t, index_t, const float*, index_t,
+                                 float*, index_t, const index_t*,
+                                 const index_t*);
+extern template void scatter_add(index_t, index_t, const Complex*, index_t,
+                                 Complex*, index_t, const index_t*,
+                                 const index_t*);
 extern template void gemv_minus(index_t, index_t, const double*, index_t,
                                 const double*, double*);
 extern template void gemv_minus(index_t, index_t, const float*, index_t,

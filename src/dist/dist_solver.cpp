@@ -324,7 +324,10 @@ void DistSolver<T>::solve(minimpi::Comm& comm, std::span<const T> b,
   stats_.solve_wall_seconds = wall.seconds();
   stats_.solve_wall_total_seconds += stats_.solve_wall_seconds;
   ++stats_.solve_calls;
-  if (comm.rank() == 0) stats_.export_metrics(metrics::global());
+  if (comm.rank() == 0) {
+    if (!gauges_) gauges_ = std::make_unique<StatsGauges>(metrics::global());
+    gauges_->publish(stats_);
+  }
 }
 
 template <class T>

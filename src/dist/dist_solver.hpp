@@ -93,6 +93,8 @@ class DistSolver {
 
   SolverOptions opt_;
   SolveStats stats_;
+  /// stats_'s gauges in metrics::global(), resolved at rank 0's first solve.
+  std::unique_ptr<StatsGauges> gauges_;
   index_t n_ = 0;
   ProcessGrid grid_;
   int myrow_ = 0, mycol_ = 0;

@@ -75,11 +75,11 @@ struct OwnerGroup {
   bool has_row, has_col;
 };
 
-/// K's owner groups in ascending O: one two-pointer walk over the sorted
-/// L[K] and U[K], O = min(next row block I, next column block J).
+/// Append K's owner groups to `groups`, in ascending O: one two-pointer
+/// walk over the sorted L[K] and U[K], O = min(next row block I, next
+/// column block J).
 inline void owner_groups(const symbolic::SymbolicLU& S, index_t K,
                          std::vector<OwnerGroup>& groups) {
-  groups.clear();
   const auto& LK = S.L[K];
   const auto& UK = S.U[K];
   if (LK.empty() || UK.empty()) return;  // no update pairs

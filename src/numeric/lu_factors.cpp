@@ -49,24 +49,23 @@ void LUFactors<T>::lay_out() {
   const std::size_t N = static_cast<std::size_t>(S.nsup);
   lnz_.resize(N);
   unz_.resize(N);
-  l_off_.resize(N);
-  u_off_.resize(N);
+  l_row_.resize(N);
+  u_col_.resize(N);
   for (std::size_t K = 0; K < N; ++K) {
-    const std::size_t b = static_cast<std::size_t>(S.block_cols(K));
-    std::size_t sz = b * b;
-    l_off_[K].reserve(S.L[K].size() + 1);
+    index_t rows = S.block_cols(K);  // the diagonal block's
+    l_row_[K].reserve(S.L[K].size() + 1);
     for (const auto& blk : S.L[K]) {
-      l_off_[K].push_back(sz);
-      sz += blk.rows.size() * b;
+      l_row_[K].push_back(rows);
+      rows += static_cast<index_t>(blk.rows.size());
     }
-    l_off_[K].push_back(sz);
-    sz = 0;
-    u_off_[K].reserve(S.U[K].size() + 1);
+    l_row_[K].push_back(rows);
+    index_t cols = 0;
+    u_col_[K].reserve(S.U[K].size() + 1);
     for (const auto& blk : S.U[K]) {
-      u_off_[K].push_back(sz);
-      sz += b * blk.cols.size();
+      u_col_[K].push_back(cols);
+      cols += static_cast<index_t>(blk.cols.size());
     }
-    u_off_[K].push_back(sz);
+    u_col_[K].push_back(cols);
   }
   rowperm_.resize(N);
   umax_k_.resize(N);
@@ -89,7 +88,7 @@ void LUFactors<T>::scatter_values(const sparse::CscMatrix<T>& A,
   for (index_t j = 0; j < S.n; ++j) {
     const index_t J = S.col_to_sn[j];
     const index_t cj = j - S.sn_start[J];
-    const index_t bj = S.block_cols(J);
+    const index_t ldj = ldl(J);
     for (index_t p = A.colptr[j]; p < A.colptr[j + 1]; ++p) {
       const index_t i = A.rowind[p];
       const T v = A.values[p];
@@ -97,7 +96,7 @@ void LUFactors<T>::scatter_values(const sparse::CscMatrix<T>& A,
       const index_t I = S.col_to_sn[i];
       if (!dirty[std::min(I, J)]) continue;
       if (I == J) {
-        lnz_[J][(i - S.sn_start[J]) + cj * bj] = v;
+        lnz_[J][(i - S.sn_start[J]) + static_cast<std::size_t>(cj) * ldj] = v;
       } else if (I > J) {
         const index_t bi = detail::find_block(S.L[J], I);
         GESP_ASSERT(bi >= 0, "A entry outside symbolic L structure");
@@ -106,8 +105,7 @@ void LUFactors<T>::scatter_values(const sparse::CscMatrix<T>& A,
         GESP_ASSERT(rit != rows.end() && *rit == i,
                     "A row missing from symbolic L block");
         const index_t r = static_cast<index_t>(rit - rows.begin());
-        lnz_[J][l_off_[J][bi] + r + cj * static_cast<index_t>(rows.size())] =
-            v;
+        lnz_[J][l_row_[J][bi] + r + static_cast<std::size_t>(cj) * ldj] = v;
       } else {
         const index_t bI = S.block_cols(I);
         const index_t bj2 = detail::find_block(S.U[I], J);
@@ -117,80 +115,134 @@ void LUFactors<T>::scatter_values(const sparse::CscMatrix<T>& A,
         GESP_ASSERT(cit != cols.end() && *cit == j,
                     "A column missing from symbolic U block");
         const index_t c = static_cast<index_t>(cit - cols.begin());
-        unz_[I][u_off_[I][bj2] + (i - S.sn_start[I]) + c * bI] = v;
+        unz_[I][(i - S.sn_start[I]) +
+                static_cast<std::size_t>(u_col_[I][bj2] + c) * bI] = v;
       }
     }
   }
 }
 
-// One owner group writes into owner O's storage only: the row part (row
-// block I == O of K against every U block J >= O) lands in O's diagonal
-// block and the U blocks of row O; the column part (column block J == O
-// against every L block I > O) lands in the L blocks of column O. Both
-// destination lists are sorted by block index, like L[K] and U[K], so one
-// forward cursor per part finds every destination block. Each pair is one
-// dense::gemm_minus_scatter call with that pair's shape, operands and
-// destination positions, exactly as a lone update would issue it, so the
-// factors do not depend on how the pairs are grouped.
+// One band: the consecutive owner groups `band` of source K. Owner group O
+// writes into O's storage only: its row part (row block I == O against
+// every U block J >= O) into O's diagonal block and the U blocks of row O,
+// its column part (column block J == O against every L block I > O) into
+// the L blocks of column O. Over the band, these pairs are an L-shaped
+// region of the full product L(:,K)·U(K,:): the band's own row blocks
+// [li0, li1) against every column block from ui0 on (the row stripe), and
+// the row blocks past the band against the band's own column blocks
+// [ui0, ui1) (the column stripe). The corner the region leaves out — rows
+// and columns both past the band — belongs to later bands; a band that
+// reaches K's last column block leaves none, and its stripes are one
+// stacked product. Each product is one dense::gemm_minus over contiguous
+// panel rows and U columns into a zeroed buffer; each pair's part of it is
+// then scatter-added once into its destination block. By the kernel's
+// shape invariance (kernels.hpp) every product entry has the bits a lone
+// per-pair gemm_minus_scatter would give it, so the factors do not depend
+// on how the groups are banded.
 template <class T>
-void LUFactors<T>::update_owner(index_t K, const detail::OwnerGroup& g,
-                                UpdateScratch& ws) {
+void LUFactors<T>::update_band(index_t K,
+                               std::span<const detail::OwnerGroup> band,
+                               UpdateScratch& ws) {
   const symbolic::SymbolicLU& S = *sym_;
   const auto& LK = S.L[K];
   const auto& UK = S.U[K];
   const std::size_t nl = LK.size(), nu = UK.size();
   const index_t b = S.block_cols(K);
-  const index_t O = g.O;
-  const index_t bO = S.block_cols(O);
-  const index_t base = S.sn_start[O];
-
-  if (g.has_row) {
-    // Row part: L(O,K) against U(K,J) for J >= O; the rows are the same
-    // for every pair, as offsets inside O.
-    const auto& rows = LK[g.li].rows;
-    const index_t m = static_cast<index_t>(rows.size());
-    const T* lik = lnz_[K].data() + l_off_[K][g.li];
-    const index_t* rloc = detail::local_positions(rows, base, bO, ws.local);
-    std::size_t uj = static_cast<std::size_t>(g.ui);
-    if (g.has_col) {
-      // J == O: the diagonal block of O (full storage).
-      const auto& cols = UK[uj].cols;
-      dense::gemm_minus_scatter(
-          m, static_cast<index_t>(cols.size()), b, lik, m,
-          unz_[K].data() + u_off_[K][uj], b, lnz_[O].data(), bO, rloc,
-          detail::local_positions(cols, base, bO, ws.pos));
-      ++uj;
-    }
-    // J > O: the U blocks of row O, columns a subset, rows full height.
-    detail::BlockCursor<symbolic::UBlock> dest(S.U[O], nu - uj);
-    for (; uj < nu; ++uj) {
-      const auto& cols = UK[uj].cols;
-      const std::size_t dbj = dest.seek(UK[uj].J);
-      dense::gemm_minus_scatter(
-          m, static_cast<index_t>(cols.size()), b, lik, m,
-          unz_[K].data() + u_off_[K][uj], b, unz_[O].data() + u_off_[O][dbj],
-          bO, rloc, detail::scatter_positions(cols, S.U[O][dbj].cols, ws.pos));
-    }
+  const std::vector<index_t>& lrow = l_row_[K];
+  const std::vector<index_t>& ucol = u_col_[K];
+  const detail::OwnerGroup& last = band.back();
+  const std::size_t li0 = static_cast<std::size_t>(band.front().li);
+  const std::size_t ui0 = static_cast<std::size_t>(band.front().ui);
+  const std::size_t li1 = static_cast<std::size_t>(last.li + last.has_row);
+  const std::size_t ui1 = static_cast<std::size_t>(last.ui + last.has_col);
+  const index_t r0 = lrow[li0], r1 = lrow[li1];
+  const index_t c0 = ucol[ui0], c1 = ucol[ui1];
+  const index_t mr = r1 - r0, nr = ucol[nu] - c0;  // row stripe
+  const index_t mc = lrow[nl] - r1, nc = c1 - c0;   // column stripe
+  // A band that reaches K's last column block has no corner left out: its
+  // stripes share their columns and stack into one product.
+  const bool one = nc == nr;
+  const index_t ldr = one ? mr + mc : mr, ldc = one ? mr + mc : mc;
+  ws.v.assign(static_cast<std::size_t>(mr) * nr +
+                  static_cast<std::size_t>(mc) * nc,
+              T{});
+  T* vr = ws.v.data();
+  T* vc = one ? vr + mr : vr + static_cast<std::size_t>(mr) * nr;
+  const T* lk = lnz_[K].data();
+  const T* uk = unz_[K].data() + static_cast<std::size_t>(c0) * b;
+  if (one) {
+    if (ldr > 0 && nr > 0)
+      dense::gemm_minus(ldr, nr, b, lk + r0, ldl(K), uk, b, vr, ldr);
+  } else {
+    if (mr > 0 && nr > 0)
+      dense::gemm_minus(mr, nr, b, lk + r0, ldl(K), uk, b, vr, ldr);
+    if (mc > 0 && nc > 0)
+      dense::gemm_minus(mc, nc, b, lk + r1, ldl(K), uk, b, vc, ldc);
   }
+  // The product of L block bi against the U column at panel column c.
+  const auto product = [&](std::size_t bi,
+                           index_t c) -> std::pair<T*, index_t> {
+    const std::size_t col = static_cast<std::size_t>(c - c0);
+    if (bi < li1) return {vr + (lrow[bi] - r0) + col * ldr, ldr};
+    return {vc + (lrow[bi] - r1) + col * ldc, ldc};
+  };
 
-  if (g.has_col) {
-    // Column part: L(I,K) for I > O against U(K,O), into the L blocks of
-    // column O — rows a subset, columns the same for every pair.
-    const auto& cols = UK[g.ui].cols;
-    const index_t c = static_cast<index_t>(cols.size());
-    const T* ukj = unz_[K].data() + u_off_[K][g.ui];
-    const index_t* cloc = detail::local_positions(cols, base, bO, ws.local);
-    std::size_t bi = static_cast<std::size_t>(g.li) + (g.has_row ? 1 : 0);
-    detail::BlockCursor<symbolic::LBlock> dest(S.L[O], nl - bi);
-    for (; bi < nl; ++bi) {
-      const auto& rows = LK[bi].rows;
+  for (const detail::OwnerGroup& g : band) {
+    const index_t O = g.O;
+    const index_t bO = S.block_cols(O);
+    const index_t base = S.sn_start[O];
+    T* lO = lnz_[O].data();
+    const index_t ldO = ldl(O);
+
+    if (g.has_row) {
+      // Row part: L(O,K) against U(K,J) for J >= O; the rows are the same
+      // for every pair, as offsets inside O.
+      const std::size_t li = static_cast<std::size_t>(g.li);
+      const auto& rows = LK[li].rows;
       const index_t m = static_cast<index_t>(rows.size());
-      const std::size_t dbi = dest.seek(LK[bi].I);
-      const auto& drows = S.L[O][dbi].rows;
-      dense::gemm_minus_scatter(
-          m, c, b, lnz_[K].data() + l_off_[K][bi], m, ukj, b,
-          lnz_[O].data() + l_off_[O][dbi], static_cast<index_t>(drows.size()),
-          detail::scatter_positions(rows, drows, ws.pos), cloc);
+      const index_t* rloc = detail::local_positions(rows, base, bO, ws.local);
+      std::size_t uj = static_cast<std::size_t>(g.ui);
+      if (g.has_col) {
+        // J == O: the diagonal block of O.
+        const auto& cols = UK[uj].cols;
+        const auto [v, ldv] = product(li, ucol[uj]);
+        dense::scatter_add(m, static_cast<index_t>(cols.size()), v, ldv, lO,
+                           ldO, rloc,
+                           detail::local_positions(cols, base, bO, ws.pos));
+        ++uj;
+      }
+      // J > O: the U blocks of row O, columns a subset, rows full height.
+      detail::BlockCursor<symbolic::UBlock> dest(S.U[O], nu - uj);
+      for (; uj < nu; ++uj) {
+        const auto& cols = UK[uj].cols;
+        const std::size_t dbj = dest.seek(UK[uj].J);
+        const auto [v, ldv] = product(li, ucol[uj]);
+        dense::scatter_add(
+            m, static_cast<index_t>(cols.size()), v, ldv,
+            unz_[O].data() + static_cast<std::size_t>(u_col_[O][dbj]) * bO,
+            bO, rloc,
+            detail::scatter_positions(cols, S.U[O][dbj].cols, ws.pos));
+      }
+    }
+
+    if (g.has_col) {
+      // Column part: L(I,K) for I > O against U(K,O), into the L blocks of
+      // column O — rows a subset, columns the same for every pair.
+      const std::size_t uj = static_cast<std::size_t>(g.ui);
+      const auto& cols = UK[uj].cols;
+      const index_t c = static_cast<index_t>(cols.size());
+      const index_t* cloc = detail::local_positions(cols, base, bO, ws.local);
+      std::size_t bi = static_cast<std::size_t>(g.li) + (g.has_row ? 1 : 0);
+      detail::BlockCursor<symbolic::LBlock> dest(S.L[O], nl - bi);
+      for (; bi < nl; ++bi) {
+        const auto& rows = LK[bi].rows;
+        const std::size_t dbi = dest.seek(LK[bi].I);
+        const auto [v, ldv] = product(bi, ucol[uj]);
+        dense::scatter_add(
+            static_cast<index_t>(rows.size()), c, v, ldv,
+            lO + l_row_[O][dbi], ldO,
+            detail::scatter_positions(rows, S.L[O][dbi].rows, ws.pos), cloc);
+      }
     }
   }
 }
@@ -199,10 +251,13 @@ template <class T>
 void LUFactors<T>::panel_lower(index_t K, index_t lo, index_t hi) {
   const symbolic::SymbolicLU& S = *sym_;
   const index_t b = S.block_cols(K);
+  // One trsm per L block, not one over the stacked rows: the blocked trsm's
+  // inner updates depend on its row count, and the distributed engine
+  // solves block by block.
   for (index_t bi = lo; bi < hi; ++bi) {
     const index_t m = static_cast<index_t>(S.L[K][bi].rows.size());
-    dense::trsm_right_upper(lnz_[K].data(), b, b,
-                            lnz_[K].data() + l_off_[K][bi], m, m);
+    dense::trsm_right_upper(lnz_[K].data(), b, ldl(K),
+                            lnz_[K].data() + l_row_[K][bi], m, ldl(K));
   }
 }
 
@@ -212,9 +267,9 @@ void LUFactors<T>::panel_upper(index_t K, index_t lo, index_t hi) {
   const index_t b = S.block_cols(K);
   for (index_t uj = lo; uj < hi; ++uj) {
     const index_t c = static_cast<index_t>(S.U[K][uj].cols.size());
-    T* blk = unz_[K].data() + u_off_[K][uj];
+    T* blk = unz_[K].data() + static_cast<std::size_t>(u_col_[K][uj]) * b;
     if (!rowperm_[K].empty()) permute_rows(rowperm_[K], blk, b, c);
-    dense::trsm_left_lower_unit(lnz_[K].data(), b, b, blk, c, b);
+    dense::trsm_left_lower_unit(lnz_[K].data(), b, ldl(K), blk, c, b);
   }
 }
 
@@ -266,14 +321,17 @@ void LUFactors<T>::finish_elimination(bool aborted) {
 //   M(K)      growth-monitor milestone, after the panels (block row K of U
 //             is final here, so the running growth is known before any
 //             update);
-//   Upd(K,O)  one per owner group — the pairs whose destination storage
-//             belongs to owner O = min(I,J) — after M(K) and after the
-//             previous update into owner O.
+//   Upd(K,B)  one per band B of consecutive owner groups — the pairs whose
+//             destination storage belongs to an owner O = min(I,J) in B —
+//             after M(K) and after the previous update into every owner
+//             of B. A band closes before its own row blocks or its own
+//             column blocks would pass dense::kBandBound rows or columns,
+//             so its stacked product stays bounded.
 // Every dependency points to an earlier step, so the stated order is a
 // topological order: on one thread each step runs as it is stated; on more,
 // each step becomes a TaskGraph task and independent etree subtrees
-// pipeline with no per-supernode barrier. Grouping pairs by owner keeps the
-// task count proportional to the block structure, not to the pair count.
+// pipeline with no per-supernode barrier. Banding keeps the task count
+// proportional to the block structure, not to the pair count.
 //
 // Bitwise reproducibility: the updates into one owner are chained in
 // ascending source-K order — the serial accumulation order — and within
@@ -285,8 +343,9 @@ void LUFactors<T>::finish_elimination(bool aborted) {
 // dirty K dirty); with every supernode dirty this is the full
 // factorization. Clean supernodes keep their blocks and only replay the
 // owner groups whose owner is dirty — a re-scattered destination needs the
-// contribution of EVERY source, clean or not, in ascending K — and those
-// replays wait on nothing but the owner chain.
+// contribution of EVERY source, clean or not, in ascending K — banded over
+// each run of consecutive such groups; those replays wait on nothing but
+// the owner chains.
 //
 // Growth abort: M(K) lowers `stop` to K when its monitor trips, and every
 // step of a supernode at or past `stop` becomes a no-op. Steps of earlier
@@ -326,25 +385,54 @@ void LUFactors<T>::sweep(const NumericOptions& opt,
   };
   // Last step that wrote into each owner supernode's storage.
   std::vector<TaskId> last_owner(static_cast<std::size_t>(N), -1);
-  const auto update = [&](index_t K, const detail::OwnerGroup& g,
+  // The owner groups of every K stated so far; a band step reads its
+  // groups [g0, g1) from here when it runs. On one thread each step runs as
+  // it is stated, so only the current K's groups are kept.
+  std::vector<detail::OwnerGroup> groups;
+  const auto update = [&](index_t K, std::size_t g0, std::size_t g1,
                           TaskId after) {
-    const TaskId t = step(K, [this, K, g] {
-      GESP_TRACE_SPAN_ID("factor", "update", g.O);
+    const TaskId t = step(K, [this, K, &groups, g0, g1] {
+      GESP_TRACE_SPAN_ID("factor", "update", groups[g0].O);
       thread_local UpdateScratch ws;
-      update_owner(K, g, ws);
+      update_band(K, std::span(groups).subspan(g0, g1 - g0), ws);
     });
     depend(after, t);
-    depend(last_owner[g.O], t);
-    last_owner[g.O] = t;
+    for (std::size_t g = g0; g < g1; ++g) {
+      depend(last_owner[groups[g].O], t);
+      last_owner[groups[g].O] = t;
+    }
+  };
+  // Cut the groups [first, end) of K whose owner must be updated (all of
+  // them for a dirty K) into bands: maximal runs of consecutive such
+  // groups, split where a band's own rows or columns would pass the bound.
+  const auto bands = [&](index_t K, std::size_t first, TaskId after) {
+    const auto& lrow = l_row_[K];
+    const auto& ucol = u_col_[K];
+    std::size_t g0 = first;
+    for (std::size_t g = first; g <= groups.size(); ++g) {
+      const bool open = g0 < g;
+      if (g < groups.size() && dirty[groups[g].O]) {
+        const detail::OwnerGroup& x = groups[g];
+        const bool fits =
+            lrow[x.li + x.has_row] - lrow[groups[g0].li] <= dense::kBandBound &&
+            ucol[x.ui + x.has_col] - ucol[groups[g0].ui] <= dense::kBandBound;
+        if (!open || fits) continue;
+        update(K, g0, g, after);
+        g0 = g;
+        continue;
+      }
+      if (open) update(K, g0, g, after);
+      g0 = g + 1;
+    }
   };
 
-  std::vector<detail::OwnerGroup> groups;
   std::vector<TaskId> panels;
   for (index_t K = 0; K < N; ++K) {
+    if (P == 1) groups.clear();
+    const std::size_t first = groups.size();
     detail::owner_groups(S, K, groups);
     if (!dirty[K]) {
-      for (const detail::OwnerGroup& g : groups)
-        if (dirty[g.O]) update(K, g, -1);
+      bands(K, first, -1);
       continue;
     }
     // Pivot bookkeeping goes to the per-K sinks (merged in ascending K by
@@ -381,7 +469,7 @@ void LUFactors<T>::sweep(const NumericOptions& opt,
       depend(t, mk);
     }
     if (panels.empty()) depend(fk, mk);
-    for (const detail::OwnerGroup& g : groups) update(K, g, mk);
+    bands(K, first, mk);
   }
 
   graph.run(pool);
@@ -419,8 +507,9 @@ void LUFactors<T>::refactorize_partial(const sparse::CscMatrix<T>& A,
   for (index_t K = 0; K < N; ++K) {
     if (!dirty[K]) continue;
     // Zero in place; the first sweep after lay_out() allocates here.
-    lnz_[K].assign(l_off_[K].back(), T{});
-    unz_[K].assign(u_off_[K].back(), T{});
+    const std::size_t b = static_cast<std::size_t>(sym_->block_cols(K));
+    lnz_[K].assign(b * static_cast<std::size_t>(ldl(K)), T{});
+    unz_[K].assign(b * static_cast<std::size_t>(u_col_[K].back()), T{});
     rowperm_[K].clear();
     umax_k_[K] = 0.0;
     stats_k_[K] = {};
@@ -438,12 +527,12 @@ void LUFactors<T>::factor_diag(index_t K, const dense::PivotPolicy& policy,
   const index_t b = sym_->block_cols(K);
   GESP_TRACE_SPAN_ID("factor", "F", K);
   if (policy.strategy == dense::PanelPivot::static_) {
-    dense::getrf(lnz_[K].data(), b, b, policy, stats, {}, repl);
+    dense::getrf(lnz_[K].data(), b, ldl(K), policy, stats, {}, repl);
     return;
   }
   auto& perm = rowperm_[K];
   perm.resize(static_cast<std::size_t>(b));
-  dense::getrf(lnz_[K].data(), b, b, policy, stats,
+  dense::getrf(lnz_[K].data(), b, ldl(K), policy, stats,
                std::span<index_t>(perm), repl);
   // Keep the identity case cheap for the panel phase and the solves.
   bool identity = true;
@@ -473,7 +562,8 @@ bool LUFactors<T>::monitor_supernode(index_t K) {
   double umax = 0.0;
   for (index_t c = 0; c < b; ++c)
     for (index_t r = 0; r <= c; ++r)
-      umax = std::max<double>(umax, abs(lnz_[K][r + c * b]));
+      umax = std::max<double>(
+          umax, abs(lnz_[K][r + static_cast<std::size_t>(c) * ldl(K)]));
   for (const T& v : unz_[K]) umax = std::max<double>(umax, abs(v));
   umax_k_[K] = umax;
   return growth_abort_ > 0.0 && amax_ > 0.0 &&
@@ -539,15 +629,16 @@ void LUFactors<T>::solve_lower(std::span<T> x) const {
       for (index_t r = 0; r < b; ++r) tmp[r] = xk[p[r]];
       std::copy(tmp.begin(), tmp.end(), xk);
     }
-    dense::trsv_lower_unit(lnz_[K].data(), b, b, xk);
+    const std::size_t ld = static_cast<std::size_t>(ldl(K));
+    dense::trsv_lower_unit(lnz_[K].data(), b, ldl(K), xk);
     for (std::size_t bi = 0; bi < S.L[K].size(); ++bi) {
       const auto& rows = S.L[K][bi].rows;
       const index_t m = static_cast<index_t>(rows.size());
-      const T* blk = lnz_[K].data() + l_off_[K][bi];
+      const T* blk = lnz_[K].data() + l_row_[K][bi];
       for (index_t c = 0; c < b; ++c) {
         const T xc = xk[c];
         if (xc == T{}) continue;
-        const T* col = blk + c * m;
+        const T* col = blk + c * ld;
         for (index_t r = 0; r < m; ++r) x[rows[r]] -= col[r] * xc;
       }
     }
@@ -566,7 +657,8 @@ void LUFactors<T>::solve_upper(std::span<T> x) const {
     T* xk = x.data() + S.sn_start[K];
     for (std::size_t uj = 0; uj < S.U[K].size(); ++uj) {
       const auto& cols = S.U[K][uj].cols;
-      const T* blk = unz_[K].data() + u_off_[K][uj];
+      const T* blk =
+          unz_[K].data() + static_cast<std::size_t>(u_col_[K][uj]) * b;
       for (std::size_t cc = 0; cc < cols.size(); ++cc) {
         const T xc = x[cols[cc]];
         if (xc == T{}) continue;
@@ -574,7 +666,7 @@ void LUFactors<T>::solve_upper(std::span<T> x) const {
         for (index_t r = 0; r < b; ++r) xk[r] -= col[r] * xc;
       }
     }
-    dense::trsv_upper(lnz_[K].data(), b, b, xk);
+    dense::trsv_upper(lnz_[K].data(), b, ldl(K), xk);
   }
 }
 
@@ -609,14 +701,14 @@ void LUFactors<T>::solve_multi(std::span<T> X, index_t nrhs) const {
         std::copy(tmp.begin(), tmp.end(), xk);
       }
     }
-    dense::trsm_left_lower_unit(lnz_[K].data(), b, b, X.data() + base, nrhs,
-                                n);
+    dense::trsm_left_lower_unit(lnz_[K].data(), b, ldl(K), X.data() + base,
+                                nrhs, n);
     for (std::size_t bi = 0; bi < S.L[K].size(); ++bi) {
       const auto& rows = S.L[K][bi].rows;
       const index_t m = static_cast<index_t>(rows.size());
-      const T* blk = lnz_[K].data() + l_off_[K][bi];
+      const T* blk = lnz_[K].data() + l_row_[K][bi];
       // X(rows,:) -= L(I,K) · X(K,:), added straight into the target rows.
-      dense::gemm_minus_scatter(m, nrhs, b, blk, m, X.data() + base, n,
+      dense::gemm_minus_scatter(m, nrhs, b, blk, ldl(K), X.data() + base, n,
                                 X.data(), n, rows.data(), nullptr);
     }
   }
@@ -628,7 +720,8 @@ void LUFactors<T>::solve_multi(std::span<T> X, index_t nrhs) const {
     for (std::size_t uj = 0; uj < S.U[K].size(); ++uj) {
       const auto& cols = S.U[K][uj].cols;
       const index_t m = static_cast<index_t>(cols.size());
-      const T* blk = unz_[K].data() + u_off_[K][uj];
+      const T* blk =
+          unz_[K].data() + static_cast<std::size_t>(u_col_[K][uj]) * b;
       // Gather X(cols,:) into a dense m-by-nrhs block, multiply, subtract.
       gath.resize(static_cast<std::size_t>(m) * nrhs);
       for (index_t c = 0; c < nrhs; ++c)
@@ -639,7 +732,7 @@ void LUFactors<T>::solve_multi(std::span<T> X, index_t nrhs) const {
                         n);
     }
     for (index_t c = 0; c < nrhs; ++c)
-      dense::trsv_upper(lnz_[K].data(), b, b,
+      dense::trsv_upper(lnz_[K].data(), b, ldl(K),
                         X.data() + base + c * static_cast<std::size_t>(n));
   }
 }
@@ -657,10 +750,11 @@ void LUFactors<T>::solve_transposed(std::span<T> x) const {
   for (index_t J = 0; J < S.nsup; ++J) {
     const index_t b = S.block_cols(J);
     T* xj = x.data() + S.sn_start[J];
-    dense::trsv_upper_trans(lnz_[J].data(), b, b, xj);
+    dense::trsv_upper_trans(lnz_[J].data(), b, ldl(J), xj);
     for (std::size_t uj = 0; uj < S.U[J].size(); ++uj) {
       const auto& cols = S.U[J][uj].cols;
-      const T* blk = unz_[J].data() + u_off_[J][uj];
+      const T* blk =
+          unz_[J].data() + static_cast<std::size_t>(u_col_[J][uj]) * b;
       for (std::size_t cc = 0; cc < cols.size(); ++cc) {
         T sum{};
         const T* col = blk + cc * static_cast<std::size_t>(b);
@@ -675,18 +769,19 @@ void LUFactors<T>::solve_transposed(std::span<T> x) const {
   for (index_t K = S.nsup - 1; K >= 0; --K) {
     const index_t b = S.block_cols(K);
     T* xk = x.data() + S.sn_start[K];
+    const std::size_t ld = static_cast<std::size_t>(ldl(K));
     for (std::size_t bi = 0; bi < S.L[K].size(); ++bi) {
       const auto& rows = S.L[K][bi].rows;
       const index_t m = static_cast<index_t>(rows.size());
-      const T* blk = lnz_[K].data() + l_off_[K][bi];
+      const T* blk = lnz_[K].data() + l_row_[K][bi];
       for (index_t c = 0; c < b; ++c) {
         T sum{};
-        const T* col = blk + c * m;
+        const T* col = blk + c * ld;
         for (index_t r = 0; r < m; ++r) sum += col[r] * x[rows[r]];
         xk[c] -= sum;
       }
     }
-    dense::trsv_lower_unit_trans(lnz_[K].data(), b, b, xk);
+    dense::trsv_lower_unit_trans(lnz_[K].data(), b, ldl(K), xk);
     // Undo supernode K's in-block row interchanges: the factorization's
     // diagonal block is P_K-relative, so z_K = P_Kᵀ·(L_KKᵀ)⁻¹·w_K.
     if (pivoted_ && !rowperm_[K].empty()) {
@@ -705,20 +800,21 @@ sparse::CscMatrix<T> LUFactors<T>::l_matrix() const {
   for (index_t K = 0; K < S.nsup; ++K) {
     const index_t b = S.block_cols(K);
     const index_t base = S.sn_start[K];
+    const std::size_t ld = static_cast<std::size_t>(ldl(K));
     for (index_t c = 0; c < b; ++c) {
       L.add(base + c, base + c, T{1});
       for (index_t r = c + 1; r < b; ++r) {
-        const T v = lnz_[K][r + c * b];
+        const T v = lnz_[K][r + c * ld];
         if (v != T{}) L.add(base + r, base + c, v);
       }
     }
     for (std::size_t bi = 0; bi < S.L[K].size(); ++bi) {
       const auto& rows = S.L[K][bi].rows;
       const index_t m = static_cast<index_t>(rows.size());
-      const T* blk = lnz_[K].data() + l_off_[K][bi];
+      const T* blk = lnz_[K].data() + l_row_[K][bi];
       for (index_t c = 0; c < b; ++c)
         for (index_t r = 0; r < m; ++r) {
-          const T v = blk[r + c * m];
+          const T v = blk[r + c * ld];
           if (v != T{}) L.add(rows[r], base + c, v);
         }
     }
@@ -735,12 +831,13 @@ sparse::CscMatrix<T> LUFactors<T>::u_matrix() const {
     const index_t base = S.sn_start[K];
     for (index_t c = 0; c < b; ++c)
       for (index_t r = 0; r <= c; ++r) {
-        const T v = lnz_[K][r + c * b];
+        const T v = lnz_[K][r + static_cast<std::size_t>(c) * ldl(K)];
         if (v != T{} || r == c) U.add(base + r, base + c, v);
       }
     for (std::size_t uj = 0; uj < S.U[K].size(); ++uj) {
       const auto& cols = S.U[K][uj].cols;
-      const T* blk = unz_[K].data() + u_off_[K][uj];
+      const T* blk =
+          unz_[K].data() + static_cast<std::size_t>(u_col_[K][uj]) * b;
       for (std::size_t cc = 0; cc < cols.size(); ++cc)
         for (index_t r = 0; r < b; ++r) {
           const T v = blk[r + cc * static_cast<std::size_t>(b)];

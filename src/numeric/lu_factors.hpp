@@ -8,11 +8,13 @@
 // refactorize_partial's dirty-set sweep: the constructor and a full
 // refactorization run it with every supernode dirty.
 //
-// Storage per block column K of L: one contiguous buffer holding the full
-// b×b diagonal block (upper triangle carries U's diagonal block) followed by
-// every off-diagonal block, column-major, exactly the index[]/nzval[] pair
-// the paper describes — so a block column can be shipped in one message.
-// Storage per block row K of U: one buffer of dense b-high column segments.
+// Storage per block column K of L: one column-major panel, as in SuperLU —
+// the full b×b diagonal block on top (its upper triangle carries U's
+// diagonal block) and every off-diagonal block stacked below it in block
+// order, leading dimension b + Σ rows of L[K]. Storage per block row K of
+// U: one buffer of dense b-high column segments, a b × Σ cols panel. The
+// rows of any run of consecutive L blocks, and the columns of any run of
+// consecutive U blocks, are thus one contiguous GEMM operand each.
 #pragma once
 
 #include <memory>
@@ -130,7 +132,8 @@ class LUFactors {
   sparse::CscMatrix<T> l_matrix() const;
   sparse::CscMatrix<T> u_matrix() const;
 
-  /// Raw block storage (used by the distributed engine and benches).
+  /// Raw block storage: K's L panel and U row panel (layout above). The
+  /// bitwise tests and the delta bench compare these byte for byte.
   const std::vector<T>& l_store(index_t K) const { return lnz_[K]; }
   const std::vector<T>& u_store(index_t K) const { return unz_[K]; }
 
@@ -161,14 +164,16 @@ class LUFactors {
   /// Block offsets and the per-supernode bookkeeping for sym_; the stores
   /// themselves are sized by the first sweep that zeroes them.
   void lay_out();
+  /// Leading dimension of K's L panel.
+  index_t ldl(index_t K) const { return l_row_[K].back(); }
   /// Scatter A's values into the block storage of the dirty supernodes
   /// (the rest keep their factored values). Recomputes amax_ over ALL of A.
   void scatter_values(const sparse::CscMatrix<T>& A,
                       const std::vector<char>& dirty);
   /// The one elimination sweep of every shared-memory engine: states the
-  /// F / panel / monitor / owner-group steps of each K with their
-  /// dependencies, and runs them in that order on one thread or as a task
-  /// DAG on more. Dirty supernodes run every step, clean ones only replay
+  /// F / panel / monitor / band steps of each K with their dependencies,
+  /// and runs them in that order on one thread or as a task DAG on more.
+  /// Dirty supernodes run every step, clean ones only replay the bands of
   /// their owner groups whose owner is dirty.
   void sweep(const NumericOptions& opt, const dense::PivotPolicy& policy,
              const std::vector<char>& dirty);
@@ -184,18 +189,19 @@ class LUFactors {
   /// [lo, hi).
   void panel_lower(index_t K, index_t lo, index_t hi);
   void panel_upper(index_t K, index_t lo, index_t hi);
-  /// Per-thread scratch of update_owner: destination positions only (the
-  /// products never leave dense::gemm_minus_scatter).
+  /// Per-thread scratch of update_band.
   struct UpdateScratch {
+    std::vector<T> v;            ///< the band's stacked product
     std::vector<index_t> pos;    ///< subset positions in a destination
     std::vector<index_t> local;  ///< shared rows/cols, local to the owner
   };
   /// Every trailing-matrix update of source supernode K into the storage
-  /// of one owner supernode O = min(I, J): for each pair, one
-  /// dense::gemm_minus_scatter call adds -(L(I,K)·U(K,J)) into the
-  /// destination block at the pair's row/column positions.
-  void update_owner(index_t K, const detail::OwnerGroup& g,
-                    UpdateScratch& ws);
+  /// of the owners of the consecutive owner groups `band` (INTERNALS §11):
+  /// one stacked dense::gemm_minus forms the band's products into a zeroed
+  /// buffer, and each pair's part is then scatter-added into its
+  /// destination block.
+  void update_band(index_t K, std::span<const detail::OwnerGroup> band,
+                   UpdateScratch& ws);
   /// Diagonal-block factorization of supernode K (strategy dispatch plus
   /// the local-permutation bookkeeping); stats/replacements go to the
   /// given per-K sinks so the task DAG can run F(K) concurrently.
@@ -216,9 +222,11 @@ class LUFactors {
   std::shared_ptr<const symbolic::SymbolicLU> sym_;
   std::vector<std::vector<T>> lnz_;  ///< per block column of L (+diag)
   std::vector<std::vector<T>> unz_;  ///< per block row of U
-  /// Block offsets in lnz_ / unz_, one per block plus the store's end.
-  std::vector<std::vector<std::size_t>> l_off_;
-  std::vector<std::vector<std::size_t>> u_off_;
+  /// First panel row of each L block of K (the diagonal block takes rows
+  /// [0, b)), plus the panel's row count — its leading dimension — last.
+  std::vector<std::vector<index_t>> l_row_;
+  /// First panel column of each U block of K, plus the column count last.
+  std::vector<std::vector<index_t>> u_col_;
   std::vector<std::vector<index_t>> rowperm_;  ///< per-supernode local perm
   std::vector<double> umax_k_;                 ///< per-supernode max |U|
   /// Per-supernode pivot bookkeeping, kept after the factorization so a

@@ -383,10 +383,11 @@ CscMatrix<double> near_singular_cascade(index_t n, index_t depth,
   // relaxed leaf supernode, T2-joins the dense remainder, amalgamates the
   // two along the etree chain (the block is dense, so the merge stores no
   // zeros) and cuts the result at max_block columns from the block start.
-  // With the default 24 and depth 11, eight feed/decay pairs land in the
-  // first chunk and three in the second; only the decay just before the
-  // cut loses its competitor to the next chunk, so the threshold rescue
-  // leaves growth ~1e6 that refinement absorbs. Second, determinant
+  // With the default 48 and depth up to 19 the block is one chunk. With 24
+  // and depth 11, eight feed/decay pairs land in the first chunk and three
+  // in the second; only the decay just before the cut loses its competitor
+  // to the next chunk, so the threshold rescue leaves growth ~1e6 that
+  // refinement absorbs. Second, determinant
   // invariance makes any
   // in-block rescue concentrate the product of the decayed pivots
   // (gamma^depth) into deferred rows that retire near the chunk's end;

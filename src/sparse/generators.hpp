@@ -110,10 +110,14 @@ CscMatrix<double> sparse_growth_adversary(index_t n, index_t depth,
 /// with an O(1) competitor row below each decayed pivot, so in-block
 /// threshold pivoting defeats the attack (gamma must be below tau·0.98 ≈
 /// 0.098 for the swap to trigger). Requirements: natural column order (a
-/// reordering scatters the chain), default relax (8), and depth at most 11
-/// with the default max_block of 24: the amalgamated block is cut at
-/// max_block columns from its start, and every decay but the one just
-/// before the cut keeps its competitor in its own chunk.
+/// reordering scatters the chain), default relax (8), and depth at most 19
+/// with the default max_block of 48: the block's 2·depth + 10 columns then
+/// stay one chunk, so every decay keeps its competitor in its own chunk
+/// (the threshold rung rescues depths 10-19; at depth 20 the block is cut
+/// and the rescue leaves a 0.3 error). At max_block 24 the amalgamated
+/// block is cut at max_block columns from its start, and every decay but
+/// the one just before the cut keeps its competitor in its chunk (the
+/// threshold rung rescues depths up to 19 there too; GEPP from 20 on).
 CscMatrix<double> near_singular_cascade(index_t n, index_t depth,
                                         double gamma, std::uint64_t seed);
 

@@ -354,10 +354,12 @@ std::vector<AdversarialEntry> build_adversarial() {
       "gesp", [] { return precision_gap_deficiency(600, 12, 4e-6, 158); });
 
   // Honest denominator: deep exact-tie growth that defeats the whole
-  // in-block portfolio and falls through to GEPP (which converges).
+  // in-block portfolio and falls through to GEPP (which converges). It
+  // does so at the paper's block size; 48-column blocks let panel_rrp
+  // break the chains.
   add("growth-av-s", "2^55 growth, defeats the in-block portfolio", "gepp",
       [] { return sparse_growth_adversary(4000, 55, 146); },
-      /*natural=*/true);
+      /*natural=*/true, /*max_block=*/24);
 
   return t;
 }

@@ -14,7 +14,7 @@
 //     budget: merged width <= 4 always, <= 16 below 80% estimated zeros,
 //     <= 48 below 10%, wider below 5%), and splitting of oversized
 //     supernodes at `max_block` columns (the paper found 20-30 best on the
-//     T3E and used 24).
+//     T3E and used 24; the default here is 48).
 //  3. The nonuniform block partition of Figure 7: for every supernode pair,
 //     the row list of each L block and the column list of each U block —
 //     the patterns the block right-looking elimination of Figure 8 produces.
@@ -48,7 +48,10 @@ struct SymbolicOptions {
   /// columns one supernode. relax = 0 gives the fundamental (T2)
   /// partition.
   index_t relax = 8;
-  index_t max_block = 24;  ///< split supernodes wider than this (paper: 24)
+  /// Split supernodes wider than this. The paper used 24 (20-30 was best
+  /// on the T3E); 48 feeds the dense kernels twice-as-wide panels, and the
+  /// paper benches (bench::paper_options) keep 24.
+  index_t max_block = 48;
 };
 
 /// One off-diagonal block of L in the 2-D partition.

@@ -2,9 +2,10 @@
 // against the naive reference loops, for double and Complex, across the
 // awkward shapes around the microtile and blocking boundaries (fringes,
 // sub-tile sizes, lda > m), plus the exact guarantees the factorization
-// relies on: gemm_minus dispatch depends only on shape, and
+// relies on: gemm_minus dispatch depends only on shape,
 // gemm_minus_scatter is bitwise equal to zero-fill + gemm_minus + one add
-// per destination position.
+// per destination position, and a product entry does not depend on the
+// GEMM shape it is computed in.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -77,8 +78,9 @@ TEST(GemmEquivalence, ComplexAllShapes) { check_gemm_all_shapes<Complex>(); }
 
 // gemm_minus_scatter must be *bitwise* equal to its reference: zero-fill
 // a dense C, run gemm_minus, then add each C(i, j) once into
-// D(r(i), c(j)). Every factorization engine and the multi-RHS forward solve
-// rely on it. The shapes straddle gemm_is_small (register path on one side,
+// D(r(i), c(j)) — which is also what scatter_add of that C must give.
+// Every factorization engine and the multi-RHS forward solve rely on it.
+// The shapes straddle gemm_is_small (register path on one side,
 // tiled path on the other), and the positions are either the identity or a
 // shuffled subset of a larger destination. B holds exact +0 and -0 where A
 // holds inf, so a kernel that drops gemm_minus's zero-skip turns a finite
@@ -139,10 +141,18 @@ void check_scatter_case(index_t m, index_t n, index_t k, index_t pad,
   gemm_minus_scatter(m, n, k, A.data(), lda, B.data(), ldb, d.data(), ldd,
                      shuffled ? rpos.data() : nullptr,
                      shuffled ? cpos.data() : nullptr);
-  for (std::size_t x = 0; x < d.size(); ++x)
+  // scatter_add, the scatter half on its own, of the same zero-fill product.
+  auto d_split = D0;
+  scatter_add(m, n, c.data(), m, d_split.data(), ldd,
+              shuffled ? rpos.data() : nullptr,
+              shuffled ? cpos.data() : nullptr);
+  for (std::size_t x = 0; x < d.size(); ++x) {
     ASSERT_TRUE(same_entry(d[x], d_ref[x]))
         << "m=" << m << " n=" << n << " k=" << k << " pad=" << pad
         << " shuffled=" << shuffled << " at " << x;
+    ASSERT_TRUE(same_entry(d_split[x], d_ref[x]))
+        << "scatter_add: m=" << m << " n=" << n << " k=" << k << " at " << x;
+  }
 }
 
 template <class T>
@@ -166,6 +176,69 @@ TEST(GemmScatter, BitwiseEqualsZeroFillGemmAddFloat) {
 }
 TEST(GemmScatter, BitwiseEqualsZeroFillGemmAddComplex) {
   check_scatter_bitwise<Complex>();
+}
+
+// Shape invariance (kernels.hpp, gemm_minus_scatter): one update pair's
+// product, formed alone by gemm_minus_scatter, must equal bit for bit the
+// same rows and columns of a stacked gemm_minus that holds the pair as a
+// sub-block. The shared-memory engines form stacked products, the
+// distributed engine per-pair ones, so their factors agree only if this
+// holds. The pair shapes straddle gemm_is_small; each pair is embedded in a
+// stacked product that is tiled and in one that barely grows it, with and
+// without 30% exact zeros in the operands.
+template <class T>
+T maybe_zero(Rng& rng, double zero_frac) {
+  const T v = random_value<T>(rng);
+  return rng.next_double() < zero_frac ? T{} : v;
+}
+
+template <class T>
+void check_stacked_case(index_t m, index_t n, index_t k, index_t top,
+                        index_t left, double zero_frac, Rng& rng) {
+  const index_t M = m + top + 1, N = n + left + 2;
+  std::vector<T> A(static_cast<std::size_t>(M) * k);
+  std::vector<T> B(static_cast<std::size_t>(k) * N);
+  for (auto& x : A) x = maybe_zero<T>(rng, zero_frac);
+  for (auto& x : B) x = maybe_zero<T>(rng, zero_frac);
+  const T* a = A.data() + top;                               // m-by-k, lda M
+  const T* b = B.data() + static_cast<std::size_t>(left) * k;  // k-by-n
+  std::vector<T> pair(static_cast<std::size_t>(m) * n, T{});
+  gemm_minus_scatter(m, n, k, a, M, b, k, pair.data(), m, nullptr, nullptr);
+  std::vector<T> stacked(static_cast<std::size_t>(M) * N, T{});
+  gemm_minus(M, N, k, A.data(), M, B.data(), k, stacked.data(), M);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < m; ++i)
+      ASSERT_TRUE(same_entry(pair[i + j * static_cast<std::size_t>(m)],
+                             stacked[(top + i) + (left + j) *
+                                                     static_cast<std::size_t>(
+                                                         M)]))
+          << "m=" << m << " n=" << n << " k=" << k << " stacked " << M << "x"
+          << N << " zeros=" << zero_frac << " at (" << i << "," << j << ")";
+}
+
+template <class T>
+void check_stacked_invariance() {
+  Rng rng(88);
+  for (const index_t m : {1, 2, 3, 5, 7, 8, 9, 13, 24, 33, 48})
+    for (const index_t n : {1, 2, 3, 4, 6, 7, 13, 24, 48})
+      for (const index_t k : {1, 2, 3, 4, 5, 8, 16, 24, 48})
+        for (const double zero_frac : {0.0, 0.3}) {
+          // A tiled stacked product, and one only a row and two columns
+          // larger (small itself when the pair is).
+          check_stacked_case<T>(m, n, k, 9, 5, zero_frac, rng);
+          check_stacked_case<T>(m, n, k, 0, 0, zero_frac, rng);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+}
+
+TEST(GemmShapeInvariance, PairEqualsStackedSubBlockDouble) {
+  check_stacked_invariance<double>();
+}
+TEST(GemmShapeInvariance, PairEqualsStackedSubBlockFloat) {
+  check_stacked_invariance<float>();
+}
+TEST(GemmShapeInvariance, PairEqualsStackedSubBlockComplex) {
+  check_stacked_invariance<Complex>();
 }
 
 template <class T>

@@ -568,6 +568,7 @@ TEST(RecoveryStats, GeppRungOwnsFinalStats) {
   const auto A = e.make();
   SolverOptions opt;
   opt.col_order = ColOrderOption::natural;
+  opt.symbolic.max_block = 24;  // past 24, panel_rrp rescues it first
   opt.recovery.enabled = true;
 
   const index_t n = A.ncols;

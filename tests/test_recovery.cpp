@@ -40,7 +40,12 @@ TEST(Recovery, LadderRescuesTheGespFailureCase) {
       b(x_true.size()), x(x_true.size());
   sparse::spmv<double>(A, x_true, b);
 
-  Solver<double> solver(A, adversarial_options());
+  // The paper's block size: at the default max_block the widened in-block
+  // window lets panel_rrp rescue it first
+  // (DefaultBlockRescuesAv41092InBlock).
+  SolverOptions opt = adversarial_options();
+  opt.symbolic.max_block = 24;
+  Solver<double> solver(A, opt);
   solver.solve(b, x);
 
   const RecoveryTrail& trail = solver.stats().recovery;
@@ -62,6 +67,27 @@ TEST(Recovery, LadderRescuesTheGespFailureCase) {
   EXPECT_LE(last.berr, sqrt_eps());
   // 2^55 growth defeats every static rung: only GEPP survives.
   EXPECT_EQ(trail.final_rung, RecoveryRung::gepp);
+}
+
+// At the default max_block (48) av41092-s's supernodes are wide enough
+// for the panel rank-revealing rung to break its growth chains inside the
+// diagonal blocks, so the ladder stops there, before GEPP.
+TEST(Recovery, DefaultBlockRescuesAv41092InBlock) {
+  const auto A = sparse::testbed_entry("av41092-s").make();
+  ASSERT_EQ(symbolic::SymbolicOptions{}.max_block, 48);
+  const index_t n = A.ncols;
+  std::vector<double> x_true(static_cast<std::size_t>(n), 1.0),
+      b(x_true.size()), x(x_true.size());
+  sparse::spmv<double>(A, x_true, b);
+
+  Solver<double> solver(A, adversarial_options());
+  solver.solve(b, x);
+
+  const RecoveryTrail& trail = solver.stats().recovery;
+  EXPECT_TRUE(trail.recovered);
+  EXPECT_EQ(trail.final_rung, RecoveryRung::panel_rrp);
+  EXPECT_LE(solver.stats().berr, sqrt_eps());
+  EXPECT_LT(sparse::relative_error_inf<double>(x_true, x), 1e-6);
 }
 
 TEST(Recovery, ConstructorEscalatesPastAFailingFactorization) {

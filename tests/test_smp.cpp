@@ -5,6 +5,7 @@
 // abort's report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <memory>
@@ -14,6 +15,8 @@
 
 #include "common/thread_pool.hpp"
 #include "core/solver.hpp"
+#include "dense/kernels.hpp"
+#include "numeric/block_index.hpp"
 #include "numeric/lu_factors.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/ops.hpp"
@@ -167,10 +170,11 @@ TEST(SmpLU, TaskDagBitwiseEqualComplex) {
       sparse::randomize_phases(sparse::convdiff2d(12, 12, 1.0, 0.5), 5), 4);
 }
 
-// Scalar supernodes (max_block = 1): every update pair is a 1x1x1
-// gemm_minus_scatter call, so the work is nearly all per-pair bookkeeping and
+// Scalar supernodes (max_block = 1): every update pair is a 1x1 product
+// scattered on its own, so the work is nearly all per-pair bookkeeping and
 // each owner group holds many tiny pairs. The task DAG splits the work of one
-// K by owner group; its factors must still match serial byte for byte.
+// K into bands of owner groups; its factors must still match serial byte
+// for byte.
 TEST(SmpLU, OwnerGroupsScalarPairsBitwise) {
   const auto A = sparse::circuit_like(600, 5, 12, 11);
   symbolic::SymbolicOptions so;
@@ -195,6 +199,142 @@ TEST(SmpLU, OwnerGroupsScalarPairsBitwise) {
           << "U store, K=" << K;
     }
   }
+}
+
+// --- The stacked update at both block sizes -------------------------------
+//
+// The elimination sweep updates through one stacked product per band of
+// consecutive owner groups, cut at dense::kBandBound rows or columns. At
+// the paper's block size (24) and the default (48), serial, 4 threads and a
+// partial refactorization must give byte-identical stores, for double,
+// float and Complex — on a matrix where some band is cut by the bound, and
+// with a dirty set under which a clean source replays owner groups that are
+// not consecutive (so it stacks several separate runs).
+
+// Whether banding some source of S splits a run of owner groups at the
+// bound, restating the sweep's rule (every group of K taken).
+bool some_band_hits_bound(const symbolic::SymbolicLU& S) {
+  std::vector<numeric::detail::OwnerGroup> groups;
+  for (index_t K = 0; K < S.nsup; ++K) {
+    groups.clear();
+    numeric::detail::owner_groups(S, K, groups);
+    // Rows / columns before each L / U block of K, as in the K's panels.
+    std::vector<index_t> lrow{0}, ucol{0};
+    for (const auto& blk : S.L[K])
+      lrow.push_back(lrow.back() + static_cast<index_t>(blk.rows.size()));
+    for (const auto& blk : S.U[K])
+      ucol.push_back(ucol.back() + static_cast<index_t>(blk.cols.size()));
+    std::size_t g0 = 0;
+    for (std::size_t g = 1; g < groups.size(); ++g) {
+      const auto& x = groups[g];
+      if (lrow[x.li + x.has_row] - lrow[groups[g0].li] > dense::kBandBound ||
+          ucol[x.ui + x.has_col] - ucol[groups[g0].ui] > dense::kBandBound)
+        return true;
+    }
+  }
+  return false;
+}
+
+// A dirty set, closed under the update dependencies, under which some clean
+// source K has dirty owner groups with a clean one between them: the
+// closure of K's first and last owners, for the first K where that closure
+// leaves one of K's middle owners clean. Empty when no K has one.
+std::vector<char> gapped_dirty_set(const symbolic::SymbolicLU& S) {
+  std::vector<numeric::detail::OwnerGroup> groups;
+  for (index_t K = 0; K < S.nsup; ++K) {
+    groups.clear();
+    numeric::detail::owner_groups(S, K, groups);
+    if (groups.size() < 3) continue;
+    std::vector<char> dirty(static_cast<std::size_t>(S.nsup), 0);
+    dirty[groups.front().O] = dirty[groups.back().O] = 1;
+    symbolic::close_update_reachable(S, dirty);
+    for (std::size_t g = 1; g + 1 < groups.size(); ++g)
+      if (!dirty[groups[g].O]) return dirty;
+  }
+  return {};
+}
+
+template <class T>
+sparse::CscMatrix<T> with_values(const sparse::CscMatrix<double>& A) {
+  sparse::CscMatrix<T> B{A.nrows, A.ncols, A.colptr, A.rowind, {}};
+  for (const double v : A.values) B.values.push_back(static_cast<T>(v));
+  return B;
+}
+
+template <class T>
+void expect_same_stores(const numeric::LUFactors<T>& a,
+                        const numeric::LUFactors<T>& b, const char* what) {
+  for (index_t K = 0; K < a.sym().nsup; ++K) {
+    ASSERT_TRUE(testing::same_bytes(a.l_store(K), b.l_store(K)))
+        << what << ": L store, K=" << K;
+    ASSERT_TRUE(testing::same_bytes(a.u_store(K), b.u_store(K)))
+        << what << ": U store, K=" << K;
+  }
+}
+
+template <class T>
+void expect_engines_agree(
+    const std::shared_ptr<const symbolic::SymbolicLU>& sym,
+    const sparse::CscMatrix<T>& A, const std::vector<char>& dirty) {
+  numeric::NumericOptions serial;
+  serial.tiny_threshold = 1e-10;
+  numeric::NumericOptions smp = serial;
+  smp.num_threads = 4;
+  const numeric::LUFactors<T> F1(sym, A, serial);
+  expect_same_stores(F1, numeric::LUFactors<T>(sym, A, smp), "4 threads");
+
+  // Partial: factor values that differ from A only in the entries the
+  // dirty set owns, then refactorize those supernodes with A's values.
+  auto A0 = A;
+  for (index_t j = 0; j < A.ncols; ++j)
+    for (index_t p = A.colptr[j]; p < A.colptr[j + 1]; ++p)
+      if (dirty[std::min(sym->col_to_sn[A.rowind[p]], sym->col_to_sn[j])])
+        A0.values[p] *= T{2};
+  for (const numeric::NumericOptions& opt : {serial, smp}) {
+    numeric::LUFactors<T> F(sym, A0, opt);
+    F.refactorize_partial(A, dirty, opt);
+    expect_same_stores(F1, F, opt.num_threads == 1 ? "partial, 1 thread"
+                                                   : "partial, 4 threads");
+  }
+}
+
+// The testbed matrix's transformed form (the default pipeline) analysed at
+// max_block 24 and 48, where some band must hit the bound; each analysis
+// factorized in double, float and Complex. The partial sweep re-eliminates
+// a gapped dirty set when `gapped` is asked for, else the closure of the
+// middle supernode.
+void expect_engines_agree_both_blocks(const char* name, bool gapped) {
+  SCOPED_TRACE(name);
+  const auto A = sparse::testbed_entry(name).make();
+  for (const index_t max_block : {24, 48}) {
+    SCOPED_TRACE("max_block " + std::to_string(max_block));
+    SolverOptions opt;
+    opt.symbolic.max_block = max_block;
+    const auto tr = compute_transform(A, opt);
+    const auto sym = std::make_shared<const symbolic::SymbolicLU>(
+        symbolic::analyze(tr.At, opt.symbolic, tr.etree));
+    EXPECT_TRUE(some_band_hits_bound(*sym));
+    std::vector<char> dirty = gapped_dirty_set(*sym);
+    if (gapped) {
+      ASSERT_FALSE(dirty.empty()) << "no gapped dirty set";
+    } else {
+      dirty.assign(static_cast<std::size_t>(sym->nsup), 0);
+      dirty[sym->nsup / 2] = 1;
+      symbolic::close_update_reachable(*sym, dirty);
+    }
+    ASSERT_LT(std::count(dirty.begin(), dirty.end(), 1), sym->nsup);
+    expect_engines_agree(sym, tr.At, dirty);
+    expect_engines_agree(sym, with_values<float>(tr.At), dirty);
+    expect_engines_agree(sym, sparse::randomize_phases(tr.At, 5), dirty);
+  }
+}
+
+TEST(StackedUpdate, EnginesAgreeWhereABandHitsTheBound) {
+  expect_engines_agree_both_blocks("jpwh991-s", /*gapped=*/false);
+}
+
+TEST(StackedUpdate, EnginesAgreeOnAGappedPartialSweep) {
+  expect_engines_agree_both_blocks("twotone-s", /*gapped=*/true);
 }
 
 // Same invariant on the testbed matrices (the paper's problem classes).

@@ -23,7 +23,7 @@
 //                         mixed factors in float but refines toward the
 //                         double target, promoting to a double
 //                         refactorization when refinement stalls above it
-//   --max-block=N         supernode splitting width (default 24)
+//   --max-block=N         supernode splitting width (default 48)
 //   --relax=N             supernode amalgamation size (default 8)
 //   --ferr                estimate the forward error bound (extra solves;
 //                         in-process backends only)
