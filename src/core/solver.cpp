@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <tuple>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
@@ -249,8 +250,7 @@ Solver<T>::Solver(const sparse::CscMatrix<T>& A, const SolverOptions& opt)
   validate<T>(opt_);
   if (opt_.backend == Backend::serial) opt_.num_threads = 1;
   n_ = A.ncols;
-  pattern_ = sparse::pattern_key(A);
-  transform(A);
+  std::tie(an_, At_) = build_analysis(A, opt_, &stats_.times);
   // A non-default start rung (serve's hostile fast path) skips the rungs
   // a repeat offender is known to burn through.
   restart_ladder(A);
@@ -356,9 +356,10 @@ void Solver<T>::apply_rung() {
       factor();
       break;
     case RecoveryRung::unscaled:
+      // The transformed matrix changes: a fresh analysis of the values the
+      // ladder restarted from.
       opt_.mc64_scaling = false;
-      sym_.reset();  // the transformed matrix changes: full re-analysis
-      transform(A_keep_);
+      std::tie(an_, At_) = build_analysis(A_keep_, opt_, &stats_.times);
       factor();
       break;
     case RecoveryRung::threshold:
@@ -505,29 +506,80 @@ TransformResult<T> compute_transform(const sparse::CscMatrix<T>& A,
 }
 
 template <class T>
-sparse::CscMatrix<T> refill_transformed(const sparse::CscMatrix<T>& A_new,
-                                        const sparse::CscMatrix<T>& At,
-                                        std::span<const double> row_scale,
-                                        std::span<const double> col_scale,
-                                        std::span<const index_t> at_pos) {
+std::pair<std::shared_ptr<const Analysis<T>>, sparse::CscMatrix<T>>
+build_analysis(const sparse::CscMatrix<T>& A, const SolverOptions& opt,
+               PhaseTimes* times) {
+  TransformResult<T> tr = compute_transform(A, opt, times);
+  auto an = std::make_shared<Analysis<T>>();
+  an->key = sparse::pattern_key(A);
+  an->row_scale = std::move(tr.row_scale);
+  an->col_scale = std::move(tr.col_scale);
+  an->row_perm = std::move(tr.row_perm);
+  an->col_perm = std::move(tr.col_perm);
+  an->at_pos = std::move(tr.at_pos);
+  // Pin ||Â|| here, NOT per factorization: recomputing it from each
+  // refactorization's values would make clean blocks retained by a delta
+  // refactorization encode a different threshold than the dirty ones, and
+  // would let two backends replace different pivots on the same values.
+  an->at_norm = sparse::norm_max(tr.At);
+  Timer t;
+  {
+    GESP_TRACE_SPAN("solver", "symbolic");
+    an->sym = std::make_shared<const symbolic::SymbolicLU>(
+        symbolic::analyze(tr.At, opt.symbolic, tr.etree));
+  }
+  if (times) times->add("symbolic", t.seconds());
+  return {std::move(an), std::move(tr.At)};
+}
+
+template <class T>
+std::vector<T> Analysis<T>::refill(const sparse::CscMatrix<T>& A_new) const {
+  const auto n = static_cast<index_t>(row_perm.size());
+  GESP_CHECK(A_new.nrows == n && A_new.ncols == n, Errc::invalid_argument,
+             "refactorize dimension mismatch");
+  GESP_CHECK(sparse::pattern_key(A_new) == key, Errc::invalid_argument,
+             "refactorize: matrix sparsity pattern differs from the "
+             "analysed pattern (same-size is not same-structure)");
   // apply_scaling's arithmetic, entry by entry, then permute's placement.
-  const index_t n = At.ncols;
-  sparse::CscMatrix<T> B;
-  B.nrows = n;
-  B.ncols = n;
-  B.colptr = At.colptr;
-  B.rowind = At.rowind;
-  B.values.resize(A_new.values.size());
+  std::vector<T> values(A_new.values.size());
   for (index_t j = 0; j < n; ++j) {
-    const double cj = col_scale.empty() ? 1.0 : col_scale[j];
+    const double cj = col_scale[j];
     for (index_t p = A_new.colptr[j]; p < A_new.colptr[j + 1]; ++p) {
-      const double ri = row_scale.empty() ? 1.0 : row_scale[A_new.rowind[p]];
       T v = A_new.values[p];
-      v *= ri * cj;
-      B.values[at_pos[p]] = v;
+      v *= row_scale[A_new.rowind[p]] * cj;
+      values[at_pos[p]] = v;
     }
   }
-  return B;
+  return values;
+}
+
+template <class T>
+double Analysis<T>::tiny_threshold(TinyPivotOption rule, bool single) const {
+  if (rule == TinyPivotOption::fail) return 0.0;
+  // At the compute precision's sqrt(eps) scale: a double-scale threshold
+  // would leave pivots the float kernels cannot distinguish from zero, and
+  // refinement cannot undo a division by float-noise.
+  const double eps =
+      single ? static_cast<double>(std::numeric_limits<float>::epsilon())
+             : std::numeric_limits<double>::epsilon();
+  return std::sqrt(eps) * at_norm;
+}
+
+template <class T>
+void Analysis<T>::to_factored(std::span<const T> b, std::span<T> bhat) const {
+  const std::size_t n = row_perm.size();
+  for (std::size_t c = 0; c < b.size(); c += n)
+    for (std::size_t i = 0; i < n; ++i)
+      bhat[c + row_perm[i]] = b[c + i] * T{row_scale[i]};
+}
+
+template <class T>
+void Analysis<T>::from_factored(std::span<const T> xhat,
+                                std::span<T> x) const {
+  const std::size_t n = col_perm.size();
+  for (std::size_t c = 0; c < xhat.size(); c += n)
+    for (std::size_t j = 0; j < n; ++j)
+      x[c + j] = xhat[c + col_perm[j]] * T{col_scale[j]};
 }
 
 std::size_t factor_asset_bytes(count_t stored_l, count_t stored_u,
@@ -548,32 +600,11 @@ std::size_t factor_asset_bytes(count_t stored_l, count_t stored_u,
 template <class T>
 std::size_t estimate_factor_bytes(const sparse::CscMatrix<T>& A,
                                   const SolverOptions& opt) {
-  const TransformResult<T> tr = compute_transform(A, opt);
-  const symbolic::SymbolicLU sym =
-      symbolic::analyze(tr.At, opt.symbolic, tr.etree);
+  const symbolic::SymbolicLU& sym = *build_analysis(A, opt).first->sym;
   const std::size_t factor_scalar =
       opt.precision == Precision::double_ ? sizeof(T) : sizeof(float);
   return factor_asset_bytes(sym.stored_L, sym.stored_U, sym.nnz_L, sym.nnz_U,
                             A.ncols, A.nnz(), factor_scalar, sizeof(T));
-}
-
-template <class T>
-void Solver<T>::transform(const sparse::CscMatrix<T>& A) {
-  TransformResult<T> r = compute_transform(A, opt_, &stats_.times);
-  row_scale_ = std::move(r.row_scale);
-  col_scale_ = std::move(r.col_scale);
-  row_perm_ = std::move(r.row_perm);
-  col_perm_ = std::move(r.col_perm);
-  At_ = std::move(r.At);
-  etree_ = std::move(r.etree);
-  at_pos_ = std::move(r.at_pos);
-  // Pin ||Â|| here, NOT per factorization: the tiny-pivot threshold derived
-  // from it is a static decision of the analysis, exactly like the scalings
-  // and permutations. Recomputing it from each refactorize's values would
-  // make clean blocks retained by a delta refactorization encode a
-  // different threshold than the dirty ones — and partial would no longer
-  // be bitwise identical to full for pivots falling between the two.
-  at_norm_ = sparse::norm_max(At_);
 }
 
 template <class T>
@@ -590,17 +621,7 @@ numeric::NumericOptions Solver<T>::numeric_options(bool use_single) const {
     nopt.growth_abort = opt_.growth_abort;
   else if (opt_.growth_abort == 0.0 && opt_.recovery.enabled)
     nopt.growth_abort = RecoveryPolicy::max_pivot_growth;
-  if (opt_.tiny_pivot != TinyPivotOption::fail) {
-    // Tiny-pivot threshold at the compute precision's sqrt(eps) scale: a
-    // double-scale threshold would leave pivots the float kernels cannot
-    // distinguish from zero, and refinement cannot undo a division by
-    // float-noise.
-    const double eps =
-        use_single
-            ? static_cast<double>(std::numeric_limits<float>::epsilon())
-            : std::numeric_limits<double>::epsilon();
-    nopt.tiny_threshold = std::sqrt(eps) * at_norm_;
-  }
+  nopt.tiny_threshold = an_->tiny_threshold(opt_.tiny_pivot, use_single);
   if (opt_.tiny_pivot == TinyPivotOption::aggressive_smw) {
     nopt.aggressive_replacement = true;
     nopt.record_replacements = true;
@@ -610,19 +631,12 @@ numeric::NumericOptions Solver<T>::numeric_options(bool use_single) const {
 
 template <class T>
 void Solver<T>::factor() {
-  Timer t;
-  if (!sym_) {
-    GESP_TRACE_SPAN("solver", "symbolic");
-    sym_ = std::make_shared<const symbolic::SymbolicLU>(
-        symbolic::analyze(At_, opt_.symbolic, etree_));
-    stats_.times.add("symbolic", t.seconds());
-  }
   const bool use_single = std::is_same_v<T, double> &&
                           opt_.precision != Precision::double_ && !promoted_;
-  t.reset();
+  Timer t;
   {
     GESP_TRACE_SPAN("solver", "factor");
-    eliminate(std::vector<char>(static_cast<std::size_t>(sym_->nsup), 1),
+    eliminate(std::vector<char>(static_cast<std::size_t>(an_->sym->nsup), 1),
               use_single);
   }
   stats_.times.add("factor", t.seconds());
@@ -638,7 +652,7 @@ void Solver<T>::eliminate(const std::vector<char>& dirty, bool use_single) {
   // precision change) lays out fresh ones; only factor() gets there, and
   // it marks every supernode dirty.
   const auto same_analysis = [&](const auto& f) {
-    return f != nullptr && &f->sym() == sym_.get();
+    return f != nullptr && &f->sym() == an_->sym.get();
   };
   try {
     if constexpr (std::is_same_v<T, double>) {
@@ -649,7 +663,7 @@ void Solver<T>::eliminate(const std::vector<char>& dirty, bool use_single) {
           factors_f_->refactorize_partial(Af, dirty, nopt);
         else
           factors_f_ =
-              std::make_unique<numeric::LUFactors<float>>(sym_, Af, nopt);
+              std::make_unique<numeric::LUFactors<float>>(an_->sym, Af, nopt);
         return;
       }
     }
@@ -657,7 +671,7 @@ void Solver<T>::eliminate(const std::vector<char>& dirty, bool use_single) {
     if (same_analysis(factors_))
       factors_->refactorize_partial(At_, dirty, nopt);
     else
-      factors_ = std::make_shared<numeric::LUFactors<T>>(sym_, At_, nopt);
+      factors_ = std::make_shared<numeric::LUFactors<T>>(an_->sym, At_, nopt);
   } catch (...) {
     // A failed elimination leaves no factors to answer with: solve() then
     // refuses until a later factorization succeeds.
@@ -671,7 +685,7 @@ template <class T>
 void Solver<T>::record_factorization() {
   // Refreshed on every factorization, not just the first analysis: a GEPP
   // recovery rung may have overwritten the structure with its own counts.
-  stats_.record_structure(*sym_);
+  stats_.record_structure(*an_->sym);
   stats_.factor_precision =
       factors_f_ ? Precision::single : Precision::double_;
   stats_.pivots_replaced = factors_f_ ? factors_f_->pivots_replaced()
@@ -889,7 +903,7 @@ void Solver<T>::solve_once(std::span<const T> b, std::span<T> x,
                            const refine::RefineOptions* ov) {
   // Transform the right-hand side into the factored space.
   std::vector<T> bhat(static_cast<std::size_t>(n_));
-  for (index_t i = 0; i < n_; ++i) bhat[row_perm_[i]] = b[i] * T{row_scale_[i]};
+  an_->to_factored(b, bhat);
   std::vector<T> xhat = bhat;
 
   Timer t;
@@ -939,9 +953,7 @@ void Solver<T>::solve_once(std::span<const T> b, std::span<T> x,
     stats_.times.add("ferr", t.seconds());
   }
 
-  // Back-transform.
-  for (index_t j = 0; j < n_; ++j)
-    x[j] = xhat[col_perm_[j]] * T{col_scale_[j]};
+  an_->from_factored(xhat, x);  // back-transform
 
   // The forward error bound above is relative to the SCALED solution x̂;
   // the user's error lives in the original variables x = Dc·Pᵀ·x̂.
@@ -951,7 +963,7 @@ void Solver<T>::solve_once(std::span<const T> b, std::span<T> x,
     const double xhat_norm = sparse::vec_norm_inf<T>(xhat);
     const double x_norm = sparse::vec_norm_inf<T>(std::span<const T>(x));
     double dc_max = 0.0;
-    for (double d : col_scale_) dc_max = std::max(dc_max, d);
+    for (double d : an_->col_scale) dc_max = std::max(dc_max, d);
     if (x_norm > 0.0)
       stats_.ferr = stats_.ferr * xhat_norm * dc_max / x_norm;
   }
@@ -985,12 +997,7 @@ void Solver<T>::solve_multi(std::span<const T> B, std::span<T> X,
   Timer wall;
   // Transform all right-hand sides into the factored space.
   std::vector<T> Bhat(B.size());
-  for (index_t c = 0; c < nrhs; ++c) {
-    const T* bc = B.data() + c * static_cast<std::size_t>(n_);
-    T* bh = Bhat.data() + c * static_cast<std::size_t>(n_);
-    for (index_t i = 0; i < n_; ++i)
-      bh[row_perm_[i]] = bc[i] * T{row_scale_[i]};
-  }
+  an_->to_factored(B, Bhat);
   std::vector<T> Xhat;
   double worst_berr = 0.0;
   const auto run_block = [&]() {
@@ -1025,38 +1032,19 @@ void Solver<T>::solve_multi(std::span<const T> B, std::span<T> X,
     promote_to_double();
     run_block();
   }
-  for (index_t c = 0; c < nrhs; ++c) {
-    const T* xh = Xhat.data() + c * static_cast<std::size_t>(n_);
-    T* xc = X.data() + c * static_cast<std::size_t>(n_);
-    for (index_t j = 0; j < n_; ++j)
-      xc[j] = xh[col_perm_[j]] * T{col_scale_[j]};
-  }
+  an_->from_factored(Xhat, X);
   finish_solve(wall);
 }
 
 template <class T>
 void Solver<T>::refactorize(const sparse::CscMatrix<T>& A_new) {
-  GESP_CHECK(A_new.nrows == n_ && A_new.ncols == n_, Errc::invalid_argument,
-             "refactorize dimension mismatch");
-  // Same dimensions are not enough: the scalings, permutations and symbolic
-  // structure being reused below are only valid for the analysed sparsity
-  // pattern. A different pattern must fail loudly, not solve wrongly.
-  GESP_CHECK(sparse::pattern_key(A_new) == pattern_, Errc::invalid_argument,
-             "refactorize: matrix sparsity pattern differs from the "
-             "analysed pattern (same-size is not same-structure)");
+  // Reuse every static decision: scalings, permutations, symbolic
+  // structure (refill checks the pattern first).
+  At_.values = an_->refill(A_new);
   // New epoch: "factor" reports this refactorization, not the sum of every
   // factorization this Solver ever ran.
   stats_.times.new_epoch();
   GESP_TRACE_SPAN("solver", "refactorize");
-  // Reuse every static decision: scalings, permutations, symbolic structure.
-  factor_refilled(
-      refill_transformed(A_new, At_, row_scale_, col_scale_, at_pos_), A_new);
-}
-
-template <class T>
-void Solver<T>::factor_refilled(sparse::CscMatrix<T>&& At_new,
-                                const sparse::CscMatrix<T>& A_new) {
-  At_ = std::move(At_new);
   restart_ladder(A_new);
   factor_ladder();
 }
@@ -1072,26 +1060,21 @@ void Solver<T>::restart_ladder(const sparse::CscMatrix<T>& A_new) {
 
 template <class T>
 void Solver<T>::refactorize_delta(const sparse::CscMatrix<T>& A_new) {
-  GESP_CHECK(A_new.nrows == n_ && A_new.ncols == n_, Errc::invalid_argument,
-             "refactorize_delta dimension mismatch");
-  GESP_CHECK(sparse::pattern_key(A_new) == pattern_, Errc::invalid_argument,
-             "refactorize_delta: matrix sparsity pattern differs from the "
-             "analysed pattern (same-size is not same-structure)");
+  // The same refill as refactorize(): Â's new values in Â's storage
+  // order, so they align positionally with At_'s.
+  std::vector<T> values = an_->refill(A_new);
   stats_.times.new_epoch();
   GESP_TRACE_SPAN("solver", "refactorize_delta");
   ++stats_.delta.calls;
   metrics::global().counter("solver.delta.call_events").inc();
-  // Same arithmetic as refactorize(): combined scaling, then permutation.
-  // Both are value-independent layout transforms, so At_new's colptr and
-  // rowind are identical to At_'s and the value arrays align positionally.
-  sparse::CscMatrix<T> At_new =
-      refill_transformed(A_new, At_, row_scale_, col_scale_, at_pos_);
   // The full route factors this same refill — identical to
   // refactorize(A_new), without checking the pattern or refilling again.
   const auto fall_back_to_full = [&] {
     ++stats_.delta.full;
     metrics::global().counter("solver.delta.full_events").inc();
-    factor_refilled(std::move(At_new), A_new);
+    At_.values = std::move(values);
+    restart_ladder(A_new);
+    factor_ladder();
   };
   // An escalated ladder or the GEPP fallback means the static factors no
   // longer produce the answer as-is; only a full refactorization restarts
@@ -1108,12 +1091,12 @@ void Solver<T>::refactorize_delta(const sparse::CscMatrix<T>& A_new) {
   // (distinguishes ±0.0, treats identical NaNs equal). The double diff is
   // taken before any float rounding, so on the float path it can only
   // over-mark (a superset of the float diff): still correct.
-  const symbolic::SymbolicLU& S = *sym_;
+  const symbolic::SymbolicLU& S = *an_->sym;
   std::vector<char> dirty(static_cast<std::size_t>(S.nsup), 0);
   count_t changed = 0;
   for (index_t j = 0; j < n_; ++j)
     for (index_t p = At_.colptr[j]; p < At_.colptr[j + 1]; ++p)
-      if (std::memcmp(&At_.values[p], &At_new.values[p], sizeof(T)) != 0) {
+      if (std::memcmp(&At_.values[p], &values[p], sizeof(T)) != 0) {
         ++changed;
         dirty[std::min(S.col_to_sn[At_.rowind[p]], S.col_to_sn[j])] = 1;
       }
@@ -1142,7 +1125,7 @@ void Solver<T>::refactorize_delta(const sparse::CscMatrix<T>& A_new) {
 
   Timer t;
   GESP_TRACE_SPAN("solver", "factor_partial");
-  At_ = std::move(At_new);
+  At_.values = std::move(values);
   restart_ladder(A_new);
   try {
     eliminate(dirty, factors_f_ != nullptr);
@@ -1182,14 +1165,16 @@ template TransformResult<double> compute_transform(
     const sparse::CscMatrix<double>&, const SolverOptions&, PhaseTimes*);
 template TransformResult<Complex> compute_transform(
     const sparse::CscMatrix<Complex>&, const SolverOptions&, PhaseTimes*);
-template sparse::CscMatrix<double> refill_transformed(
-    const sparse::CscMatrix<double>&, const sparse::CscMatrix<double>&,
-    std::span<const double>, std::span<const double>,
-    std::span<const index_t>);
-template sparse::CscMatrix<Complex> refill_transformed(
-    const sparse::CscMatrix<Complex>&, const sparse::CscMatrix<Complex>&,
-    std::span<const double>, std::span<const double>,
-    std::span<const index_t>);
+template struct Analysis<double>;
+template struct Analysis<Complex>;
+template std::pair<std::shared_ptr<const Analysis<double>>,
+                   sparse::CscMatrix<double>>
+build_analysis(const sparse::CscMatrix<double>&, const SolverOptions&,
+               PhaseTimes*);
+template std::pair<std::shared_ptr<const Analysis<Complex>>,
+                   sparse::CscMatrix<Complex>>
+build_analysis(const sparse::CscMatrix<Complex>&, const SolverOptions&,
+               PhaseTimes*);
 template std::size_t estimate_factor_bytes(const sparse::CscMatrix<double>&,
                                            const SolverOptions&);
 template std::size_t estimate_factor_bytes(const sparse::CscMatrix<Complex>&,

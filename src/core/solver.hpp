@@ -26,6 +26,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -357,7 +358,7 @@ class StatsGauges {
 
 /// Result of GESP steps (1)-(2): the combined transforms and the fully
 /// transformed matrix Â = P·(Dr·A·Dc)·Pᵀ ready for static-pivot
-/// factorization. Shared by core::Solver and dist::DistSolver (the
+/// factorization; build_analysis moves it into an Analysis (the
 /// pre-factorization pipeline is cheap, deterministic, and replicated on
 /// every rank in the distributed driver).
 template <class T>
@@ -373,8 +374,8 @@ struct TransformResult {
   std::vector<index_t> at_pos;
 };
 
-/// Run equilibration, the row permutation and the column ordering exactly
-/// as Solver's analysis does; `times` (optional) receives the
+/// Run equilibration, the row permutation and the column ordering (the
+/// first half of build_analysis); `times` (optional) receives the
 /// "equilibrate"/"rowperm"/"colorder" phase entries. The A+Aᵀ graph of the
 /// row-permuted matrix is built once: it is the ordering graph (except for
 /// amd_ata) and gives the etree that is postordered and returned.
@@ -383,17 +384,49 @@ TransformResult<T> compute_transform(const sparse::CscMatrix<T>& A,
                                      const SolverOptions& opt,
                                      PhaseTimes* times = nullptr);
 
-/// Â for new values on an analysed pattern, bitwise what compute_transform
-/// builds (apply_scaling with the stored scalings, then permute): each
-/// entry of A_new is scaled straight into its `at_pos` position, and the
-/// pattern is `At`'s. A_new must have the analysed pattern; the drivers
-/// check its pattern_key first.
+/// Every static decision GESP makes for one pattern, taken from its first
+/// values: steps (1)-(2), the symbolic structure and the tiny-pivot
+/// threshold. Under static pivoting only the numeric values change between
+/// factorizations of a pattern (SuperLU_DIST's SamePattern_SameRowPerm).
+/// Immutable once built and held through shared_ptr<const Analysis>;
+/// Solver and DistSolver keep one each, next to Â's current values.
 template <class T>
-sparse::CscMatrix<T> refill_transformed(const sparse::CscMatrix<T>& A_new,
-                                        const sparse::CscMatrix<T>& At,
-                                        std::span<const double> row_scale,
-                                        std::span<const double> col_scale,
-                                        std::span<const index_t> at_pos);
+struct Analysis {
+  sparse::PatternKey key;  ///< fingerprint of the analysed pattern
+  // Combined transforms: x solves A·x = b via
+  //   b̂[row_perm[i]] = row_scale[i]·b[i];  Â·x̂ = b̂;
+  //   x[j] = col_scale[j]·x̂[col_perm[j]].
+  std::vector<double> row_scale, col_scale;
+  std::vector<index_t> row_perm, col_perm;  ///< new-from-old, combined
+  std::vector<index_t> at_pos;  ///< Â position of each stored entry of A
+  /// ||Â||_max of the first values, pinned: the tiny-pivot threshold is a
+  /// static decision like the scalings it rides with, so every
+  /// refactorization of the pattern replaces pivots by the same rule.
+  double at_norm = 0.0;
+  std::shared_ptr<const symbolic::SymbolicLU> sym;
+
+  /// Â's values for A_new, in Â's storage order: each entry of A_new is
+  /// scaled straight into its at_pos position, one pass, bitwise
+  /// apply_scaling then permute. Throws Errc::invalid_argument unless A_new
+  /// has the analysed dimension and pattern_key (a same-size matrix with
+  /// another pattern would silently reuse a wrong symbolic structure).
+  std::vector<T> refill(const sparse::CscMatrix<T>& A_new) const;
+  /// The tiny-pivot threshold sqrt(eps)·||Â|| under `rule`, at the compute
+  /// precision's eps (float when `single`); 0 under TinyPivotOption::fail.
+  double tiny_threshold(TinyPivotOption rule, bool single) const;
+  /// b̂ = P·Dr·b, for each n-long column of b.
+  void to_factored(std::span<const T> b, std::span<T> bhat) const;
+  /// x = Dc·Pᵀ·x̂, for each n-long column of x̂.
+  void from_factored(std::span<const T> xhat, std::span<T> x) const;
+};
+
+/// The one Analysis builder: compute_transform, then symbolic::analyze on
+/// the transform's etree (`times`, optional, also receives "symbolic").
+/// Returns the Analysis and the first Â.
+template <class T>
+std::pair<std::shared_ptr<const Analysis<T>>, sparse::CscMatrix<T>>
+build_analysis(const sparse::CscMatrix<T>& A, const SolverOptions& opt,
+               PhaseTimes* times = nullptr);
 
 /// Byte footprint of one resident factorization asset: supernodal factor
 /// storage (at `factor_scalar` bytes per stored entry), factor index
@@ -408,8 +441,8 @@ std::size_t factor_asset_bytes(count_t stored_l, count_t stored_u,
                                std::size_t value_scalar) noexcept;
 
 /// Pre-factorization estimate of factor_asset_bytes for A under `opt`:
-/// runs the analysis pipeline only (transform + symbolic — cheap,
-/// deterministic, no numeric phase) and prices the resulting structure.
+/// builds the Analysis only (transform + symbolic — cheap, deterministic,
+/// no numeric phase) and prices its structure.
 /// Exact for the serial/threaded engines, whose numeric factorization
 /// fills exactly the symbolic structure. The sharded serving tier routes
 /// on this: a matrix whose estimate exceeds a shard's byte budget goes to
@@ -432,7 +465,7 @@ class Solver {
   /// Structural fingerprint of the analysed matrix. refactorize() accepts
   /// only matrices with this key; the serve-layer cache uses it to route
   /// requests to an existing analysis.
-  const sparse::PatternKey& pattern() const { return pattern_; }
+  const sparse::PatternKey& pattern() const { return an_->key; }
 
   /// Solve A·x = b with iterative refinement; updates the refinement and
   /// error fields of stats(). With recovery enabled, escalates down the
@@ -506,24 +539,17 @@ class Solver {
   }
 
  private:
-  void transform(const sparse::CscMatrix<T>& A);
-  /// Factor At_ at the current rung's configuration (analysing first when
-  /// sym_ is unset): eliminate() with every supernode dirty.
+  /// Factor At_ at the current rung's configuration: eliminate() with
+  /// every supernode dirty.
   void factor();
   /// The one numeric entry: re-eliminate the `dirty` supernodes of the
   /// factors of the requested precision in place when they exist over
-  /// sym_, else lay out fresh ones (every supernode must then be dirty).
+  /// an_->sym, else lay out fresh ones (every supernode must then be dirty).
   /// A throw drops the factors.
   void eliminate(const std::vector<char>& dirty, bool use_single);
   /// Throws Errc::invalid_argument when no factorization can answer (the
   /// last one failed).
   void require_factors() const;
-  /// The full refactorization of an already refilled Â (`At_new`, from
-  /// refill_transformed of `A_new`): factor it, or restart the recovery
-  /// ladder from its start rung. refactorize() and refactorize_delta()'s
-  /// full route both end here.
-  void factor_refilled(sparse::CscMatrix<T>&& At_new,
-                       const sparse::CscMatrix<T>& A_new);
   /// New values restart the recovery ladder from the policy's start rung
   /// (the escalated *configuration* persists: an unscaled transform stays
   /// unscaled). Nothing to do with the ladder off.
@@ -534,9 +560,8 @@ class Solver {
   /// pivot replacements. Shared by factor() and the partial delta route.
   void record_factorization();
   /// Numeric options for the current configuration. The tiny-pivot
-  /// threshold uses the ||Â|| pinned at transform() time, so delta and full
-  /// refactorizations of the same analysis agree bitwise (the threshold is
-  /// a static decision, like the scalings and permutations it rides with).
+  /// threshold is an_'s (the ||Â|| pinned at analysis), so delta and full
+  /// refactorizations of the same analysis agree bitwise.
   numeric::NumericOptions numeric_options(bool use_single) const;
   void apply_solver(std::span<T> x) const;  ///< LU or SMW-corrected solve
   void apply_solver_multi(std::span<T> X, index_t nrhs) const;
@@ -571,17 +596,9 @@ class Solver {
   /// stats_'s gauges in metrics::global(), resolved at the first solve.
   std::unique_ptr<StatsGauges> gauges_;
   index_t n_ = 0;
-  sparse::PatternKey pattern_;  ///< fingerprint of the analysed matrix
-  // Combined transforms: x solves A·x = b via
-  //   b̂[row_perm_[i]] = row_scale_[i]·b[i];  Â·x̂ = b̂;
-  //   x[j] = col_scale_[j]·x̂[col_perm_[j]].
-  std::vector<double> row_scale_, col_scale_;
-  std::vector<index_t> row_perm_, col_perm_;  ///< new-from-old, combined
-  sparse::CscMatrix<T> At_;                   ///< transformed matrix
-  std::vector<index_t> etree_;  ///< A+Aᵀ etree of At_ (from the transform)
-  std::vector<index_t> at_pos_;  ///< At_ position of each entry of A
-  double at_norm_ = 0.0;  ///< ||Â||_max pinned at transform() time
-  std::shared_ptr<const symbolic::SymbolicLU> sym_;
+  /// Every static decision; replaced only by the unscaled rung.
+  std::shared_ptr<const Analysis<T>> an_;
+  sparse::CscMatrix<T> At_;  ///< Â at the values last factored
   /// shared_ptr so the tiny-pivot SMW correction ties the factors' lifetime
   /// to its own instead of dangling on a rebuild.
   std::shared_ptr<numeric::LUFactors<T>> factors_;
@@ -591,7 +608,7 @@ class Solver {
   bool promoted_ = false;  ///< mixed mode fell back to double for good
   std::unique_ptr<refine::SmwSolver<T>> smw_;
   // Recovery state (inert unless opt_.recovery.enabled).
-  sparse::CscMatrix<T> A_keep_;  ///< original A for re-transform / GEPP
+  sparse::CscMatrix<T> A_keep_;  ///< original A for re-analysis / GEPP
   std::unique_ptr<numeric::GeppLU<T>> gepp_;  ///< active at the gepp rung
   RecoveryRung rung_ = RecoveryRung::gesp;
 };
@@ -608,14 +625,16 @@ extern template TransformResult<double> compute_transform(
     const sparse::CscMatrix<double>&, const SolverOptions&, PhaseTimes*);
 extern template TransformResult<Complex> compute_transform(
     const sparse::CscMatrix<Complex>&, const SolverOptions&, PhaseTimes*);
-extern template sparse::CscMatrix<double> refill_transformed(
-    const sparse::CscMatrix<double>&, const sparse::CscMatrix<double>&,
-    std::span<const double>, std::span<const double>,
-    std::span<const index_t>);
-extern template sparse::CscMatrix<Complex> refill_transformed(
-    const sparse::CscMatrix<Complex>&, const sparse::CscMatrix<Complex>&,
-    std::span<const double>, std::span<const double>,
-    std::span<const index_t>);
+extern template struct Analysis<double>;
+extern template struct Analysis<Complex>;
+extern template std::pair<std::shared_ptr<const Analysis<double>>,
+                          sparse::CscMatrix<double>>
+build_analysis(const sparse::CscMatrix<double>&, const SolverOptions&,
+               PhaseTimes*);
+extern template std::pair<std::shared_ptr<const Analysis<Complex>>,
+                          sparse::CscMatrix<Complex>>
+build_analysis(const sparse::CscMatrix<Complex>&, const SolverOptions&,
+               PhaseTimes*);
 extern template std::size_t estimate_factor_bytes(
     const sparse::CscMatrix<double>&, const SolverOptions&);
 extern template std::size_t estimate_factor_bytes(

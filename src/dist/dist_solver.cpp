@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <tuple>
 #include <utility>
 
 #include "common/error.hpp"
@@ -53,8 +54,7 @@ ProcessGrid grid_from(const DistBackendOptions& opt) {
 }
 
 template <class T>
-DistOptions make_dist_options(const SolverOptions& opt,
-                              const sparse::CscMatrix<T>& At) {
+DistOptions make_dist_options(const SolverOptions& opt, const Analysis<T>& an) {
   DistOptions d;
   d.edag_pruning = opt.dist.edag_pruning;
   d.pipelined = opt.dist.pipelined;
@@ -62,11 +62,7 @@ DistOptions make_dist_options(const SolverOptions& opt,
   // unless the user asked for GENP-style failure. (The raw DistOptions
   // default of 0.0 silently meant "fail", diverging from the single-node
   // TinyPivotOption::replace default.)
-  d.tiny_threshold =
-      opt.tiny_pivot != TinyPivotOption::fail
-          ? std::sqrt(std::numeric_limits<double>::epsilon()) *
-                sparse::norm_max(At)
-          : 0.0;
+  d.tiny_threshold = an.tiny_threshold(opt.tiny_pivot, false);
   return d;
 }
 
@@ -79,44 +75,29 @@ DistSolver<T>::DistSolver(minimpi::Comm& comm, const sparse::CscMatrix<T>& A,
   opt_.backend = Backend::dist;  // whatever backend the caller named
   validate<T>(opt_);
   n_ = A.ncols;
-  pattern_ = sparse::pattern_key(A);
   grid_ = grid_from(opt_.dist);
   GESP_CHECK(grid_.nprocs() == comm.size(), Errc::invalid_argument,
              "process grid does not match communicator size");
   myrow_ = grid_.rank_row(comm.rank());
   mycol_ = grid_.rank_col(comm.rank());
 
-  // Steps (1)-(2) replicated on every rank: cheap, deterministic, and the
-  // full matrix is available anyway.
-  TransformResult<T> tr = compute_transform(A, opt_, &stats_.times);
-  row_scale_ = std::move(tr.row_scale);
-  col_scale_ = std::move(tr.col_scale);
-  row_perm_ = std::move(tr.row_perm);
-  col_perm_ = std::move(tr.col_perm);
-  At_ = std::move(tr.At);
-  at_pos_ = std::move(tr.at_pos);
-  amax_ = static_cast<double>(sparse::norm_max(At_));
-
-  Timer t;
-  {
-    GESP_TRACE_SPAN("solver", "symbolic");
-    sym_ = std::make_shared<const symbolic::SymbolicLU>(
-        symbolic::analyze(At_, opt_.symbolic, tr.etree));
-  }
-  stats_.times.add("symbolic", t.seconds());
-  stats_.record_structure(*sym_);
+  // Steps (1)-(2) and the symbolic analysis replicated on every rank:
+  // cheap, deterministic, and the full matrix is available anyway.
+  std::tie(an_, At_) = build_analysis(A, opt_, &stats_.times);
+  const symbolic::SymbolicLU& S = *an_->sym;
+  stats_.record_structure(S);
 
   // SpMV exchange plan (pattern-only, so refactorize can reuse it): block
   // column J is needed by every rank whose rows its entries touch.
-  const index_t N = sym_->nsup;
+  const index_t N = S.nsup;
   needers_.assign(static_cast<std::size_t>(N), {});
   {
     std::vector<unsigned char> mark(static_cast<std::size_t>(grid_.nprocs()));
     for (index_t J = 0; J < N; ++J) {
       std::fill(mark.begin(), mark.end(), 0);
-      for (index_t j = sym_->sn_start[J]; j < sym_->sn_start[J + 1]; ++j)
+      for (index_t j = S.sn_start[J]; j < S.sn_start[J + 1]; ++j)
         for (index_t p = At_.colptr[j]; p < At_.colptr[j + 1]; ++p) {
-          const index_t M = sym_->col_to_sn[At_.rowind[p]];
+          const index_t M = S.col_to_sn[At_.rowind[p]];
           mark[static_cast<std::size_t>(grid_.owner(M, M))] = 1;
         }
       for (int r = 0; r < grid_.nprocs(); ++r)
@@ -124,11 +105,11 @@ DistSolver<T>::DistSolver(minimpi::Comm& comm, const sparse::CscMatrix<T>& A,
     }
   }
 
-  t.reset();
+  Timer t;
   {
     GESP_TRACE_SPAN("solver", "factor");
-    lu_ = std::make_unique<DistributedLU<T>>(comm, grid_, sym_, At_,
-                                             make_dist_options(opt_, At_));
+    lu_ = std::make_unique<DistributedLU<T>>(comm, grid_, an_->sym, At_,
+                                             make_dist_options(opt_, *an_));
   }
   stats_.times.add("factor", t.seconds());
   reduce_factor_stats(comm);
@@ -136,36 +117,33 @@ DistSolver<T>::DistSolver(minimpi::Comm& comm, const sparse::CscMatrix<T>& A,
 
 template <class T>
 void DistSolver<T>::reduce_factor_stats(minimpi::Comm& comm) {
-  const index_t N = sym_->nsup;
+  const index_t N = an_->sym->nsup;
   const double replaced = allreduce_sum(
       comm, stat_tag(N, 0),
       static_cast<double>(lu_->pivot_stats().replaced));
   stats_.pivots_replaced = static_cast<count_t>(replaced);
   const double fmax =
       allreduce_max(comm, stat_tag(N, 2), lu_->factor_entry_max());
-  stats_.pivot_growth = amax_ > 0.0 ? fmax / amax_ : 0.0;
+  // Growth against Â's current values, as numeric::LUFactors measures it.
+  const double amax = static_cast<double>(sparse::norm_max(At_));
+  stats_.pivot_growth = amax > 0.0 ? fmax / amax : 0.0;
   comm.barrier();
 }
 
 template <class T>
 void DistSolver<T>::refactorize(minimpi::Comm& comm,
                                 const sparse::CscMatrix<T>& A_new) {
-  GESP_CHECK(A_new.nrows == n_ && A_new.ncols == n_, Errc::invalid_argument,
-             "refactorize dimension mismatch");
-  // Every rank holds the same A_new, so every rank throws or none does.
-  GESP_CHECK(sparse::pattern_key(A_new) == pattern_, Errc::invalid_argument,
-             "refactorize: matrix sparsity pattern differs from the "
-             "analysed pattern (same-size is not same-structure)");
+  // Reuse every static decision: scalings, permutations, symbolic
+  // structure, tiny-pivot threshold, distribution, and the SpMV plan
+  // (pattern-unchanged). Every rank holds the same A_new, so refill's
+  // pattern check throws on every rank or on none.
+  At_.values = an_->refill(A_new);
   stats_.times.new_epoch();
   GESP_TRACE_SPAN("solver", "refactorize");
-  // Reuse every static decision: scalings, permutations, symbolic
-  // structure, distribution, and the SpMV plan (pattern-unchanged).
-  At_ = refill_transformed(A_new, At_, row_scale_, col_scale_, at_pos_);
-  amax_ = static_cast<double>(sparse::norm_max(At_));
   Timer t;
   {
     GESP_TRACE_SPAN("solver", "factor");
-    lu_->refactorize(comm, At_, make_dist_options(opt_, At_));
+    lu_->refactorize(comm, At_, make_dist_options(opt_, *an_));
   }
   stats_.times.add("factor", t.seconds());
   reduce_factor_stats(comm);
@@ -174,7 +152,7 @@ void DistSolver<T>::refactorize(minimpi::Comm& comm,
 template <class T>
 void DistSolver<T>::exchange_x(minimpi::Comm& comm, const BlockVector& xb,
                                BlockVector& xfull) const {
-  const index_t N = sym_->nsup;
+  const index_t N = an_->sym->nsup;
   const int me = comm.rank();
   xfull.assign(static_cast<std::size_t>(N), {});
   for (index_t J = 0; J < N; ++J) {
@@ -200,7 +178,7 @@ double DistSolver<T>::compute_berr_dist(minimpi::Comm& comm,
                                         const BlockVector& bb,
                                         BlockVector& rb) const {
   using std::abs;
-  const symbolic::SymbolicLU& S = *sym_;
+  const symbolic::SymbolicLU& S = *an_->sym;
   const index_t N = S.nsup;
   BlockVector xfull;
   exchange_x(comm, xb, xfull);
@@ -261,8 +239,7 @@ void DistSolver<T>::solve(minimpi::Comm& comm, std::span<const T> b,
 
   // Transform the right-hand side into the factored space (replicated).
   std::vector<T> bhat(static_cast<std::size_t>(n_));
-  for (index_t i = 0; i < n_; ++i)
-    bhat[row_perm_[i]] = b[i] * T{row_scale_[i]};
+  an_->to_factored(b, bhat);
 
   BlockVector bb, xb;
   lu_->scatter_vector(std::span<const T>(bhat), bb);
@@ -301,7 +278,7 @@ void DistSolver<T>::solve(minimpi::Comm& comm, std::span<const T> b,
     comm.barrier();
     lu_->solve_upper_dist(comm, dxb);
     comm.barrier();
-    for (index_t K = 0; K < sym_->nsup; ++K)
+    for (index_t K = 0; K < an_->sym->nsup; ++K)
       for (std::size_t r = 0; r < xb[K].size(); ++r) xb[K][r] += dxb[K][r];
     ++iterations;
     berr = compute_berr_dist(comm, xb, bb, rb);
@@ -319,8 +296,7 @@ void DistSolver<T>::solve(minimpi::Comm& comm, std::span<const T> b,
   std::vector<T> xhat(static_cast<std::size_t>(n_));
   lu_->gather_vector(comm, xb, xhat);
   comm.barrier();
-  for (index_t j = 0; j < n_; ++j)
-    x[j] = xhat[col_perm_[j]] * T{col_scale_[j]};
+  an_->from_factored(xhat, x);
   stats_.solve_wall_seconds = wall.seconds();
   stats_.solve_wall_total_seconds += stats_.solve_wall_seconds;
   ++stats_.solve_calls;
@@ -410,9 +386,9 @@ std::vector<T> solve(const sparse::CscMatrix<T>& A, std::span<const T> b,
 template class DistSolver<double>;
 template class DistSolver<Complex>;
 template DistOptions make_dist_options(const SolverOptions&,
-                                       const sparse::CscMatrix<double>&);
+                                       const Analysis<double>&);
 template DistOptions make_dist_options(const SolverOptions&,
-                                       const sparse::CscMatrix<Complex>&);
+                                       const Analysis<Complex>&);
 template std::vector<double> solve(const sparse::CscMatrix<double>&,
                                    std::span<const double>,
                                    const SolverOptions&, SolveStats*);

@@ -3,7 +3,7 @@
 //
 // DistSolver runs the full Figure 1 pipeline on a 2-D process grid:
 // steps (1)-(2) (equilibrate → row perm → column order) execute replicated
-// on every rank via core::compute_transform (they are cheap, deterministic,
+// on every rank via core::build_analysis (they are cheap, deterministic,
 // and need the whole matrix anyway — the paper parallelizes only the
 // numeric factorization and solves), step (3) is the pipelined
 // DistributedLU factorization, and step (4) is iterative refinement over
@@ -39,11 +39,11 @@ void throw_root_cause(const std::vector<minimpi::RankReport>& reports);
 ProcessGrid grid_from(const DistBackendOptions& opt);
 
 /// Map the unified options onto the dist layer's factorization knobs —
-/// in particular the GESP tiny-pivot rule sqrt(eps)·||Â||, which the raw
-/// DistOptions default (0.0 == fail on zero pivots) silently diverged from.
+/// in particular the GESP tiny-pivot rule sqrt(eps)·||Â|| with the norm
+/// pinned in `an` (as core::Solver uses it), which the raw DistOptions
+/// default (0.0 == fail on zero pivots) silently diverged from.
 template <class T>
-DistOptions make_dist_options(const SolverOptions& opt,
-                              const sparse::CscMatrix<T>& At);
+DistOptions make_dist_options(const SolverOptions& opt, const Analysis<T>& an);
 
 template <class T>
 class DistSolver {
@@ -98,13 +98,8 @@ class DistSolver {
   index_t n_ = 0;
   ProcessGrid grid_;
   int myrow_ = 0, mycol_ = 0;
-  std::vector<double> row_scale_, col_scale_;
-  std::vector<index_t> row_perm_, col_perm_;
-  sparse::CscMatrix<T> At_;      ///< transformed matrix (replicated)
-  sparse::PatternKey pattern_;   ///< fingerprint of the analysed matrix
-  std::vector<index_t> at_pos_;  ///< At_ position of each entry of A
-  double amax_ = 0.0;            ///< ||Â||_max for growth / tiny threshold
-  std::shared_ptr<const symbolic::SymbolicLU> sym_;
+  std::shared_ptr<const Analysis<T>> an_;  ///< every static decision
+  sparse::CscMatrix<T> At_;  ///< Â at the values last factored (replicated)
   std::unique_ptr<DistributedLU<T>> lu_;
   /// SpMV exchange plan: needers_[J] = ranks whose rows touch block
   /// column J (pattern-static, refactorize-safe — values are re-read from
@@ -125,9 +120,9 @@ std::vector<T> solve(const sparse::CscMatrix<T>& A, std::span<const T> b,
 extern template class DistSolver<double>;
 extern template class DistSolver<Complex>;
 extern template DistOptions make_dist_options(const SolverOptions&,
-                                              const sparse::CscMatrix<double>&);
-extern template DistOptions make_dist_options(
-    const SolverOptions&, const sparse::CscMatrix<Complex>&);
+                                              const Analysis<double>&);
+extern template DistOptions make_dist_options(const SolverOptions&,
+                                              const Analysis<Complex>&);
 extern template std::vector<double> solve(const sparse::CscMatrix<double>&,
                                           std::span<const double>,
                                           const SolverOptions&, SolveStats*);

@@ -263,8 +263,51 @@ TEST(Backend, DistInheritsTinyPivotReplacement) {
   world.run([&](minimpi::Comm& comm) {
     DistSolver<double> ds(comm, A, dopt);
     EXPECT_EQ(ds.stats().pivots_replaced, serial.stats().pivots_replaced);
-    EXPECT_GT(dist::make_dist_options(ds.options(), A).tiny_threshold, 0.0);
+    const auto an = build_analysis(A, ds.options()).first;
+    EXPECT_GT(dist::make_dist_options(ds.options(), *an).tiny_threshold, 0.0);
   });
+}
+
+TEST(Backend, DistRefactorizeMatchesSerialRefactorize) {
+  // The tiny-pivot threshold sqrt(eps)·||Â|| is a static decision pinned at
+  // analysis, so a refactorization whose values move ||Â|| keeps the first
+  // values' threshold on every backend. Here ||Â|| doubles and the pivot
+  // 2e-8 sits between the pinned threshold (~1.5e-8, kept) and the one the
+  // new values would give (~3e-8, replaced).
+  std::vector<double> d(8, 1.0);
+  d[3] = 1e-9;
+  const auto A0 = diagonal_matrix(d);
+  for (auto& v : d) v *= 2.0;
+  d[3] = 2e-8;
+  const auto A1 = diagonal_matrix(d);
+
+  auto opt = raw_pivot_options();
+  opt.backend = Backend::serial;
+  Solver<double> serial(A0, opt);
+  serial.refactorize(A1);
+  const auto Lser = serial.factors().l_matrix();
+  const auto User = serial.factors().u_matrix();
+
+  auto dopt = raw_pivot_options();
+  dopt.backend = Backend::dist;
+  dopt.dist.pr = 2;
+  dopt.dist.pc = 2;
+  minimpi::World world(4);
+  CscMatrix<double> Ld, Ud;
+  world.run([&](minimpi::Comm& comm) {
+    DistSolver<double> ds(comm, A0, dopt);
+    ds.refactorize(comm, A1);
+    EXPECT_EQ(ds.stats().pivots_replaced, serial.stats().pivots_replaced);
+    auto L = ds.lu().gather_l(comm);
+    auto U = ds.lu().gather_u(comm);
+    if (comm.rank() == 0) {
+      Ld = std::move(L);
+      Ud = std::move(U);
+    }
+  });
+  EXPECT_EQ(serial.stats().pivots_replaced, 0);
+  EXPECT_EQ(testing::max_abs_diff(Lser, Ld), 0.0);
+  EXPECT_EQ(testing::max_abs_diff(User, Ud), 0.0);
 }
 
 TEST(Backend, DistFailsOnZeroPivotWhenReplacementOff) {

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/solver.hpp"
@@ -14,6 +15,7 @@
 #include "sparse/generators.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/testbed.hpp"
+#include "test_helpers.hpp"
 
 namespace gesp {
 namespace {
@@ -314,6 +316,47 @@ TEST(Recovery, RefactorizeRestartsTheLadder) {
   ASSERT_EQ(trail.attempts.size(), 1u);
   EXPECT_TRUE(trail.attempts[0].success);
   EXPECT_LT(sparse::relative_error_inf<double>(x_true, x2), 1e-8);
+}
+
+TEST(Recovery, UnscaledRungIsAFreshUnscaledAnalysis) {
+  // The unscaled rung is the one path that replaces a Solver's analysis:
+  // it re-analyses the values the ladder restarted from without the mc64
+  // scalings. Started there, a Solver must match one built with
+  // mc64_scaling off, byte for byte, at construction and after a
+  // refactorize_delta (which restarts the ladder on the new values).
+  SolverOptions rung;
+  rung.recovery.enabled = true;
+  rung.recovery.start_rung = RecoveryRung::unscaled;
+  SolverOptions plain;
+  plain.mc64_scaling = false;
+  const auto answer = [](Solver<double>& s,
+                         const sparse::CscMatrix<double>& A) {
+    std::vector<double> ones(static_cast<std::size_t>(A.ncols), 1.0),
+        b(ones.size()), x(ones.size());
+    sparse::spmv<double>(A, ones, b);
+    s.solve(b, x);
+    return x;
+  };
+  const auto expect_same = [&](Solver<double>& got, Solver<double>& want,
+                               const sparse::CscMatrix<double>& A,
+                               const std::string& what) {
+    const auto& G = got.transformed_matrix();
+    const auto& W = want.transformed_matrix();
+    EXPECT_EQ(G.colptr, W.colptr) << what;
+    EXPECT_EQ(G.rowind, W.rowind) << what;
+    EXPECT_TRUE(testing::same_bytes(G.values, W.values)) << what;
+    EXPECT_TRUE(testing::same_bytes(answer(got, A), answer(want, A))) << what;
+  };
+  for (const std::string name :
+       {"west0497-s", "orsirr-s", "add20-s", "sherman-s", "jpwh991-s"}) {
+    const auto A = sparse::testbed_entry(name).make();
+    const auto A2 = sparse::perturb_values(A, 0.05, 7);
+    Solver<double> s(A, rung), ref(A, plain);
+    expect_same(s, ref, A, name + " construct");
+    s.refactorize_delta(A2);
+    Solver<double> ref2(A2, plain);
+    expect_same(s, ref2, A2, name + " delta");
+  }
 }
 
 }  // namespace

@@ -225,6 +225,30 @@ TEST(GespSolver, ComplexQuantumChemistrySystem) {
   EXPECT_LT(sparse::relative_error_inf<Complex>(x_true, x), 1e-9);
 }
 
+TEST(GespSolver, EstimateFactorBytesIsExact) {
+  // estimate_factor_bytes prices the analysis alone; the serve layer prices
+  // a built Solver's structure at its active precision. The serial and
+  // threaded engines fill exactly the symbolic structure, so the two agree.
+  for (const auto& e : sparse::testbed()) {
+    if (e.large) continue;
+    const auto A = e.make();
+    for (Precision p : {Precision::double_, Precision::mixed}) {
+      SolverOptions opt;
+      opt.precision = p;
+      const Solver<double> s(A, opt);
+      const SolveStats& st = s.stats();
+      const std::size_t factor_scalar =
+          s.active_precision() == Precision::single ? sizeof(float)
+                                                    : sizeof(double);
+      EXPECT_EQ(estimate_factor_bytes(A, opt),
+                factor_asset_bytes(st.stored_l, st.stored_u, st.nnz_l,
+                                   st.nnz_u, A.ncols, A.nnz(), factor_scalar,
+                                   sizeof(double)))
+          << e.name << " " << precision_name(p);
+    }
+  }
+}
+
 TEST(GespSolver, StatsArePopulated) {
   SolveStats s;
   solve_ones_error(sparse::convdiff2d(15, 15, 1.0, 0.5), {}, &s);
